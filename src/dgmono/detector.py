@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import DgNodeSet, symmetric_point, symmetric_points_batch
 
@@ -127,6 +128,20 @@ def ssgn(x, tau_h):
     return np.divide(x, den, out=np.zeros_like(x, dtype=float), where=den > 0.0)
 
 
+def _ssgn_slope(x, tau_h):
+    """d ssgn/dx = tau_h / (x^2 + tau_h)^(3/2); 0 where that is 0/0."""
+    den = abs_upper(x, tau_h)**3
+    return np.divide(tau_h, den, out=np.zeros_like(den), where=den > 0.0)
+
+
+def _abs_lower_slope(x, tau_h):
+    """d abs_lower/dx = x (x^2 + 2 tau_h) / (x^2 + tau_h)^(3/2)."""
+    x2 = np.square(x)
+    den = abs_upper(x, tau_h)**3
+    return np.divide(x * (x2 + 2.0 * tau_h), den, out=np.zeros_like(den),
+                     where=den > 0.0)
+
+
 def z_ramp(x, printed=False):
     """C^2 ramp onto [0, 1] with Z(x >= 1) = 1.
 
@@ -141,6 +156,17 @@ def z_ramp(x, printed=False):
     else:
         val = x * (x * (x * (2 * x - 5) + 3) + 1)
     return np.where(x >= 1.0, 1.0, val)
+
+
+def _z_ramp_slope(x, printed=False):
+    """dZ/dx; 0 where Z saturates (x >= 1) or its clamp is active."""
+    if printed:
+        val = 2 * x**4 - 5 * x**3 + 3 * x**2 + 1.0
+        slope = x * (x * (8 * x - 15) + 6)
+        slope = np.where((val < 0.0) | (val > 1.0), 0.0, slope)
+    else:
+        slope = x * (x * (8 * x - 15) + 6) + 1
+    return np.where(x >= 1.0, 0.0, slope)
 
 
 # -- pair topology ------------------------------------------------------------
@@ -255,15 +281,26 @@ def build_pair_topology(nodes):
 
 # -- detector evaluation ------------------------------------------------------
 
-def _symmetric_candidates(topo, u):
-    """Per regular pair: extreme values of u(x_sym) - u_a over owning cells."""
+def _candidate_values(topo, u):
+    """Per candidate cell of a regular pair: u(x_sym) - u_a."""
+    diffs = u[topo.cand_nodes] - u[topo.cand_a][:, None]
+    return np.einsum("ck,ck->c", topo.cand_weights, diffs)
+
+
+def _symmetric_candidates(topo, cand):
+    """Per regular pair: extreme candidate values over the owning cells."""
     if len(topo.reg_a) == 0:
         return np.zeros(0), np.zeros(0)
-    diffs = u[topo.cand_nodes] - u[topo.cand_a][:, None]
-    vals = np.einsum("ck,ck->c", topo.cand_weights, diffs)
-    s_hi = np.maximum.reduceat(vals, topo.cand_ptr[:-1])
-    s_lo = np.minimum.reduceat(vals, topo.cand_ptr[:-1])
+    s_hi = np.maximum.reduceat(cand, topo.cand_ptr[:-1])
+    s_lo = np.minimum.reduceat(cand, topo.cand_ptr[:-1])
     return s_hi, s_lo
+
+
+def _first_attaining(topo, cand, s):
+    """Per regular pair: index of the first candidate whose value is s."""
+    hit = np.flatnonzero(cand == np.repeat(s, np.diff(topo.cand_ptr)))
+    pair = np.searchsorted(topo.cand_ptr, hit, side="right") - 1
+    return hit[np.unique(pair, return_index=True)[1]]
 
 
 def _boundary_value(topo, u, trace):
@@ -298,27 +335,87 @@ def _term_values(topo, u, trace, params, scales, s_sym):
     return np.concatenate([t_co, t_pair, t_sym, t_dgb, t_dgs])
 
 
-def _alpha_from_terms(topo, vals, params, scales, n, noise=0.0):
+def _term_slopes(topo, u, trace, params, scales, choice):
+    """d(term)/du as triplets (term, column, value) in the flat layout of
+    _term_values; the symmetric leg of regular pair i is taken on candidate
+    ``choice[i]``.  Smoothed mode only."""
+    n_co, n_reg, n_dg = len(topo.co_a), len(topo.reg_a), len(topo.dg_a)
+    r_co = np.arange(n_co)
+    r_pair = n_co + np.arange(n_reg)
+    r_sym = r_pair + n_reg
+    r_dgb = n_co + 2 * n_reg + np.arange(n_dg)
+    r_dgs = r_dgb + n_dg
+    w_sym = topo.reg_ws[:, None] * topo.cand_weights[choice]
+
+    # degenerate extrapolated leg: d0 = ubar_a - u_a depends on u_a only
+    # where the boundary value is Dirichlet data (else ubar_a is u_a itself)
+    ua = u[topo.dg_a]
+    d0 = _boundary_value(topo, u, trace) - ua
+    db = u[topo.dg_b] - ua
+    dd0 = np.zeros(n_dg)
+    if trace is not None and n_dg:
+        dd0[trace.dirichlet[topo.dg_bidx]] = -1.0
+    if params.boundary_extrapolation:
+        x = d0 * db
+        sg = ssgn(x, scales.tau_h)
+        sg_x = _ssgn_slope(x, scales.tau_h)
+        s_a = dd0 - sg + db * sg_x * (db * dd0 - d0)
+        s_b = sg + db * sg_x * d0
+    else:
+        s_a, s_b = dd0, np.zeros(n_dg)
+
+    rows = np.concatenate([r_co, r_co, r_pair, r_pair, np.repeat(r_sym, 4),
+                           r_sym, r_dgb, r_dgb, r_dgs, r_dgs])
+    cols = np.concatenate([topo.co_b, topo.co_a, topo.reg_b, topo.reg_a,
+                           topo.cand_nodes[choice].ravel(), topo.reg_a,
+                           topo.dg_b, topo.dg_a, topo.dg_a, topo.dg_b])
+    vals = np.concatenate([topo.co_w, -topo.co_w, topo.reg_wb, -topo.reg_wb,
+                           w_sym.ravel(), -w_sym.sum(axis=1), topo.dg_w,
+                           -topo.dg_w, topo.dg_w * s_a, topo.dg_w * s_b])
+    return rows, cols, vals
+
+
+def _smoothed_alpha(topo, vals, params, scales, n, slope=False):
+    """Smoothed detector from the term values; with ``slope``, also
+    d alpha_a / d t for every term t of node a = term_idx[t]."""
+    tau_h = scales.tau_h
     num = np.bincount(topo.term_idx, weights=vals, minlength=n)
-    if params.mode == "raw":
-        den = np.bincount(topo.term_idx, weights=np.abs(vals), minlength=n)
-        ratio = np.divide(np.abs(num), den,
-                          out=np.zeros(n), where=den > 0.0)
-        ratio[ratio <= RATIO_SNAP] = 0.0
-        # cancellation leaves rounding noise proportional to |u|, not to the
-        # local variation; treat sums below that floor as exact zeros
-        ratio[np.abs(num) <= noise] = 0.0
-        ratio = np.clip(ratio, 0.0, 1.0)
-        if np.isinf(params.q):
-            return (ratio >= 1.0).astype(float)
-        return ratio**params.q
-    den = np.bincount(topo.term_idx,
-                      weights=abs_lower(vals, scales.tau_h), minlength=n)
-    num_s = abs_upper(num, scales.tau_h) + scales.gamma_h
+    den = np.bincount(topo.term_idx, weights=abs_lower(vals, tau_h),
+                      minlength=n)
+    num_s = abs_upper(num, tau_h) + scales.gamma_h
     den_s = den + scales.gamma_h
     zeta = np.divide(num_s, den_s, out=np.zeros(n), where=den_s > 0.0)
-    alpha = z_ramp(zeta, printed=params.z_printed)**params.q
-    return np.clip(alpha, 0.0, 1.0)
+    z = z_ramp(zeta, printed=params.z_printed)
+    alpha = z**params.q
+    if not slope:
+        return np.clip(alpha, 0.0, 1.0)
+    # q Z^(q-1) Z'(zeta), then the quotient rule on
+    # zeta = (abs_upper(num) + gamma) / (den + gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_z = params.q * z**(params.q - 1.0) \
+            * _z_ramp_slope(zeta, params.z_printed)
+    d_z[~np.isfinite(d_z) | (alpha < 0.0) | (alpha > 1.0)] = 0.0
+    c = np.divide(d_z, den_s, out=np.zeros(n), where=den_s > 0.0)
+    i = topo.term_idx
+    per_term = c[i] * (ssgn(num, tau_h)[i]
+                       - zeta[i] * _abs_lower_slope(vals, tau_h))
+    return np.clip(alpha, 0.0, 1.0), per_term
+
+
+def _alpha_from_terms(topo, vals, params, scales, n, noise=0.0):
+    if params.mode != "raw":
+        return _smoothed_alpha(topo, vals, params, scales, n)
+    num = np.bincount(topo.term_idx, weights=vals, minlength=n)
+    den = np.bincount(topo.term_idx, weights=np.abs(vals), minlength=n)
+    ratio = np.divide(np.abs(num), den, out=np.zeros(n), where=den > 0.0)
+    ratio[ratio <= RATIO_SNAP] = 0.0
+    # cancellation leaves rounding noise proportional to |u|, not to the
+    # local variation; treat sums below that floor as exact zeros
+    ratio[np.abs(num) <= noise] = 0.0
+    ratio = np.clip(ratio, 0.0, 1.0)
+    if np.isinf(params.q):
+        return (ratio >= 1.0).astype(float)
+    return ratio**params.q
 
 
 def alpha_all(nodes, u, trace, params, scales):
@@ -332,7 +429,7 @@ def alpha_all(nodes, u, trace, params, scales):
     if trace is not None and len(trace.values):
         u_scale = max(u_scale, float(np.abs(trace.values).max()))
     noise = 64.0 * np.finfo(float).eps * topo.w_max * u_scale
-    s_hi, s_lo = _symmetric_candidates(topo, u)
+    s_hi, s_lo = _symmetric_candidates(topo, _candidate_values(topo, u))
     a_hi = _alpha_from_terms(topo, _term_values(topo, u, trace, params,
                                                 scales, s_hi),
                              params, scales, nodes.n_nodes, noise)
@@ -342,6 +439,44 @@ def alpha_all(nodes, u, trace, params, scales):
                                                 scales, s_lo),
                              params, scales, nodes.n_nodes, noise)
     return np.maximum(a_hi, a_lo)
+
+
+def alpha_jacobian(nodes, u, trace, params, scales):
+    """(alpha, d alpha/du) of the smoothed detector at state u.
+
+    alpha is bitwise equal to :func:`alpha_all`; d alpha/du is a CSR matrix.
+    Where the detector is not smooth, the derivative is that of the active
+    branch: at each regular pair, the first candidate cell attaining the
+    max (all-max assignment) or the min (all-min); at each node, the
+    assignment np.maximum(a_hi, a_lo) keeps (all-max on ties); and zero
+    where the ramp saturates (zeta >= 1) or the clip to [0, 1] binds.
+    """
+    n = nodes.n_nodes
+    if not params.enabled:
+        return np.zeros(n), sp.csr_matrix((n, n))
+    if params.mode != "smoothed":
+        raise ValueError("the detector Jacobian needs the smoothed mode")
+    topo = nodes.pair_topology()
+    u = np.asarray(u, dtype=float)
+    cand = _candidate_values(topo, u)
+    s_hi, s_lo = _symmetric_candidates(topo, cand)
+    alpha, slope = _smoothed_alpha(
+        topo, _term_values(topo, u, trace, params, scales, s_hi),
+        params, scales, n, slope=True)
+    choice = _first_attaining(topo, cand, s_hi)
+    if not np.array_equal(s_hi, s_lo):
+        a_lo, slope_lo = _smoothed_alpha(
+            topo, _term_values(topo, u, trace, params, scales, s_lo),
+            params, scales, n, slope=True)
+        lo = a_lo > alpha
+        alpha = np.maximum(alpha, a_lo)
+        slope = np.where(lo[topo.term_idx], slope_lo, slope)
+        choice = np.where(lo[topo.reg_a], _first_attaining(topo, cand, s_lo),
+                          choice)
+    rows, cols, vals = _term_slopes(topo, u, trace, params, scales, choice)
+    dalpha = sp.coo_matrix((slope[rows] * vals, (topo.term_idx[rows], cols)),
+                           shape=(n, n))
+    return alpha, dalpha.tocsr()
 
 
 def alpha(nodes, u, trace, a, params, scales):

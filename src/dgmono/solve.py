@@ -10,7 +10,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .stabilization import StabilizedProblem, build_stabilized, lumped_mass_apply
+from .stabilization import (StabilizedProblem, build_stabilized,
+                            lumped_mass_matrix)
 
 
 @dataclass
@@ -113,24 +114,20 @@ def _initial_guess(problem, u0):
 # -- Picard -------------------------------------------------------------------
 
 def _picard_system(problem, u, dt=None, u_old=None, theta=1.0):
-    """Lagged-coefficient linear system (A, rhs) at the current iterate."""
-    if dt is None:
-        Kt, Bt = problem.operators(u)
-        return Kt, problem.rhs(Bt)
-    u_stage = theta * u + (1.0 - theta) * u_old
-    visc = problem.viscosity(u_stage)
-    Kt, Bt = build_stabilized(problem.K, problem.B, visc)
+    """Lagged-coefficient linear system (A, rhs) at the current iterate, and
+    the detector values at its stage state (one detector pass)."""
+    u_stage = u if dt is None else theta * u + (1.0 - theta) * u_old
     alpha = problem.alpha(u_stage)
-    if np.isinf(problem.params.Q):
-        blend = (alpha >= 1.0).astype(float)
-    else:
-        blend = alpha**problem.params.Q
-    n = problem.nodes.n_nodes
-    Mt = sp.diags(1.0 - blend) @ problem.M + sp.diags(blend * problem.nodes.m)
+    Kt, Bt = build_stabilized(problem.K, problem.B,
+                              problem.viscosity(u_stage, alpha))
+    if dt is None:
+        return Kt, problem.rhs(Bt), alpha
+    Mt = lumped_mass_matrix(problem.M, problem.nodes.m, alpha,
+                            problem.params.Q)
     A = (Mt / dt + theta * Kt).tocsc()
     rhs = Mt @ u_old / dt - (1.0 - theta) * (Kt @ u_old) \
         + problem.G + Bt @ problem.ubar_vec
-    return A, rhs
+    return A, rhs, alpha
 
 
 def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = None,
@@ -155,12 +152,10 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
     prev_norm = None
     best_norm, since_best = np.inf, 0
     for _ in range(cfg.max_iter):
-        A, rhs = _picard_system(problem, u, dt, u_old, theta)
+        A, rhs, alpha = _picard_system(problem, u, dt, u_old, theta)
         res = A @ u - rhs
         res_norm = float(np.linalg.norm(res))
         ref = float(np.linalg.norm(rhs))
-        alpha = problem.alpha(u if dt is None
-                              else theta * u + (1 - theta) * u_old)
         trace.record(res_norm, _osc(u, bounds), np.count_nonzero(alpha >= 1.0),
                      omega)
         if res_norm <= cfg.tol * max(ref, 1e-300):
@@ -181,13 +176,16 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
 
     res_norm = float(np.linalg.norm(residual(u)))
     trace.record(res_norm, _osc(u, bounds), None, omega)
-    A, rhs = _picard_system(problem, u, dt, u_old, theta)
+    _, rhs, _ = _picard_system(problem, u, dt, u_old, theta)
     trace.converged = res_norm <= cfg.tol * max(float(np.linalg.norm(rhs)),
                                                 1e-300)
     return u, trace
 
 
 # -- finite-difference Jacobian with graph coloring ---------------------------
+#
+# Newton uses the analytic StabilizedProblem.jacobian; these remain as the
+# independent finite-difference oracle it is checked against.
 
 def _adjacency_matrix(problem):
     t = problem.tables
@@ -257,25 +255,27 @@ def fd_jacobian(residual, u, T0, P, colors, n_colors):
 
 # -- hybrid Newton ------------------------------------------------------------
 
-def _newton(problem, residual, picard_once, u, cfg, trace, bounds,
+def _newton(residual, jacobian, picard_once, u, cfg, trace, bounds,
             ref_norm, alpha_state):
     """Damped Newton with Armijo backtracking on 1/2 ||T||^2; falls back to
-    one Picard step when the line search exhausts its backtracks."""
-    P = jacobian_pattern(problem)
-    if getattr(problem, "_jac_colors", None) is None:
-        problem._jac_colors = color_columns(P)
-    colors, n_colors = problem._jac_colors
+    one Picard step when the line search exhausts its backtracks.
 
+    ``jacobian(u)`` is the exact Jacobian of the smoothed residual
+    (:meth:`StabilizedProblem.jacobian`).  Where the smoothed detector is not
+    differentiable it is the derivative of the active branch: the first
+    candidate cell attaining the max (min) at a symmetric point, the
+    all-max or all-min assignment np.maximum keeps per node, and zero where
+    the ramp Z saturates or the clip to [0, 1] binds.  Convergence is
+    ||T|| <= tol * ref_norm."""
     T = residual(u)
     while trace.iterations < cfg.max_iter:
         norm = float(np.linalg.norm(T))
         trace.record(norm, _osc(u, bounds),
                      np.count_nonzero(alpha_state(u) >= 1.0), np.nan)
-        if norm <= cfg.tol * max(ref_norm(), 1e-300):
+        if norm <= cfg.tol * max(ref_norm, 1e-300):
             trace.converged = True
             return u
-        J = fd_jacobian(residual, u, T, P, colors, n_colors)
-        step = solve_linear(J, -T)
+        step = solve_linear(jacobian(u), -T)
         phi0 = 0.5 * norm**2
         lam = 1.0
         accepted = False
@@ -293,7 +293,7 @@ def _newton(problem, residual, picard_once, u, cfg, trace, bounds,
             u = picard_once(u)
             T = residual(u)
             trace.step_lengths[-1] = 0.0
-    trace.converged = float(np.linalg.norm(T)) <= cfg.tol * max(ref_norm(),
+    trace.converged = float(np.linalg.norm(T)) <= cfg.tol * max(ref_norm,
                                                                 1e-300)
     return u
 
@@ -301,7 +301,12 @@ def _newton(problem, residual, picard_once, u, cfg, trace, bounds,
 def hybrid_newton(problem: StabilizedProblem, u0=None,
                   cfg: Optional[SolverConfig] = None, bounds=None,
                   dt=None, u_old=None, theta=1.0):
-    """Picard to the switch tolerance, then damped Newton with line search."""
+    """Picard to the switch tolerance, then damped Newton with line search.
+
+    Newton uses the analytic Jacobian of the smoothed residual, assembled
+    once per iterate (see :func:`_newton` for its non-smooth branches).  Its
+    tolerance is relative to ||rhs|| of the Picard system at the state where
+    Newton starts."""
     cfg = cfg or SolverConfig()
     if problem.params.enabled and problem.params.mode != "smoothed":
         raise ValueError("hybrid Newton requires the smoothed stabilization")
@@ -318,20 +323,21 @@ def hybrid_newton(problem: StabilizedProblem, u0=None,
             return problem.residual_steady(v)
         return problem.residual_transient(v, u_old, dt, theta)
 
-    def picard_once(v):
-        A, rhs = _picard_system(problem, v, dt, u_old, theta)
-        return (1.0 - cfg.omega) * v + cfg.omega * solve_linear(A, rhs)
+    def jacobian(v):
+        return problem.jacobian(v, dt, u_old, theta)
 
-    def ref_norm():
-        _, rhs = _picard_system(problem, u, dt, u_old, theta)
-        return float(np.linalg.norm(rhs))
+    def picard_once(v):
+        A, rhs, _ = _picard_system(problem, v, dt, u_old, theta)
+        return (1.0 - cfg.omega) * v + cfg.omega * solve_linear(A, rhs)
 
     def alpha_state(v):
         return problem.alpha(v if dt is None
                              else theta * v + (1 - theta) * u_old)
 
+    ref_norm = float(np.linalg.norm(_picard_system(problem, u, dt, u_old,
+                                                   theta)[1]))
     trace.converged = False
-    u = _newton(problem, residual, picard_once, u, cfg, trace, bounds,
+    u = _newton(residual, jacobian, picard_once, u, cfg, trace, bounds,
                 ref_norm, alpha_state)
     return u, trace
 

@@ -15,7 +15,8 @@ import scipy.sparse as sp
 from .assembly import (ProblemSpec, assemble_B, assemble_G, assemble_K,
                        assemble_M, dirichlet_boundary_nodes,
                        interpolate_boundary)
-from .detector import StabilizationParams, alpha_all, smax
+from .detector import (StabilizationParams, alpha_all, alpha_jacobian,
+                       smax, ssgn)
 from .mesh import classify_facets
 
 
@@ -80,6 +81,25 @@ def build_viscosity(tables: PairTables, alpha, params, scales, n_nodes):
                           nu_boundary=nu_b, diag=diag)
 
 
+def viscosity_slopes(tables: PairTables, alpha, scales):
+    """(d nu/d alpha_a, d nu/d alpha_b) per pair and d nu_b/d alpha_a per
+    boundary pair of the smoothed viscosities.
+
+    For sigma_h > 0 the raw floor in :func:`build_viscosity` never binds,
+    because smax(x, y) > max(x, y), so these are the derivatives of the
+    nested smoothed maxima; d smax(x, y)/dx = (1 + ssgn(x - y)) / 2."""
+    s = scales.sigma_h
+    xa = alpha[tables.pair_a] * tables.K_ab
+    xb = alpha[tables.pair_b] * tables.K_ba
+    outer = 0.5 * (1.0 + ssgn(smax(xa, xb, s), s))
+    inner = ssgn(xa - xb, s)
+    d_a = outer * 0.5 * (1.0 + inner) * tables.K_ab
+    d_b = outer * 0.5 * (1.0 - inner) * tables.K_ba
+    xd = -alpha[tables.bpair_a] * tables.B_ab
+    d_bd = -0.5 * (1.0 + ssgn(xd, s)) * tables.B_ab
+    return d_a, d_b, d_bd
+
+
 def build_stabilized(K, B, visc: GraphViscosity):
     """(K_tilde, B_tilde): K + graph-Laplacian viscosity, B + boundary nu."""
     n = K.shape[0]
@@ -92,13 +112,23 @@ def build_stabilized(K, B, visc: GraphViscosity):
     return (K + D).tocsr(), (B + nu_b).tocsr()
 
 
+def mass_blend(alpha, Q):
+    """Lumping weight a^Q; Q = inf lumps only where alpha == 1."""
+    if np.isinf(Q):
+        return (alpha >= 1.0).astype(float)
+    return alpha**Q
+
+
 def lumped_mass_apply(M, m, alpha, Q, w):
     """Selectively lumped mass action: (1 - a^Q)(Mw)_a + a^Q w_a m_a."""
-    if np.isinf(Q):
-        blend = (alpha >= 1.0).astype(float)
-    else:
-        blend = alpha**Q
+    blend = mass_blend(alpha, Q)
     return (1.0 - blend) * (M @ w) + blend * (w * m)
+
+
+def lumped_mass_matrix(M, m, alpha, Q):
+    """Matrix of :func:`lumped_mass_apply`: diag(1 - a^Q) M + diag(a^Q m)."""
+    blend = mass_blend(alpha, Q)
+    return sp.diags(1.0 - blend) @ M + sp.diags(blend * m)
 
 
 def cfl_bound(m, Ktilde_diag, theta):
@@ -189,7 +219,9 @@ class StabilizedProblem:
     def alpha(self, u):
         return alpha_all(self.nodes, u, self.trace, self.params, self.scales)
 
-    def viscosity(self, u):
+    def viscosity(self, u, alpha=None):
+        """Graph viscosity at u; ``alpha``, the detector values at u, skips
+        the detector pass when the caller already has them."""
         if not self.params.enabled:
             zero = np.zeros
             return GraphViscosity(
@@ -198,12 +230,14 @@ class StabilizedProblem:
                 bpair_a=self.tables.bpair_a, bpair_col=self.tables.bpair_col,
                 nu_boundary=zero(len(self.tables.bpair_a)),
                 diag=zero(self.nodes.n_nodes))
-        return build_viscosity(self.tables, self.alpha(u), self.params,
-                               self.scales, self.nodes.n_nodes)
+        if alpha is None:
+            alpha = self.alpha(u)
+        return build_viscosity(self.tables, alpha, self.params, self.scales,
+                               self.nodes.n_nodes)
 
-    def operators(self, u):
+    def operators(self, u, alpha=None):
         """(K_tilde, B_tilde) at the given state."""
-        return build_stabilized(self.K, self.B, self.viscosity(u))
+        return build_stabilized(self.K, self.B, self.viscosity(u, alpha))
 
     def rhs(self, Btilde):
         return self.G + Btilde @ self.ubar_vec
@@ -229,12 +263,56 @@ class StabilizedProblem:
     def residual_transient(self, u_new, u_old, dt, theta):
         """Theta-method residual; nonlinear coefficients at the stage state."""
         u_stage = theta * u_new + (1.0 - theta) * u_old
-        visc = self.viscosity(u_stage)
-        alpha = self.alpha(u_stage) if self.params.enabled \
-            else np.zeros(self.nodes.n_nodes)
+        alpha = self.alpha(u_stage)
+        visc = self.viscosity(u_stage, alpha)
         mass = lumped_mass_apply(self.M, self.nodes.m, alpha, self.params.Q,
                                  u_new - u_old)
         return mass / dt + self._apply_stabilized(visc, u_stage) - self.G
+
+    # -- Jacobian -------------------------------------------------------------
+
+    def jacobian(self, u, dt=None, u_old=None, theta=1.0):
+        """dT/du of :meth:`residual_steady`, or of :meth:`residual_transient`
+        when (dt, u_old, theta) are given, as a CSC matrix.
+
+        With s the stage state and C the viscosity slope, which holds
+        (s_a - s_b) d nu_ab/d alpha over the pairs and (s_a - ubar)
+        d nu_b/d alpha over the boundary pairs:
+
+        - steady: J = K_tilde + C d alpha/du;
+        - transient: J = M_tilde/dt + theta [K_tilde + (C + diag((m w - M w)
+          Q alpha^(Q-1) / dt)) d alpha/du] with w = u - u_old.
+
+        d alpha/du comes from :func:`alpha_jacobian`, so the smoothed mode
+        is required; with the stabilization disabled J is K, or
+        M/dt + theta K.
+        """
+        steady = dt is None
+        s = u if steady else theta * u + (1.0 - theta) * u_old
+        alpha, dalpha = alpha_jacobian(self.nodes, s, self.trace,
+                                       self.params, self.scales)
+        Kt, _ = self.operators(s, alpha)
+        t = self.tables
+        d_a, d_b, d_bd = viscosity_slopes(t, alpha, self.scales)
+        ds = s[t.pair_a] - s[t.pair_b]
+        dsb = s[t.bpair_a] - self.ubar_vec[t.bpair_col]
+        rows = np.concatenate([t.pair_a, t.pair_a, t.pair_b, t.pair_b,
+                               t.bpair_a])
+        cols = np.concatenate([t.pair_a, t.pair_b, t.pair_a, t.pair_b,
+                               t.bpair_a])
+        vals = np.concatenate([ds * d_a, ds * d_b, -ds * d_a, -ds * d_b,
+                               dsb * d_bd])
+        C = sp.coo_matrix((vals, (rows, cols)), shape=Kt.shape).tocsr()
+        if steady:
+            return (Kt + C @ dalpha).tocsc()
+        Q, m = self.params.Q, self.nodes.m
+        w = u - u_old
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_blend = Q * alpha**(Q - 1.0)
+        d_blend[~np.isfinite(d_blend)] = 0.0
+        C = C + sp.diags((m * w - self.M @ w) * d_blend / dt)
+        Mt = lumped_mass_matrix(self.M, m, alpha, Q)
+        return (Mt / dt + theta * (Kt + C @ dalpha)).tocsc()
 
     def cfl_bound(self, u_stage, theta):
         Ktilde, _ = self.operators(u_stage)

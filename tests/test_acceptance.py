@@ -154,7 +154,7 @@ class TestSmoothConvergence:
             cls._spent += time.monotonic() - t0
         return cls._cache[key]
 
-    # KNOWN RED (see the decisions ledger): with mu = 1 and c_ip = 10 the
+    # KNOWN RED (see README.md and CHANGES.md): with mu = 1 and c_ip = 10 the
     # interior-penalty facet terms carry O(1) positive off-diagonals, so the
     # graph viscosity is O(1) wherever the detector flags the (legitimate)
     # discrete extrema along the sine crests.  That injects an O(h)-band,
@@ -168,7 +168,7 @@ class TestSmoothConvergence:
         assert self.eoc_for(0.0, True) >= 1.8
         assert self._spent < 600.0
 
-    # KNOWN RED (see the decisions ledger): the boundary-extrapolation
+    # KNOWN RED (see README.md and CHANGES.md): the boundary-extrapolation
     # effect this clause targets is swamped by the same crest-viscosity
     # pollution that caps the mu = 1 baseline order near 1.5.
     def test_criterion_5_extrapolation_degradation(self):
@@ -215,7 +215,7 @@ def three_body_setup():
 
 
 class TestThreeBodyRotation:
-    # KNOWN RED (see the decisions ledger): at this configuration the time
+    # KNOWN RED (see README.md and CHANGES.md): at this configuration the time
     # step exceeds the positivity bound of the Crank-Nicolson theory
     # (cfl_bound(u0, theta=0.5) = 4.6e-3 < dt = 6.25e-3) and neither Picard
     # nor the hybrid solver reaches the 5e-4 tolerance within 50 iterations

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgmono import (SolverConfig, TimeLoopConfig, build_dg_nodes,
+from dgmono import (Mesh, SolverConfig, TimeLoopConfig, build_dg_nodes,
                     build_structured_quad, hybrid_newton, picard,
                     run_transient, solve_linear, theta_step)
 from dgmono import ProblemSpec, StabilizationParams
+from dgmono.detector import alpha_jacobian
 from dgmono.solve import (SolveTrace, color_columns, fd_jacobian,
                           jacobian_pattern)
 from dgmono.stabilization import StabilizedProblem
@@ -131,6 +132,91 @@ class TestJacobian:
             dT = prob.residual_steady(up) - T0
             touched = np.flatnonzero(np.abs(dT) > 1e-12)
             assert np.all(P[touched, j] > 0)
+
+
+def jittered_problem(n, seed, **kw):
+    """make_problem on an n x n grid whose interior vertices move
+    uniformly within +-0.2h in x and y (every cell stays convex)."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="xy")
+    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+    interior = ((vertices > 0.0) & (vertices < 1.0)).all(axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-0.2 / n, 0.2 / n,
+                                      size=(int(interior.sum()), 2))
+    vid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    cells = np.column_stack([vid[:-1, :-1].ravel(), vid[:-1, 1:].ravel(),
+                             vid[1:, 1:].ravel(), vid[1:, :-1].ravel()])
+    return make_problem(mesh=Mesh(vertices, cells), **kw)
+
+
+# (problem factory, time step as (dt, theta) or None for steady)
+JACOBIAN_CASES = {
+    "steady": (lambda: make_problem(6), None),
+    "backward-euler": (lambda: make_problem(6), (1e-2, 1.0)),
+    "crank-nicolson": (lambda: make_problem(6), (1e-2, 0.5)),
+    "jittered": (lambda: jittered_problem(6, 1), None),
+    "jittered-cn": (lambda: jittered_problem(6, 2), (1e-2, 0.5)),
+    "no-extrapolation": (
+        lambda: make_problem(6, boundary_extrapolation=False), None),
+    "disabled": (lambda: make_problem(6, enabled=False), None),
+    "disabled-cn": (lambda: make_problem(6, enabled=False), (1e-2, 0.5)),
+}
+
+
+class TestAnalyticJacobian:
+    @pytest.fixture(params=sorted(JACOBIAN_CASES))
+    def case(self, request):
+        build, step = JACOBIAN_CASES[request.param]
+        prob = build()
+        rng = np.random.default_rng(7)
+        n = prob.nodes.n_nodes
+        u = rng.uniform(0.0, 1.0, n)
+        if step is None:
+            return prob, u, prob.residual_steady, {}
+        dt, theta = step
+        u_old = rng.uniform(0.0, 1.0, n)
+
+        def residual(v):
+            return prob.residual_transient(v, u_old, dt, theta)
+        return prob, u, residual, dict(dt=dt, u_old=u_old, theta=theta)
+
+    def test_alpha_is_the_detector(self, case):
+        prob, u, _, kw = case
+        s = u if not kw else kw["theta"] * u + (1 - kw["theta"]) * kw["u_old"]
+        al, dal = alpha_jacobian(prob.nodes, s, prob.trace, prob.params,
+                                 prob.scales)
+        assert np.array_equal(al, prob.alpha(s))
+        assert dal.shape == (prob.nodes.n_nodes,) * 2
+
+    def test_matches_central_differences(self, case):
+        prob, u, residual, kw = case
+        J = prob.jacobian(u, **kw)
+        rng = np.random.default_rng(3)
+        eps = 1e-6 * max(1.0, float(np.abs(u).max()))
+        for _ in range(10):
+            d = rng.standard_normal(len(u))
+            d /= np.linalg.norm(d)
+            central = (residual(u + eps * d)
+                       - residual(u - eps * d)) / (2 * eps)
+            rel = np.linalg.norm(J @ d - central) / np.linalg.norm(central)
+            assert rel <= 1e-6
+
+    def test_matches_fd_jacobian_within_pattern(self, case):
+        prob, u, residual, kw = case
+        J = prob.jacobian(u, **kw).tocoo()
+        P = jacobian_pattern(prob)
+        colors, n_colors = color_columns(P)
+        J_fd = fd_jacobian(residual, u, residual(u), P, colors, n_colors)
+        scale = np.abs(J.data).max()
+        assert np.abs(J - J_fd).max() <= 1e-4 * scale
+        nz = J.data != 0.0
+        assert np.all(np.asarray(P[J.row[nz], J.col[nz]]).ravel() > 0)
+
+    def test_raw_mode_rejected(self):
+        prob = make_problem(3, mode="raw")
+        with pytest.raises(ValueError, match="smoothed"):
+            prob.jacobian(np.zeros(prob.nodes.n_nodes))
 
 
 class TestHybridNewton:

@@ -11,8 +11,8 @@ from dgmono.assembly import interpolate_boundary
 from dgmono.stabilization import PairTables, StabilizedProblem
 
 
-def make_problem(n=5, mu=1e-3, mode="smoothed", **kw):
-    mesh = build_structured_quad(n, n)
+def make_problem(n=5, mu=1e-3, mode="smoothed", mesh=None, **kw):
+    mesh = mesh or build_structured_quad(n, n)
     nodes = build_dg_nodes(mesh)
     spec = ProblemSpec(beta=lambda x, y: (np.cos(np.pi / 3) * np.ones_like(x),
                                           -np.sin(np.pi / 3) * np.ones_like(y)),
