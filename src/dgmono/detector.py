@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DgNodeSet, symmetric_point, symmetric_points_batch
+from .mesh import DgNodeSet, symmetric_points_batch
 
 RATIO_SNAP = 1e-12  # raw ratios at or below this are treated as exact zeros
 
@@ -171,39 +171,6 @@ def _z_ramp_slope(x, printed=False):
 
 # -- pair topology ------------------------------------------------------------
 
-def _enumerate_pairs(nodes):
-    """All ordered adjacency pairs (a, b), b != a, as flat arrays.
-
-    b runs over every node whose coordinate lies in the closed support of a,
-    including coincident duplicates of both endpoints.
-    """
-    mesh = nodes.mesh
-    nv = mesh.n_vertices
-    # vertex -> nodes at that vertex, CSR (node ids ascending within a vertex)
-    vn_ids = np.argsort(nodes.node_vertex, kind="stable")
-    vn_counts = np.bincount(nodes.node_vertex, minlength=nv)
-    vn_ptr = np.cumsum(vn_counts) - vn_counts
-
-    # (a, support cell) incidence: the cells at a's vertex
-    rep = vn_counts[nodes.node_vertex]
-    a1 = np.repeat(np.arange(nodes.n_nodes), rep)
-    pos = np.arange(len(a1)) - np.repeat(np.cumsum(rep) - rep, rep)
-    sup_cell = nodes.node_cell[vn_ids[vn_ptr[nodes.node_vertex[a1]] + pos]]
-
-    # (a, support vertex) incidence, deduplicated
-    key = np.repeat(a1, 4) * nv + mesh.cells[sup_cell].ravel()
-    key = np.unique(key)
-    a2, w2 = key // nv, key % nv
-
-    # expand each support vertex into its nodes
-    rep2 = vn_counts[w2]
-    pa = np.repeat(a2, rep2)
-    pos2 = np.arange(len(pa)) - np.repeat(np.cumsum(rep2) - rep2, rep2)
-    pb = vn_ids[np.repeat(vn_ptr[w2], rep2) + pos2]
-
-    keep = pa != pb
-    return pa[keep], pb[keep]
-
 class PairTopology:
     """Flattened node-pair data for vectorized detector evaluation.
 
@@ -214,7 +181,7 @@ class PairTopology:
 
     def __init__(self, nodes: DgNodeSet):
         self.nodes = nodes
-        pa, pb = _enumerate_pairs(nodes)
+        pa, pb = nodes.adjacency_pairs()
         h_own = nodes.mesh.h_cell[nodes.node_cell]
 
         coinc = nodes.node_vertex[pb] == nodes.node_vertex[pa]
@@ -477,56 +444,3 @@ def alpha_jacobian(nodes, u, trace, params, scales):
     dalpha = sp.coo_matrix((slope[rows] * vals, (topo.term_idx[rows], cols)),
                            shape=(n, n))
     return alpha, dalpha.tocsr()
-
-
-def alpha(nodes, u, trace, a, params, scales):
-    """Detector value of a single node (convenience wrapper)."""
-    return float(alpha_all(nodes, u, trace, params, scales)[a])
-
-
-def gradient_pair(nodes, u, trace, a, b, params, scales):
-    """(jump, mean) of the gradients for one node pair, per the detector
-    definitions; multi-valued symmetric points use the all-max assignment."""
-    u = np.asarray(u, dtype=float)
-    smooth = params.mode == "smoothed"
-    tau_h = scales.tau_h
-
-    def _absval(x):
-        return abs_lower(x, tau_h) if smooth else abs(x)
-
-    if nodes.node_vertex[a] == nodes.node_vertex[b]:
-        w = 1.0 / nodes.pair_h(a, b)
-        d = u[b] - u[a]
-        return w * d, float(_absval(d)) * w
-
-    sp = symmetric_point(nodes, a, b)
-    r_ab = float(np.hypot(*(nodes.coords[b] - nodes.coords[a])))
-    d_b = u[b] - u[a]
-    if sp.degenerate:
-        bidx = nodes.boundary_index[a]
-        if bidx < 0 or trace is None or not trace.dirichlet[bidx]:
-            uba = u[a]
-        else:
-            uba = trace.values[bidx]
-        d0 = uba - u[a]
-        if params.boundary_extrapolation:
-            if smooth:
-                sg = ssgn(d0 * d_b, tau_h)
-            else:
-                sg = 1.0 if d0 * d_b > 0.0 else -1.0
-            d_sym = d0 + d_b * sg
-        else:
-            d_sym = d0
-        r_sym = r_ab
-    else:
-        from .assembly import eval_in_cells
-        cells = np.array(sp.cells, dtype=np.int64)
-        pts = np.broadcast_to(sp.point, (len(cells), 2))
-        weights = np.clip(eval_in_cells(nodes.mesh, cells, pts), 0.0, 1.0)
-        ids = 4 * cells[:, None] + np.arange(4)[None, :]
-        vals = np.einsum("ck,ck->c", weights, u[ids] - u[a])
-        d_sym = float(vals.max())
-        r_sym = sp.distance
-    jump = d_b / r_ab + d_sym / r_sym
-    mean = 0.5 * (float(_absval(d_b)) / r_ab + float(_absval(d_sym)) / r_sym)
-    return jump, mean

@@ -234,6 +234,7 @@ class DgNodeSet:
         self.n_boundary = len(self.boundary_nodes)
 
         self.m = self._lumped_weights()
+        self._pairs = None
         self._pair_topology = None
 
     def _lumped_weights(self):
@@ -266,11 +267,41 @@ class DgNodeSet:
         cells = self.vertex_cells[self.node_vertex[a]]
         return np.concatenate([np.arange(4 * c, 4 * c + 4) for c in cells])
 
-    def pair_h(self, a, b):
-        """Length scale for a coincident node pair: mean owning-cell size."""
-        ha = self.mesh.h_cell[self.node_cell[a]]
-        hb = self.mesh.h_cell[self.node_cell[b]]
-        return 0.5 * (ha + hb)
+    def adjacency_pairs(self):
+        """Cached ordered adjacency pairs (a, b), b != a, as flat arrays.
+
+        b runs over every node whose coordinate lies in the closed support
+        of a, including coincident duplicates of both endpoints.  The
+        detector's pair topology and the viscosity pair tables share them.
+        """
+        if self._pairs is None:
+            nv = self.mesh.n_vertices
+            # vertex -> nodes at that vertex, CSR (ids ascending per vertex)
+            vn_ids = np.argsort(self.node_vertex, kind="stable")
+            vn_counts = np.bincount(self.node_vertex, minlength=nv)
+            vn_ptr = np.cumsum(vn_counts) - vn_counts
+
+            # (a, support cell) incidence: the cells at a's vertex
+            rep = vn_counts[self.node_vertex]
+            a1 = np.repeat(np.arange(self.n_nodes), rep)
+            pos = np.arange(len(a1)) - np.repeat(np.cumsum(rep) - rep, rep)
+            sup_cell = self.node_cell[
+                vn_ids[vn_ptr[self.node_vertex[a1]] + pos]]
+
+            # (a, support vertex) incidence, deduplicated
+            key = np.repeat(a1, 4) * nv + self.mesh.cells[sup_cell].ravel()
+            key = np.unique(key)
+            a2, w2 = key // nv, key % nv
+
+            # expand each support vertex into its nodes
+            rep2 = vn_counts[w2]
+            pa = np.repeat(a2, rep2)
+            pos2 = np.arange(len(pa)) - np.repeat(np.cumsum(rep2) - rep2, rep2)
+            pb = vn_ids[np.repeat(vn_ptr[w2], rep2) + pos2]
+
+            keep = pa != pb
+            self._pairs = pa[keep], pb[keep]
+        return self._pairs
 
     def pair_topology(self):
         """Cached detector pair table (built by the detector module)."""

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .stabilization import (StabilizedProblem, build_stabilized,
-                            lumped_mass_matrix)
+# build_stabilized is not called here; it stays importable from this module
+# because benchmark tracing wraps it by name in every module namespace.
+from .stabilization import StabilizedProblem, build_stabilized  # noqa: F401
 
 
 @dataclass
@@ -113,21 +115,10 @@ def _initial_guess(problem, u0):
 
 # -- Picard -------------------------------------------------------------------
 
-def _picard_system(problem, u, dt=None, u_old=None, theta=1.0):
-    """Lagged-coefficient linear system (A, rhs) at the current iterate, and
-    the detector values at its stage state (one detector pass)."""
-    u_stage = u if dt is None else theta * u + (1.0 - theta) * u_old
-    alpha = problem.alpha(u_stage)
-    Kt, Bt = build_stabilized(problem.K, problem.B,
-                              problem.viscosity(u_stage, alpha))
-    if dt is None:
-        return Kt, problem.rhs(Bt), alpha
-    Mt = lumped_mass_matrix(problem.M, problem.nodes.m, alpha,
-                            problem.params.Q)
-    A = (Mt / dt + theta * Kt).tocsc()
-    rhs = Mt @ u_old / dt - (1.0 - theta) * (Kt @ u_old) \
-        + problem.G + Bt @ problem.ubar_vec
-    return A, rhs, alpha
+def _picard_update(state, omega):
+    """Relaxed solve of the Picard system of a :class:`Linearization`."""
+    A, rhs = state.system
+    return (1.0 - omega) * state.u + omega * solve_linear(A, rhs)
 
 
 def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = None,
@@ -135,29 +126,29 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
     """Fixed-point iteration with lagged viscosities and relaxation.
 
     Steady by default; passing (dt, u_old, theta) iterates on the
-    theta-method step instead.  A positive ``stall_window`` stops early
-    (unconverged) when the residual has not improved for that many
-    iterations, e.g. on a limit cycle.
+    theta-method step instead.  Each iterate is linearized once
+    (:meth:`StabilizedProblem.linearize`, one detector pass): its Picard
+    system gives the residual A u - rhs, the tolerance reference ||rhs||,
+    the active-alpha count of the record and the next iterate.  A positive
+    ``stall_window`` stops early (unconverged) when the residual has not
+    improved for that many iterations, e.g. on a limit cycle.  When
+    ``max_iter`` runs out, the last iterate's record holds its matrix-free
+    residual.
     """
     cfg = cfg or SolverConfig()
     u = _initial_guess(problem, u0)
     trace = SolveTrace()
     omega = cfg.omega
 
-    def residual(v):
-        if dt is None:
-            return problem.residual_steady(v)
-        return problem.residual_transient(v, u_old, dt, theta)
-
     prev_norm = None
     best_norm, since_best = np.inf, 0
     for _ in range(cfg.max_iter):
-        A, rhs, alpha = _picard_system(problem, u, dt, u_old, theta)
-        res = A @ u - rhs
-        res_norm = float(np.linalg.norm(res))
+        state = problem.linearize(u, dt, u_old, theta)
+        A, rhs = state.system
+        res_norm = float(np.linalg.norm(A @ u - rhs))
         ref = float(np.linalg.norm(rhs))
-        trace.record(res_norm, _osc(u, bounds), np.count_nonzero(alpha >= 1.0),
-                     omega)
+        trace.record(res_norm, _osc(u, bounds),
+                     np.count_nonzero(state.alpha >= 1.0), omega)
         if res_norm <= cfg.tol * max(ref, 1e-300):
             trace.converged = True
             return u, trace
@@ -171,14 +162,13 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
             omega = min(1.0, 2 * omega) if res_norm < prev_norm \
                 else max(2.0**-6, 0.5 * omega)
         prev_norm = res_norm
-        u_next = solve_linear(A, rhs)
-        u = (1.0 - omega) * u + omega * u_next
+        u = _picard_update(state, omega)
 
-    res_norm = float(np.linalg.norm(residual(u)))
+    state = problem.linearize(u, dt, u_old, theta)
+    res_norm = float(np.linalg.norm(state.residual))
     trace.record(res_norm, _osc(u, bounds), None, omega)
-    _, rhs, _ = _picard_system(problem, u, dt, u_old, theta)
-    trace.converged = res_norm <= cfg.tol * max(float(np.linalg.norm(rhs)),
-                                                1e-300)
+    trace.converged = res_norm <= cfg.tol * max(
+        float(np.linalg.norm(state.system[1])), 1e-300)
     return u, trace
 
 
@@ -255,47 +245,45 @@ def fd_jacobian(residual, u, T0, P, colors, n_colors):
 
 # -- hybrid Newton ------------------------------------------------------------
 
-def _newton(residual, jacobian, picard_once, u, cfg, trace, bounds,
-            ref_norm, alpha_state):
-    """Damped Newton with Armijo backtracking on 1/2 ||T||^2; falls back to
-    one Picard step when the line search exhausts its backtracks.
+def _newton(state, cfg, trace, bounds):
+    """Damped Newton with Armijo backtracking on 1/2 ||T||^2 from the
+    :class:`Linearization` ``state``; falls back to one Picard step when the
+    line search exhausts its backtracks.  Returns the last iterate.
 
-    ``jacobian(u)`` is the exact Jacobian of the smoothed residual
-    (:meth:`StabilizedProblem.jacobian`).  Where the smoothed detector is not
+    Every iterate is linearized once: the accepted line-search trial (or
+    the state after a fallback) supplies the residual, the active-alpha
+    count of the record and the Jacobian, and its Picard system serves a
+    fallback.  The Jacobian is exact for the smoothed residual
+    (:attr:`Linearization.jacobian`).  Where the smoothed detector is not
     differentiable it is the derivative of the active branch: the first
     candidate cell attaining the max (min) at a symmetric point, the
     all-max or all-min assignment np.maximum keeps per node, and zero where
     the ramp Z saturates or the clip to [0, 1] binds.  Convergence is
-    ||T|| <= tol * ref_norm."""
-    T = residual(u)
+    ||T|| <= tol * ||rhs||, with rhs the Picard system's at the start."""
+    target = cfg.tol * max(float(np.linalg.norm(state.system[1])), 1e-300)
     while trace.iterations < cfg.max_iter:
-        norm = float(np.linalg.norm(T))
-        trace.record(norm, _osc(u, bounds),
-                     np.count_nonzero(alpha_state(u) >= 1.0), np.nan)
-        if norm <= cfg.tol * max(ref_norm, 1e-300):
+        norm = float(np.linalg.norm(state.residual))
+        trace.record(norm, _osc(state.u, bounds),
+                     np.count_nonzero(state.alpha >= 1.0), np.nan)
+        if norm <= target:
             trace.converged = True
-            return u
-        step = solve_linear(jacobian(u), -T)
+            return state.u
+        step = solve_linear(state.jacobian, -state.residual)
         phi0 = 0.5 * norm**2
         lam = 1.0
-        accepted = False
         for _ in range(cfg.max_backtracks):
-            u_try = u + lam * step
-            T_try = residual(u_try)
-            phi = 0.5 * float(np.linalg.norm(T_try))**2
+            trial = state.at(state.u + lam * step)
+            phi = 0.5 * float(np.linalg.norm(trial.residual))**2
             if phi <= (1.0 - 2.0 * cfg.c1 * lam) * phi0:
-                u, T = u_try, T_try
+                state = trial
                 trace.step_lengths[-1] = lam
-                accepted = True
                 break
             lam *= cfg.rho
-        if not accepted:
-            u = picard_once(u)
-            T = residual(u)
+        else:
+            state = state.at(_picard_update(state, cfg.omega))
             trace.step_lengths[-1] = 0.0
-    trace.converged = float(np.linalg.norm(T)) <= cfg.tol * max(ref_norm,
-                                                                1e-300)
-    return u
+    trace.converged = float(np.linalg.norm(state.residual)) <= target
+    return state.u
 
 
 def hybrid_newton(problem: StabilizedProblem, u0=None,
@@ -303,42 +291,19 @@ def hybrid_newton(problem: StabilizedProblem, u0=None,
                   dt=None, u_old=None, theta=1.0):
     """Picard to the switch tolerance, then damped Newton with line search.
 
-    Newton uses the analytic Jacobian of the smoothed residual, assembled
-    once per iterate (see :func:`_newton` for its non-smooth branches).  Its
-    tolerance is relative to ||rhs|| of the Picard system at the state where
-    Newton starts."""
+    Newton starts from one linearization of the Picard result, which gives
+    its first residual and its tolerance reference, ||rhs|| of the Picard
+    system there; it uses the analytic Jacobian of the smoothed residual,
+    assembled once per iterate (see :func:`_newton` for its non-smooth
+    branches)."""
     cfg = cfg or SolverConfig()
     if problem.params.enabled and problem.params.mode != "smoothed":
         raise ValueError("hybrid Newton requires the smoothed stabilization")
-    pre_cfg = SolverConfig(tol=cfg.switch_tol, max_iter=cfg.max_iter,
-                           switch_tol=min(1.0, 10 * cfg.switch_tol),
-                           omega=cfg.omega, adaptive_omega=cfg.adaptive_omega,
-                           rho=cfg.rho, c1=cfg.c1,
-                           max_backtracks=cfg.max_backtracks)
+    pre_cfg = replace(cfg, tol=cfg.switch_tol,
+                      switch_tol=min(1.0, 10 * cfg.switch_tol))
     u, trace = picard(problem, u0, pre_cfg, bounds, dt, u_old, theta,
                       stall_window=cfg.stall_window)
-
-    def residual(v):
-        if dt is None:
-            return problem.residual_steady(v)
-        return problem.residual_transient(v, u_old, dt, theta)
-
-    def jacobian(v):
-        return problem.jacobian(v, dt, u_old, theta)
-
-    def picard_once(v):
-        A, rhs, _ = _picard_system(problem, v, dt, u_old, theta)
-        return (1.0 - cfg.omega) * v + cfg.omega * solve_linear(A, rhs)
-
-    def alpha_state(v):
-        return problem.alpha(v if dt is None
-                             else theta * v + (1 - theta) * u_old)
-
-    ref_norm = float(np.linalg.norm(_picard_system(problem, u, dt, u_old,
-                                                   theta)[1]))
-    trace.converged = False
-    u = _newton(residual, jacobian, picard_once, u, cfg, trace, bounds,
-                ref_norm, alpha_state)
+    u = _newton(problem.linearize(u, dt, u_old, theta), cfg, trace, bounds)
     return u, trace
 
 
@@ -363,7 +328,10 @@ def theta_step(problem, u_old, dt, theta, cfg=None, method="picard",
 
 
 def run_transient(problem, u0, loop: TimeLoopConfig, bounds=None, ubar_t=None):
-    """Sequential theta-steps from u0; returns (u_final, per-step traces)."""
+    """Sequential theta-steps from u0; returns (u_final, per-step traces).
+
+    Each unconverged step is returned as is and reported by a
+    RuntimeWarning naming its index and final residual."""
     u = np.asarray(u0, dtype=float).copy()
     traces = []
     for n in range(loop.n_steps):
@@ -371,5 +339,9 @@ def run_transient(problem, u0, loop: TimeLoopConfig, bounds=None, ubar_t=None):
             problem.set_boundary(ubar_t((n + loop.theta) * loop.dt))
         u, tr = theta_step(problem, u, loop.dt, loop.theta, loop.solver,
                            loop.method, bounds, loop.enforce_cfl)
+        if not tr.converged:
+            warnings.warn(f"time step {n} did not converge: residual "
+                          f"{tr.residuals[-1]:.3e} after {tr.iterations} "
+                          "iterations", RuntimeWarning, stacklevel=2)
         traces.append(tr)
     return u, traces

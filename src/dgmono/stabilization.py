@@ -8,6 +8,7 @@ rebuild per nonlinear iterate is a handful of vectorized passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,8 +43,7 @@ class PairTables:
     """Adjacency pair tables with the frozen K/B entries used by nu."""
 
     def __init__(self, nodes, K, B):
-        from .detector import _enumerate_pairs
-        pa, pb = _enumerate_pairs(nodes)  # ordered pairs, a != b
+        pa, pb = nodes.adjacency_pairs()  # ordered pairs, a != b
         keep = pb > pa
         self.pair_a = pa[keep]
         self.pair_b = pb[keep]
@@ -176,9 +176,131 @@ def audit_dmp(Ktilde, Btilde, alpha, rel_tol=1e-12):
     return report
 
 
+class Linearization:
+    """The stabilized scheme at one iterate u, fixed by its stage state s.
+
+    s is u when steady and theta u + (1 - theta) u_old on a theta-step from
+    u_old over dt.  The detector alpha(s) is evaluated once, on
+    construction; everything else derives from it on first use and is kept:
+    the viscosity nu(s), the operators (K_tilde, B_tilde), the selectively
+    lumped mass M_tilde, the lagged-coefficient Picard system (A, rhs), the
+    matrix-free residual T(u) and its exact Jacobian dT/du.
+    """
+
+    def __init__(self, problem, u, dt=None, u_old=None, theta=1.0):
+        self.problem = problem
+        self.u = u
+        self.dt, self.u_old, self.theta = dt, u_old, theta
+        self.s = u if dt is None else theta * u + (1.0 - theta) * u_old
+        self.alpha = alpha_all(problem.nodes, self.s, problem.trace,
+                               problem.params, problem.scales)
+
+    def at(self, v):
+        """The same (steady or theta-step) scheme linearized at iterate v."""
+        return Linearization(self.problem, v, self.dt, self.u_old, self.theta)
+
+    @cached_property
+    def visc(self):
+        """Graph viscosity nu(s).  Zero when the stabilization is disabled:
+        build_viscosity would not give that, since smax(0, 0) > 0."""
+        p, t = self.problem, self.problem.tables
+        if not p.params.enabled:
+            return GraphViscosity(
+                pair_a=t.pair_a, pair_b=t.pair_b, nu=np.zeros(len(t.pair_a)),
+                bpair_a=t.bpair_a, bpair_col=t.bpair_col,
+                nu_boundary=np.zeros(len(t.bpair_a)),
+                diag=np.zeros(p.nodes.n_nodes))
+        return build_viscosity(t, self.alpha, p.params, p.scales,
+                               p.nodes.n_nodes)
+
+    @cached_property
+    def operators(self):
+        """(K_tilde, B_tilde)."""
+        p = self.problem
+        return build_stabilized(p.K, p.B, self.visc)
+
+    @cached_property
+    def mass(self):
+        """M_tilde, the mass matrix lumped with weight alpha^Q."""
+        p = self.problem
+        return lumped_mass_matrix(p.M, p.nodes.m, self.alpha, p.params.Q)
+
+    @cached_property
+    def system(self):
+        """(A, rhs): the linear system with the coefficients frozen at s."""
+        p = self.problem
+        Kt, Bt = self.operators
+        if self.dt is None:
+            return Kt, p.rhs(Bt)
+        dt, theta, u_old, Mt = self.dt, self.theta, self.u_old, self.mass
+        A = (Mt / dt + theta * Kt).tocsc()
+        rhs = Mt @ u_old / dt - (1.0 - theta) * (Kt @ u_old) \
+            + p.G + Bt @ p.ubar_vec
+        return A, rhs
+
+    @cached_property
+    def residual(self):
+        """T(u) = K_tilde s - G - B_tilde ubar, plus the lumped mass action
+        on (u - u_old)/dt on a theta-step; no sparse matrix is built."""
+        p, visc, s = self.problem, self.visc, self.s
+        n = p.nodes.n_nodes
+        ub = p.ubar_vec
+        out = p.K @ s - p.B @ ub
+        du = visc.nu * (s[visc.pair_a] - s[visc.pair_b])
+        out += np.bincount(visc.pair_a, weights=du, minlength=n)
+        out -= np.bincount(visc.pair_b, weights=du, minlength=n)
+        bd = visc.nu_boundary * (s[visc.bpair_a] - ub[visc.bpair_col])
+        out += np.bincount(visc.bpair_a, weights=bd, minlength=n)
+        if self.dt is None:
+            return out - p.G
+        mass = lumped_mass_apply(p.M, p.nodes.m, self.alpha, p.params.Q,
+                                 self.u - self.u_old)
+        return mass / self.dt + out - p.G
+
+    @cached_property
+    def jacobian(self):
+        """dT/du as a CSC matrix.
+
+        With C the viscosity slope, which holds (s_a - s_b) d nu_ab/d alpha
+        over the pairs and (s_a - ubar) d nu_b/d alpha over the boundary
+        pairs:
+
+        - steady: J = K_tilde + C d alpha/du;
+        - theta-step: J = M_tilde/dt + theta [K_tilde + (C + diag((m w - M w)
+          Q alpha^(Q-1) / dt)) d alpha/du] with w = u - u_old.
+
+        d alpha/du comes from :func:`alpha_jacobian`, so the smoothed mode
+        is required; with the stabilization disabled J is K, or
+        M/dt + theta K.
+        """
+        p, s, t = self.problem, self.s, self.problem.tables
+        _, dalpha = alpha_jacobian(p.nodes, s, p.trace, p.params, p.scales)
+        Kt = self.operators[0]
+        d_a, d_b, d_bd = viscosity_slopes(t, self.alpha, p.scales)
+        ds = s[t.pair_a] - s[t.pair_b]
+        dsb = s[t.bpair_a] - p.ubar_vec[t.bpair_col]
+        rows = np.concatenate([t.pair_a, t.pair_a, t.pair_b, t.pair_b,
+                               t.bpair_a])
+        cols = np.concatenate([t.pair_a, t.pair_b, t.pair_a, t.pair_b,
+                               t.bpair_a])
+        vals = np.concatenate([ds * d_a, ds * d_b, -ds * d_a, -ds * d_b,
+                               dsb * d_bd])
+        C = sp.coo_matrix((vals, (rows, cols)), shape=Kt.shape).tocsr()
+        if self.dt is None:
+            return (Kt + C @ dalpha).tocsc()
+        Q = p.params.Q
+        w = self.u - self.u_old
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_blend = Q * self.alpha**(Q - 1.0)
+        d_blend[~np.isfinite(d_blend)] = 0.0
+        C = C + sp.diags((p.nodes.m * w - p.M @ w) * d_blend / self.dt)
+        return (self.mass / self.dt
+                + self.theta * (Kt + C @ dalpha)).tocsc()
+
+
 class StabilizedProblem:
     """Assembled problem plus everything needed to evaluate the nonlinear
-    stabilized residual and rebuild the perturbed operators per iterate."""
+    stabilized scheme; :meth:`linearize` gives it at one iterate."""
 
     def __init__(self, mesh, nodes, spec: ProblemSpec,
                  params: StabilizationParams):
@@ -214,110 +336,46 @@ class StabilizedProblem:
             return np.zeros(self.nodes.n_boundary)
         return self.trace.values
 
-    # -- nonlinear coefficient evaluation -------------------------------------
-
-    def alpha(self, u):
-        return alpha_all(self.nodes, u, self.trace, self.params, self.scales)
-
-    def viscosity(self, u, alpha=None):
-        """Graph viscosity at u; ``alpha``, the detector values at u, skips
-        the detector pass when the caller already has them."""
-        if not self.params.enabled:
-            zero = np.zeros
-            return GraphViscosity(
-                pair_a=self.tables.pair_a, pair_b=self.tables.pair_b,
-                nu=zero(len(self.tables.pair_a)),
-                bpair_a=self.tables.bpair_a, bpair_col=self.tables.bpair_col,
-                nu_boundary=zero(len(self.tables.bpair_a)),
-                diag=zero(self.nodes.n_nodes))
-        if alpha is None:
-            alpha = self.alpha(u)
-        return build_viscosity(self.tables, alpha, self.params, self.scales,
-                               self.nodes.n_nodes)
-
-    def operators(self, u, alpha=None):
-        """(K_tilde, B_tilde) at the given state."""
-        return build_stabilized(self.K, self.B, self.viscosity(u, alpha))
-
     def rhs(self, Btilde):
         return self.G + Btilde @ self.ubar_vec
 
-    # -- residuals ------------------------------------------------------------
+    # -- the scheme at one iterate --------------------------------------------
 
-    def _apply_stabilized(self, visc, u):
-        """K_tilde u - B_tilde ubar without building sparse matrices."""
-        out = self.K @ u - self.B @ self.ubar_vec
-        du = visc.nu * (u[visc.pair_a] - u[visc.pair_b])
-        n = self.nodes.n_nodes
-        out += np.bincount(visc.pair_a, weights=du, minlength=n)
-        out -= np.bincount(visc.pair_b, weights=du, minlength=n)
-        ub = self.ubar_vec
-        bd = visc.nu_boundary * (u[visc.bpair_a] - ub[visc.bpair_col])
-        out += np.bincount(visc.bpair_a, weights=bd, minlength=n)
-        return out
+    def linearize(self, u, dt=None, u_old=None, theta=1.0):
+        """The scheme at iterate u: steady, or the theta-step from u_old over
+        dt when (dt, u_old, theta) are given; see :class:`Linearization`."""
+        return Linearization(self, u, dt, u_old, theta)
+
+    def alpha(self, u):
+        return self.linearize(u).alpha
+
+    def viscosity(self, u):
+        """Graph viscosity at u."""
+        return self.linearize(u).visc
+
+    def operators(self, u):
+        """(K_tilde, B_tilde) at u."""
+        return self.linearize(u).operators
 
     def residual_steady(self, u):
         """T(u) = K_tilde(u) u - G - B_tilde(u) ubar."""
-        return self._apply_stabilized(self.viscosity(u), u) - self.G
+        return self.linearize(u).residual
 
     def residual_transient(self, u_new, u_old, dt, theta):
         """Theta-method residual; nonlinear coefficients at the stage state."""
-        u_stage = theta * u_new + (1.0 - theta) * u_old
-        alpha = self.alpha(u_stage)
-        visc = self.viscosity(u_stage, alpha)
-        mass = lumped_mass_apply(self.M, self.nodes.m, alpha, self.params.Q,
-                                 u_new - u_old)
-        return mass / dt + self._apply_stabilized(visc, u_stage) - self.G
-
-    # -- Jacobian -------------------------------------------------------------
+        return self.linearize(u_new, dt, u_old, theta).residual
 
     def jacobian(self, u, dt=None, u_old=None, theta=1.0):
         """dT/du of :meth:`residual_steady`, or of :meth:`residual_transient`
-        when (dt, u_old, theta) are given, as a CSC matrix.
-
-        With s the stage state and C the viscosity slope, which holds
-        (s_a - s_b) d nu_ab/d alpha over the pairs and (s_a - ubar)
-        d nu_b/d alpha over the boundary pairs:
-
-        - steady: J = K_tilde + C d alpha/du;
-        - transient: J = M_tilde/dt + theta [K_tilde + (C + diag((m w - M w)
-          Q alpha^(Q-1) / dt)) d alpha/du] with w = u - u_old.
-
-        d alpha/du comes from :func:`alpha_jacobian`, so the smoothed mode
-        is required; with the stabilization disabled J is K, or
-        M/dt + theta K.
+        when (dt, u_old, theta) are given; see :attr:`Linearization.jacobian`.
         """
-        steady = dt is None
-        s = u if steady else theta * u + (1.0 - theta) * u_old
-        alpha, dalpha = alpha_jacobian(self.nodes, s, self.trace,
-                                       self.params, self.scales)
-        Kt, _ = self.operators(s, alpha)
-        t = self.tables
-        d_a, d_b, d_bd = viscosity_slopes(t, alpha, self.scales)
-        ds = s[t.pair_a] - s[t.pair_b]
-        dsb = s[t.bpair_a] - self.ubar_vec[t.bpair_col]
-        rows = np.concatenate([t.pair_a, t.pair_a, t.pair_b, t.pair_b,
-                               t.bpair_a])
-        cols = np.concatenate([t.pair_a, t.pair_b, t.pair_a, t.pair_b,
-                               t.bpair_a])
-        vals = np.concatenate([ds * d_a, ds * d_b, -ds * d_a, -ds * d_b,
-                               dsb * d_bd])
-        C = sp.coo_matrix((vals, (rows, cols)), shape=Kt.shape).tocsr()
-        if steady:
-            return (Kt + C @ dalpha).tocsc()
-        Q, m = self.params.Q, self.nodes.m
-        w = u - u_old
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_blend = Q * alpha**(Q - 1.0)
-        d_blend[~np.isfinite(d_blend)] = 0.0
-        C = C + sp.diags((m * w - self.M @ w) * d_blend / dt)
-        Mt = lumped_mass_matrix(self.M, m, alpha, Q)
-        return (Mt / dt + theta * (Kt + C @ dalpha)).tocsc()
+        return self.linearize(u, dt, u_old, theta).jacobian
 
     def cfl_bound(self, u_stage, theta):
         Ktilde, _ = self.operators(u_stage)
         return cfl_bound(self.nodes.m, Ktilde.diagonal(), theta)
 
     def audit(self, u, rel_tol=1e-12):
-        Ktilde, Btilde = self.operators(u)
-        return audit_dmp(Ktilde, Btilde, self.alpha(u), rel_tol)
+        state = self.linearize(u)
+        Ktilde, Btilde = state.operators
+        return audit_dmp(Ktilde, Btilde, state.alpha, rel_tol)

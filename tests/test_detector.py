@@ -6,8 +6,9 @@ import pytest
 from dgmono import StabilizationParams, alpha_all, build_dg_nodes, \
     build_structured_quad
 from dgmono.assembly import BoundaryTrace, interpolate_boundary
-from dgmono.detector import (DerivedScales, abs_lower, abs_upper, alpha,
-                             gradient_pair, smax, ssgn, z_ramp)
+from dgmono.detector import (DerivedScales, _candidate_values,
+                             _symmetric_candidates, _term_values, abs_lower,
+                             abs_upper, smax, ssgn, z_ramp)
 
 from .test_mesh import perturbed_mesh
 
@@ -185,7 +186,7 @@ class TestDetector:
         def f(t):
             v = u.copy()
             v[b] += t
-            return alpha(nodes, v, None, a, p, s)
+            return alpha_all(nodes, v, None, p, s)[a]
 
         d = {}
         for h in (1e-4, 1e-5, 1e-6):
@@ -201,12 +202,17 @@ class TestDetector:
         a, b = dups
         u = np.zeros(nodes.n_nodes)
         u[b] = 1.0
-        p = StabilizationParams(mode="raw")
-        jump, mean = gradient_pair(nodes, u, None, a, b, p,
-                                   DerivedScales())
+        topo = nodes.pair_topology()
+        k = np.flatnonzero((topo.co_a == a) & (topo.co_b == b))
+        assert len(k) == 1
         h_ab = 0.1  # both cells have h_K = sqrt(0.01)
-        assert jump == pytest.approx(1.0 / h_ab, rel=1e-13)
-        assert mean == pytest.approx(1.0 / h_ab, rel=1e-13)
+        assert topo.co_w[k[0]] == pytest.approx(1.0 / h_ab, rel=1e-13)
+        # coincident terms lead the detector's flat term layout; this one is
+        # w (u_b - u_a), and in raw mode its magnitude enters the mean
+        s_hi, _ = _symmetric_candidates(topo, _candidate_values(topo, u))
+        terms = _term_values(topo, u, None, StabilizationParams(mode="raw"),
+                             DerivedScales(), s_hi)
+        assert terms[k[0]] == pytest.approx(1.0 / h_ab, rel=1e-13)
 
     def test_perturbed_mesh_extrema(self):
         mesh = perturbed_mesh(5, 5, seed=9)

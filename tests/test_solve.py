@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from dgmono import (Mesh, SolverConfig, TimeLoopConfig, build_dg_nodes,
-                    build_structured_quad, hybrid_newton, picard,
-                    run_transient, solve_linear, theta_step)
+                    build_structured_quad, get_case, hybrid_newton, picard,
+                    run_transient, solve, solve_linear, stabilization,
+                    theta_step)
 from dgmono import ProblemSpec, StabilizationParams
 from dgmono.detector import alpha_jacobian
 from dgmono.solve import (SolveTrace, color_columns, fd_jacobian,
@@ -299,8 +300,80 @@ class TestThetaStep:
                 checked += 1
         assert checked > 0
 
+    def test_unconverged_steps_warn(self):
+        prob = make_problem(4, mu=0.0)
+        u0 = np.where(prob.nodes.coords[:, 0] < 0.5, 1.0, 0.0)
+        loop = TimeLoopConfig(theta=0.5, dt=0.01, n_steps=2,
+                              solver=SolverConfig(tol=1e-10, max_iter=1))
+        with pytest.warns(RuntimeWarning, match="did not converge") as rec:
+            _, traces = run_transient(prob, u0, loop)
+        assert [t.converged for t in traces] == [False, False]
+        messages = [str(w.message) for w in rec
+                    if issubclass(w.category, RuntimeWarning)]
+        assert messages == [
+            f"time step {k} did not converge: residual "
+            f"{traces[k].residuals[-1]:.3e} after 2 iterations"
+            for k in range(2)]
+
     def test_unknown_method(self):
         prob = make_problem(3)
         with pytest.raises(ValueError, match="method"):
             theta_step(prob, np.zeros(prob.nodes.n_nodes), 0.1, 0.5,
                        method="bogus")
+
+
+class TestDetectorPasses:
+    """One detector pass per linearized iterate (plus one per Jacobian)."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        count = {"passes": 0}
+        for name in ("alpha_all", "alpha_jacobian"):
+            def counted(*args, _fn=getattr(stabilization, name), **kw):
+                count["passes"] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(stabilization, name, counted)
+        return count
+
+    # the default line search converges after backtracking; with two
+    # backtracks at most it falls back to Picard steps and limit-cycles
+    @pytest.mark.parametrize("max_backtracks", [30, 2])
+    def test_hybrid_backward_euler_step(self, monkeypatch, max_backtracks):
+        case = get_case("three-body", sigma=1e-2, tau=1e-4)
+        mesh = build_structured_quad(4, 4)
+        nodes = build_dg_nodes(mesh)
+        prob = StabilizedProblem(mesh, nodes, case.spec, case.params)
+        u0 = case.spec.u0(nodes.coords[:, 0], nodes.coords[:, 1])
+        cfg = SolverConfig(tol=1e-8, max_iter=40,
+                           max_backtracks=max_backtracks)
+        picard_iters = []
+
+        def picard_phase(*args, _picard=solve.picard, **kw):
+            u, trace = _picard(*args, **kw)
+            picard_iters.append(trace.iterations)
+            return u, trace
+        monkeypatch.setattr(solve, "picard", picard_phase)
+        count = self.count_passes(monkeypatch)
+        _, trace = theta_step(prob, u0, dt=5e-3, theta=1.0, cfg=cfg,
+                              method="hybrid")
+
+        # a Newton record's step length is rho**k after k rejected trials,
+        # 0 after a fallback (max_backtracks rejected trials), and NaN on
+        # the converged record, the only one without a Jacobian
+        steps = np.array(trace.step_lengths[picard_iters[0]:])
+        accepted = steps[steps > 0.0]
+        fallbacks = int(np.sum(steps == 0.0))
+        jacobians = int(np.sum(~np.isnan(steps)))
+        trials = fallbacks * cfg.max_backtracks + sum(
+            round(np.log(lam) / np.log(cfg.rho)) + 1 for lam in accepted)
+        assert trials > len(accepted) + fallbacks
+        assert trace.converged == (fallbacks == 0)
+        assert count["passes"] == (picard_iters[0] + 1 + trials + jacobians
+                                   + fallbacks)
+
+    def test_audit(self, monkeypatch):
+        prob = make_problem(4)
+        u = np.random.default_rng(1).uniform(0.0, 1.0, prob.nodes.n_nodes)
+        count = self.count_passes(monkeypatch)
+        prob.audit(u)
+        assert count["passes"] == 1

@@ -10,6 +10,8 @@ from dgmono import (ProblemSpec, StabilizationParams, audit_dmp,
 from dgmono.assembly import interpolate_boundary
 from dgmono.stabilization import PairTables, StabilizedProblem
 
+from .test_mesh import perturbed_mesh
+
 
 def make_problem(n=5, mu=1e-3, mode="smoothed", mesh=None, **kw):
     mesh = mesh or build_structured_quad(n, n)
@@ -135,6 +137,19 @@ class TestStabilizedOperators:
         Kt, Bt = prob.operators(u)
         ref = Kt @ u - prob.G - Bt @ prob.ubar_vec
         assert np.allclose(prob.residual_steady(u), ref, atol=1e-12)
+
+        # theta-steps: the matrix-free residual is the assembled Picard
+        # residual A u - rhs, on a uniform and a jittered mesh
+        for mesh in (None, perturbed_mesh(4, 4, seed=11)):
+            prob = make_problem(4, mesh=mesh)
+            rng = np.random.default_rng(12)
+            u, u_old = rng.uniform(0.0, 1.0, (2, prob.nodes.n_nodes))
+            for theta in (1.0, 0.5):
+                A, rhs = prob.linearize(u, 1e-2, u_old, theta).system
+                ref = A @ u - rhs
+                res = prob.residual_transient(u, u_old, 1e-2, theta)
+                assert np.linalg.norm(res - ref) \
+                    <= 1e-12 * np.linalg.norm(ref)
 
     def test_build_stabilized_unchanged_when_zero(self):
         prob = make_problem(3, enabled=False)
