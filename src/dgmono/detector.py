@@ -189,39 +189,51 @@ class PairTopology:
         self.co_b = pb[coinc]
         self.co_w = 2.0 / (h_own[self.co_a] + h_own[self.co_b])
 
+        # the symmetric point, its owning cells and their Q1 weights depend
+        # only on the vertices of a and b: compute them once per vertex pair
+        # (one representative node pair each) and expand by the inverse index
         ra, rb = pa[~coinc], pb[~coinc]
-        sb = symmetric_points_batch(nodes, ra, rb)
+        vkey = (nodes.node_vertex[ra] * nodes.mesh.n_vertices
+                + nodes.node_vertex[rb])
+        _, rep, inv = np.unique(vkey, return_index=True, return_inverse=True)
+        sb = symmetric_points_batch(nodes, ra[rep], rb[rep])
         r = nodes.coords[rb] - nodes.coords[ra]
         r_ab = np.hypot(r[:, 0], r[:, 1])
 
-        deg = sb.degenerate
+        deg = sb.degenerate[inv]
         self.dg_a = ra[deg]
         self.dg_b = rb[deg]
         self.dg_w = 1.0 / r_ab[deg]
 
         reg = ~deg
+        v_reg = inv[reg]
         self.reg_a = ra[reg]
         self.reg_b = rb[reg]
         self.reg_wb = 1.0 / r_ab[reg]
-        self.reg_ws = 1.0 / sb.distance[reg]
+        self.reg_ws = 1.0 / sb.distance[v_reg]
 
-        owner = sb.owner[reg]
-        counts = owner.sum(axis=1)
+        # candidates of each vertex pair (degenerate ones own no cell), then
+        # gathered per regular node pair in the same (pair, cell) order
+        v_counts = sb.owner.sum(axis=1)
+        v_ptr = np.cumsum(v_counts) - v_counts
+        counts = v_counts[v_reg]
+        if np.any(counts == 0):
+            raise RuntimeError("symmetric point with no owning cell")
         self.cand_ptr = np.concatenate([[0], np.cumsum(counts)])
         if counts.sum():
             from .assembly import eval_in_cells
-            cells = sb.cells[reg][owner]
-            pts = np.repeat(sb.point[reg], counts, axis=0)
-            weights = eval_in_cells(nodes.mesh, cells, pts)
-            self.cand_weights = np.clip(weights, 0.0, 1.0)
-            self.cand_nodes = 4 * cells[:, None] + np.arange(4)[None, :]
+            cells = sb.cells[sb.owner]
+            pts = np.repeat(sb.point, v_counts, axis=0)
+            weights = np.clip(eval_in_cells(nodes.mesh, cells, pts), 0.0, 1.0)
+            take = (np.repeat(v_ptr[v_reg] - self.cand_ptr[:-1], counts)
+                    + np.arange(self.cand_ptr[-1]))
+            self.cand_weights = weights[take]
+            self.cand_nodes = 4 * cells[take, None] + np.arange(4)[None, :]
             self.cand_a = np.repeat(self.reg_a, counts)
         else:
             self.cand_weights = np.zeros((0, 4))
             self.cand_nodes = np.zeros((0, 4), dtype=np.int64)
             self.cand_a = np.zeros(0, dtype=np.int64)
-        if np.any(counts == 0):
-            raise RuntimeError("symmetric point with no owning cell")
 
         # boundary index of the degenerate-pair owners (must be boundary nodes)
         if len(self.dg_a):

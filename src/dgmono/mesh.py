@@ -3,7 +3,7 @@
 The dG space duplicates every vertex once per adjacent cell, so a node is a
 (cell, local-vertex) pair.  All downstream modules only consume the arrays
 exposed here, so meshes imported from file work as long as cells are convex
-quadrilaterals listed counter-clockwise.
+quadrilaterals listed counter-clockwise; ``Mesh`` rejects any other cell.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ class Mesh:
         self.cell_area = self._shoelace_areas()
         if np.any(self.cell_area <= 0.0):
             raise MeshError("cells must be counter-clockwise with positive area")
+        # the symmetric-point ray exit assumes convex cells
+        if np.any(self._corner_turns() <= 0.0):
+            raise MeshError("cells must be convex: every corner must turn "
+                            "counter-clockwise")
         self.h_cell = np.sqrt(self.cell_area)
         self.h = float(self.h_cell.max())
 
@@ -62,39 +66,39 @@ class Mesh:
         xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         return 0.5 * np.sum(x * yn - xn * y, axis=1)
 
+    def _corner_turns(self):
+        """Cross product of the two edges meeting at each corner: (nc, 4)."""
+        p = self.vertices[self.cells]
+        e = np.roll(p, -1, axis=1) - p
+        en = np.roll(e, -1, axis=1)
+        return e[..., 0] * en[..., 1] - e[..., 1] * en[..., 0]
+
     def _build_facets(self):
-        edge_map: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for c in range(self.n_cells):
-            for e in range(4):
-                v0 = int(self.cells[c, e])
-                v1 = int(self.cells[c, (e + 1) % 4])
-                edge_map.setdefault((min(v0, v1), max(v0, v1)), []).append((c, e))
+        # edge (c, e) of every cell, flat index 4c + e, keyed by its sorted
+        # vertex pair; facets are listed in order of first appearance and an
+        # interior facet's plus side is its first cell
+        v0 = self.cells.ravel()
+        v1 = np.roll(self.cells, -1, axis=1).ravel()
+        key = np.minimum(v0, v1) * self.n_vertices + np.maximum(v0, v1)
+        order = np.argsort(key, kind="stable")
+        _, start, counts = np.unique(key[order], return_index=True,
+                                     return_counts=True)
+        if np.any(counts > 2):
+            raise MeshError("facet shared by more than two cells")
+        seq = np.argsort(order[start])
+        start, counts = start[seq], counts[seq]
 
-        interior = {k: [] for k in ("cell_plus", "cell_minus", "edge_plus",
-                                    "edge_minus", "v0", "v1")}
-        boundary = {k: [] for k in ("cell", "edge", "v0", "v1")}
-        for owners in edge_map.values():
-            if len(owners) == 2:
-                (c0, e0), (c1, e1) = sorted(owners)
-                interior["cell_plus"].append(c0)
-                interior["cell_minus"].append(c1)
-                interior["edge_plus"].append(e0)
-                interior["edge_minus"].append(e1)
-                interior["v0"].append(int(self.cells[c0, e0]))
-                interior["v1"].append(int(self.cells[c0, (e0 + 1) % 4]))
-            elif len(owners) == 1:
-                c, e = owners[0]
-                boundary["cell"].append(c)
-                boundary["edge"].append(e)
-                boundary["v0"].append(int(self.cells[c, e]))
-                boundary["v1"].append(int(self.cells[c, (e + 1) % 4]))
-            else:
-                raise MeshError("facet shared by more than two cells")
-
-        self.interior_facets = {k: np.asarray(v, dtype=np.int64)
-                                for k, v in interior.items()}
-        self.boundary_facets = {k: np.asarray(v, dtype=np.int64)
-                                for k, v in boundary.items()}
+        two = counts == 2
+        f_plus = order[start[two]]
+        f_minus = order[start[two] + 1]
+        f_bnd = order[start[~two]]
+        self.interior_facets = {
+            "cell_plus": f_plus // 4, "cell_minus": f_minus // 4,
+            "edge_plus": f_plus % 4, "edge_minus": f_minus % 4,
+            "v0": v0[f_plus], "v1": v1[f_plus]}
+        self.boundary_facets = {
+            "cell": f_bnd // 4, "edge": f_bnd % 4,
+            "v0": v0[f_bnd], "v1": v1[f_bnd]}
 
         for facets in (self.interior_facets, self.boundary_facets):
             p0 = self.vertices[facets["v0"]].reshape(-1, 2)
@@ -149,12 +153,8 @@ def build_structured_quad(nx, ny, domain=((0.0, 1.0), (0.0, 1.0))):
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
     vid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
-    cells = np.empty((nx * ny, 4), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            cells[k] = (vid[j, i], vid[j, i + 1], vid[j + 1, i + 1], vid[j + 1, i])
-            k += 1
+    cells = np.column_stack([vid[:-1, :-1].ravel(), vid[:-1, 1:].ravel(),
+                             vid[1:, 1:].ravel(), vid[1:, :-1].ravel()])
     return Mesh(vertices, cells)
 
 
@@ -219,13 +219,19 @@ class DgNodeSet:
         self.node_vertex = mesh.cells.ravel().copy()
         self.coords = mesh.vertices[self.node_vertex]
 
-        # vertex -> cells containing it, vertex -> coincident nodes
-        self.vertex_cells = [[] for _ in range(mesh.n_vertices)]
-        self.vertex_nodes = [[] for _ in range(mesh.n_vertices)]
-        for a in range(self.n_nodes):
-            v = self.node_vertex[a]
-            self.vertex_cells[v].append(int(self.node_cell[a]))
-            self.vertex_nodes[v].append(a)
+        # vertex -> nodes at that vertex, CSR (ids ascending per vertex); the
+        # cells containing vertex v are node_cell[vn_ids[vn_ptr[v]:vn_ptr[v + 1]]]
+        nv = mesh.n_vertices
+        self.vn_ids = np.argsort(self.node_vertex, kind="stable")
+        self.vn_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.node_vertex, minlength=nv))])
+        # the same table padded: (n_vertices, k) support cells, -1 pads
+        counts = np.diff(self.vn_ptr)
+        self.vertex_cells_padded = np.full((nv, int(counts.max())), -1,
+                                           dtype=np.int64)
+        col = np.arange(self.n_nodes) - np.repeat(self.vn_ptr[:-1], counts)
+        self.vertex_cells_padded[self.node_vertex[self.vn_ids], col] = \
+            self.node_cell[self.vn_ids]
 
         self.boundary_mask = mesh.boundary_vertex_mask[self.node_vertex]
         self.boundary_nodes = np.flatnonzero(self.boundary_mask)
@@ -245,27 +251,27 @@ class DgNodeSet:
 
     # -- topology queries -----------------------------------------------------
 
+    def _vertex_nodes(self, v):
+        return self.vn_ids[self.vn_ptr[v]:self.vn_ptr[v + 1]]
+
     def support(self, a):
         """Cells whose closure contains x_a."""
-        return list(self.vertex_cells[self.node_vertex[a]])
+        return self.node_cell[self._vertex_nodes(self.node_vertex[a])].tolist()
 
     def support_vertices(self, a):
         """Vertex ids lying in the closed support of a."""
-        cells = self.vertex_cells[self.node_vertex[a]]
-        return np.unique(self.mesh.cells[cells])
+        return np.unique(self.mesh.cells[self.support(a)])
 
     def neighbors(self, a):
         """All nodes b with x_b in the closed support of a (includes a)."""
-        out = []
-        for v in self.support_vertices(a):
-            out.extend(self.vertex_nodes[v])
-        return np.array(sorted(out), dtype=np.int64)
+        return np.sort(np.concatenate(
+            [self._vertex_nodes(v) for v in self.support_vertices(a)]))
 
     def support_nodes(self, a):
         """Nodes (i, K) with K a cell of the support; u_h over the support
         attains its extrema at exactly these nodes."""
-        cells = self.vertex_cells[self.node_vertex[a]]
-        return np.concatenate([np.arange(4 * c, 4 * c + 4) for c in cells])
+        cells = np.asarray(self.support(a))
+        return (4 * cells[:, None] + np.arange(4)[None, :]).ravel()
 
     def adjacency_pairs(self):
         """Cached ordered adjacency pairs (a, b), b != a, as flat arrays.
@@ -276,10 +282,8 @@ class DgNodeSet:
         """
         if self._pairs is None:
             nv = self.mesh.n_vertices
-            # vertex -> nodes at that vertex, CSR (ids ascending per vertex)
-            vn_ids = np.argsort(self.node_vertex, kind="stable")
-            vn_counts = np.bincount(self.node_vertex, minlength=nv)
-            vn_ptr = np.cumsum(vn_counts) - vn_counts
+            vn_ids, vn_ptr = self.vn_ids, self.vn_ptr[:-1]
+            vn_counts = np.diff(self.vn_ptr)
 
             # (a, support cell) incidence: the cells at a's vertex
             rep = vn_counts[self.node_vertex]
@@ -407,21 +411,6 @@ class SymmetricPointBatch:
     owner: np.ndarray       # (P, k) bool
 
 
-def _vertex_cells_padded(nodes: DgNodeSet):
-    """(n_vertices, k) support-cell table, -1 padded, cached on the node set."""
-    cached = getattr(nodes, "_vertex_cells_padded", None)
-    if cached is not None:
-        return cached
-    nv = nodes.mesh.n_vertices
-    order = np.argsort(nodes.node_vertex, kind="stable")
-    counts = np.bincount(nodes.node_vertex, minlength=nv)
-    padded = np.full((nv, int(counts.max())), -1, dtype=np.int64)
-    col = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-    padded[nodes.node_vertex[order], col] = nodes.node_cell[order]
-    nodes._vertex_cells_padded = padded
-    return padded
-
-
 def symmetric_points_batch(nodes: DgNodeSet, pa, pb) -> SymmetricPointBatch:
     """Symmetric points for pair arrays ``pa``, ``pb`` (non-coincident)."""
     mesh = nodes.mesh
@@ -434,7 +423,7 @@ def symmetric_points_batch(nodes: DgNodeSet, pa, pb) -> SymmetricPointBatch:
         raise ValueError("symmetric point undefined for coincident nodes")
     d = -r / dist_ab[:, None]
 
-    cells = _vertex_cells_padded(nodes)[nodes.node_vertex[pa]]  # (P, k)
+    cells = nodes.vertex_cells_padded[nodes.node_vertex[pa]]  # (P, k)
     valid = cells >= 0
     poly = mesh.vertices[mesh.cells[np.where(valid, cells, 0)]]  # (P, k, 4, 2)
     v0 = poly

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from dgmono import StabilizationParams, alpha_all, build_dg_nodes, \
+from dgmono import Mesh, StabilizationParams, alpha_all, build_dg_nodes, \
     build_structured_quad
-from dgmono.assembly import BoundaryTrace, interpolate_boundary
+from dgmono.assembly import BoundaryTrace, eval_in_cells, interpolate_boundary
 from dgmono.detector import (DerivedScales, _candidate_values,
                              _symmetric_candidates, _term_values, abs_lower,
                              abs_upper, smax, ssgn, z_ramp)
 
-from .test_mesh import perturbed_mesh
+from dgmono.mesh import symmetric_points_batch
+
+from .test_mesh import VALENCE3_CELLS, VALENCE3_VERTICES, perturbed_mesh
 
 
 class TestPrimitives:
@@ -223,3 +225,66 @@ class TestDetector:
         for k in range(20):
             u, a, tr = forced_extremum(nodes, rng, lo=bool(k % 2))
             assert alpha_all(nodes, u, tr, p, s)[a] == 1.0
+
+
+def reference_topology(nodes):
+    """Pair topology from symmetric points and Q1 weights computed for every
+    non-coincident node pair on its own (no sharing between node pairs that
+    join the same two vertices)."""
+    pa, pb = nodes.adjacency_pairs()
+    coinc = nodes.node_vertex[pa] == nodes.node_vertex[pb]
+    ra, rb = pa[~coinc], pb[~coinc]
+    sb = symmetric_points_batch(nodes, ra, rb)
+    r = nodes.coords[rb] - nodes.coords[ra]
+    r_ab = np.hypot(r[:, 0], r[:, 1])
+    reg = ~sb.degenerate
+    owner = sb.owner[reg]
+    counts = owner.sum(axis=1)
+    cells = sb.cells[reg][owner]
+    weights = eval_in_cells(nodes.mesh, cells,
+                            np.repeat(sb.point[reg], counts, axis=0))
+    dg_a = ra[sb.degenerate]
+    return {
+        "dg_a": dg_a, "dg_b": rb[sb.degenerate],
+        "dg_w": 1.0 / r_ab[sb.degenerate],
+        "reg_a": ra[reg], "reg_b": rb[reg], "reg_wb": 1.0 / r_ab[reg],
+        "reg_ws": 1.0 / sb.distance[reg],
+        "cand_ptr": np.concatenate([[0], np.cumsum(counts)]),
+        "cand_weights": np.clip(weights, 0.0, 1.0),
+        "cand_nodes": 4 * cells[:, None] + np.arange(4)[None, :],
+        "cand_a": np.repeat(ra[reg], counts),
+        "dg_bidx": nodes.boundary_index[dg_a],
+    }
+
+
+class TestPairTopology:
+    @pytest.mark.parametrize("mesh", [
+        build_structured_quad(5, 4),
+        perturbed_mesh(6, 6, scale=0.2, seed=5),
+        Mesh(VALENCE3_VERTICES, VALENCE3_CELLS)],
+        ids=["uniform", "jittered", "valence3"])
+    def test_matches_per_node_pair_reference(self, mesh):
+        nodes = build_dg_nodes(mesh)
+        topo = nodes.pair_topology()
+        ref = reference_topology(nodes)
+        assert len(ref["reg_a"]) and len(ref["dg_a"])
+        for name, want in ref.items():
+            got = getattr(topo, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        pa, pb = nodes.adjacency_pairs()
+        coinc = nodes.node_vertex[pa] == nodes.node_vertex[pb]
+        assert np.array_equal(topo.co_a, pa[coinc])
+        assert np.array_equal(topo.co_b, pb[coinc])
+        assert np.array_equal(topo.term_idx, np.concatenate(
+            [topo.co_a, ref["reg_a"], ref["reg_a"], ref["dg_a"], ref["dg_a"]]))
+        assert topo.w_max == max(w.max() for w in (
+            topo.co_w, ref["reg_wb"], ref["reg_ws"], ref["dg_w"]))
+
+    def test_valence3_support_width(self):
+        nodes = build_dg_nodes(Mesh(VALENCE3_VERTICES, VALENCE3_CELLS))
+        # the centre vertex lies in three cells, so the padded table is
+        # three wide; every other vertex leaves pads
+        assert nodes.vertex_cells_padded.shape == (7, 3)
+        assert np.array_equal(np.sort(nodes.vertex_cells_padded[6]), [0, 1, 2])
+        assert (nodes.vertex_cells_padded[:6] == -1).any(axis=1).all()

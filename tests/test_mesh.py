@@ -8,6 +8,15 @@ from dgmono import (Mesh, MeshError, build_dg_nodes, build_structured_quad,
 from dgmono.mesh import symmetric_points_batch
 
 
+# a triangle split into three quads around a valence-3 interior vertex (6)
+VALENCE3_VERTICES = [[0, 0], [1, 0], [.5, .9], [.5, 0], [.75, .45],
+                     [.25, .45], [.5, .3]]
+VALENCE3_CELLS = [[0, 3, 6, 5], [3, 1, 4, 6], [6, 4, 2, 5]]
+
+# counter-clockwise quad of positive area with a reflex corner at (0.5, 1)
+DART_VERTICES = [[0, 0], [2, 1], [0, 2], [0.5, 1]]
+
+
 def perturbed_mesh(nx, ny, scale=0.15, seed=3):
     """Structured mesh with randomly shifted interior vertices."""
     mesh = build_structured_quad(nx, ny)
@@ -53,6 +62,23 @@ class TestStructuredQuad:
         with pytest.raises(MeshError):
             Mesh(verts, [[0, 3, 2, 1]])
 
+    def test_nonconvex_cell_rejected(self):
+        p = np.array(DART_VERTICES, dtype=float)
+        area = 0.5 * np.sum(p[:, 0] * np.roll(p[:, 1], -1)
+                            - np.roll(p[:, 0], -1) * p[:, 1])
+        assert area > 0
+        with pytest.raises(MeshError, match="convex"):
+            Mesh(p, [[0, 1, 2, 3]])
+
+    def test_cells_row_major(self):
+        nx, ny = 3, 2
+        mesh = build_structured_quad(nx, ny)
+        ref = [[j * (nx + 1) + i, j * (nx + 1) + i + 1,
+                (j + 1) * (nx + 1) + i + 1, (j + 1) * (nx + 1) + i]
+               for j in range(ny) for i in range(nx)]
+        assert mesh.cells.dtype == np.int64
+        assert np.array_equal(mesh.cells, ref)
+
 
 class TestFacets:
     def test_normals_unit_and_outward(self):
@@ -78,6 +104,50 @@ class TestFacets:
             for v in (fi["v0"][k], fi["v1"][k]):
                 assert v in mesh.cells[fi["cell_plus"][k]]
                 assert v in mesh.cells[fi["cell_minus"][k]]
+
+    @staticmethod
+    def reference_facets(mesh):
+        """Facets from a dict over edges in cell order: interior facets
+        (cell_plus, cell_minus, edge_plus, edge_minus, v0, v1) and boundary
+        facets (cell, edge, v0, v1), each in order of first appearance."""
+        owners = {}
+        for c, cell in enumerate(mesh.cells.tolist()):
+            for e in range(4):
+                v0, v1 = cell[e], cell[(e + 1) % 4]
+                owners.setdefault((min(v0, v1), max(v0, v1)), []).append((c, e))
+        interior, boundary = [], []
+        for own in owners.values():
+            c0, e0 = own[0]
+            v = (mesh.cells[c0, e0], mesh.cells[c0, (e0 + 1) % 4])
+            if len(own) == 2:
+                interior.append((c0, own[1][0], e0, own[1][1]) + v)
+            else:
+                boundary.append((c0, e0) + v)
+        return (np.array(interior, dtype=np.int64).reshape(-1, 6),
+                np.array(boundary, dtype=np.int64).reshape(-1, 4))
+
+    @pytest.mark.parametrize("mesh", [
+        build_structured_quad(1, 1), build_structured_quad(4, 3),
+        perturbed_mesh(5, 4, scale=0.2, seed=7),
+        Mesh(VALENCE3_VERTICES, VALENCE3_CELLS)],
+        ids=["1x1", "4x3", "jittered", "valence3"])
+    def test_facets_match_edge_dict(self, mesh):
+        interior, boundary = self.reference_facets(mesh)
+        fi, fb = mesh.interior_facets, mesh.boundary_facets
+        for j, k in enumerate(("cell_plus", "cell_minus", "edge_plus",
+                               "edge_minus", "v0", "v1")):
+            assert fi[k].dtype == np.int64
+            assert np.array_equal(fi[k], interior[:, j])
+        for j, k in enumerate(("cell", "edge", "v0", "v1")):
+            assert fb[k].dtype == np.int64
+            assert np.array_equal(fb[k], boundary[:, j])
+
+    def test_facet_shared_by_three_cells_rejected(self):
+        # two cells above the edge (0,0)-(1,0), one below
+        verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0, -1], [1, -1],
+                 [1, 2], [0, 2]]
+        with pytest.raises(MeshError, match="more than two"):
+            Mesh(verts, [[0, 1, 2, 3], [4, 5, 1, 0], [0, 1, 6, 7]])
 
 
 class TestClassifyFacets:
@@ -137,8 +207,26 @@ class TestDgNodeSet:
         a = interior[0]
         assert len(nodes.support_vertices(a)) == 9
         # 4 corner vertices x 4 dupes + 4 edge vertices x ... counted directly
-        counts = [len(nodes.vertex_nodes[v]) for v in nodes.support_vertices(a)]
-        assert len(nodes.neighbors(a)) == sum(counts)
+        counts = np.diff(nodes.vn_ptr)[nodes.support_vertices(a)]
+        assert len(nodes.neighbors(a)) == counts.sum()
+
+
+    @pytest.mark.parametrize("mesh", [
+        perturbed_mesh(4, 3), Mesh(VALENCE3_VERTICES, VALENCE3_CELLS)],
+        ids=["jittered", "valence3"])
+    def test_queries_match_brute_force(self, mesh):
+        nodes = build_dg_nodes(mesh)
+        for a in range(nodes.n_nodes):
+            v = nodes.node_vertex[a]
+            cells = [c for c in range(mesh.n_cells) if v in mesh.cells[c]]
+            verts = sorted(set(mesh.cells[cells].ravel().tolist()))
+            near = [b for b in range(nodes.n_nodes)
+                    if nodes.node_vertex[b] in verts]
+            assert nodes.support(a) == cells
+            assert np.array_equal(nodes.support_vertices(a), verts)
+            assert np.array_equal(nodes.neighbors(a), near)
+            assert np.array_equal(nodes.support_nodes(a), [
+                4 * c + i for c in cells for i in range(4)])
 
 
 class TestSymmetricPoint:
@@ -229,6 +317,14 @@ class TestMeshIO:
         back = load_mesh(path)
         assert np.array_equal(back.cells, mesh.cells)
         assert np.allclose(back.vertices, mesh.vertices, rtol=0, atol=1e-15)
+
+    def test_nonconvex_file_rejected(self, tmp_path):
+        path = tmp_path / "dart.txt"
+        path.write_text("# dgmono mesh v1\n4 1\n"
+                        + "".join(f"{x} {y}\n" for x, y in DART_VERTICES)
+                        + "0 1 2 3\n")
+        with pytest.raises(MeshError, match="convex"):
+            load_mesh(path)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -252,10 +252,14 @@ class TestThetaStep:
         prob = make_problem(4, mu=0.0)
         u0 = np.where(prob.nodes.coords[:, 0] < 0.5, 1.0, 0.0)
         cfg = SolverConfig(tol=1e-10, max_iter=100)
-        u_a, _ = theta_step(prob, u0, dt=0.01, theta=0.5, cfg=cfg)
-        loop = TimeLoopConfig(theta=0.5, dt=0.01, n_steps=1, solver=cfg)
+        u_a, trace = theta_step(prob, u0, dt=0.01, theta=0.5, cfg=cfg,
+                                method="hybrid")
+        assert trace.converged
+        loop = TimeLoopConfig(theta=0.5, dt=0.01, n_steps=1, solver=cfg,
+                              method="hybrid")
         u_b, traces = run_transient(prob, u0, loop)
         assert len(traces) == 1
+        assert traces[0].converged
         assert np.array_equal(u_a, u_b)
 
     def test_cfl_enforcement(self):
