@@ -9,8 +9,9 @@ so at a discrete local extremum (all terms of one sign) the ratio is exactly
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -354,9 +355,20 @@ def _term_slopes(topo, u, trace, params, scales, choice):
     return rows, cols, vals
 
 
-def _smoothed_alpha(topo, vals, params, scales, n, slope=False):
-    """Smoothed detector from the term values; with ``slope``, also
-    d alpha_a / d t for every term t of node a = term_idx[t]."""
+class _SmoothedBranch(NamedTuple):
+    """The smoothed detector at one candidate assignment: the term values
+    and, per node, the summed terms, the smoothed denominator, the ratio
+    zeta, the ramp Z(zeta) and the clipped alpha = Z^q."""
+
+    vals: np.ndarray
+    num: np.ndarray
+    den_s: np.ndarray
+    zeta: np.ndarray
+    z: np.ndarray
+    alpha: np.ndarray
+
+
+def _smoothed_branch(topo, vals, params, scales, n):
     tau_h = scales.tau_h
     num = np.bincount(topo.term_idx, weights=vals, minlength=n)
     den = np.bincount(topo.term_idx, weights=abs_lower(vals, tau_h),
@@ -365,25 +377,27 @@ def _smoothed_alpha(topo, vals, params, scales, n, slope=False):
     den_s = den + scales.gamma_h
     zeta = np.divide(num_s, den_s, out=np.zeros(n), where=den_s > 0.0)
     z = z_ramp(zeta, printed=params.z_printed)
-    alpha = z**params.q
-    if not slope:
-        return np.clip(alpha, 0.0, 1.0)
-    # q Z^(q-1) Z'(zeta), then the quotient rule on
-    # zeta = (abs_upper(num) + gamma) / (den + gamma)
+    return _SmoothedBranch(vals, num, den_s, zeta, z,
+                           np.clip(z**params.q, 0.0, 1.0))
+
+
+def _branch_slope(topo, br, params, scales, n):
+    """d alpha_a / d t for every term t of node a = term_idx[t]: q Z^(q-1)
+    Z'(zeta), then the quotient rule on zeta = (abs_upper(num) + gamma) /
+    (den + gamma); zero where the clip to [0, 1] binds."""
+    tau_h = scales.tau_h
+    zq = br.z**params.q
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_z = params.q * z**(params.q - 1.0) \
-            * _z_ramp_slope(zeta, params.z_printed)
-    d_z[~np.isfinite(d_z) | (alpha < 0.0) | (alpha > 1.0)] = 0.0
-    c = np.divide(d_z, den_s, out=np.zeros(n), where=den_s > 0.0)
+        d_z = params.q * br.z**(params.q - 1.0) \
+            * _z_ramp_slope(br.zeta, params.z_printed)
+    d_z[~np.isfinite(d_z) | (zq < 0.0) | (zq > 1.0)] = 0.0
+    c = np.divide(d_z, br.den_s, out=np.zeros(n), where=br.den_s > 0.0)
     i = topo.term_idx
-    per_term = c[i] * (ssgn(num, tau_h)[i]
-                       - zeta[i] * _abs_lower_slope(vals, tau_h))
-    return np.clip(alpha, 0.0, 1.0), per_term
+    return c[i] * (ssgn(br.num, tau_h)[i]
+                   - br.zeta[i] * _abs_lower_slope(br.vals, tau_h))
 
 
-def _alpha_from_terms(topo, vals, params, scales, n, noise=0.0):
-    if params.mode != "raw":
-        return _smoothed_alpha(topo, vals, params, scales, n)
+def _raw_alpha(topo, vals, params, n, noise):
     num = np.bincount(topo.term_idx, weights=vals, minlength=n)
     den = np.bincount(topo.term_idx, weights=np.abs(vals), minlength=n)
     ratio = np.divide(np.abs(num), den, out=np.zeros(n), where=den > 0.0)
@@ -397,62 +411,90 @@ def _alpha_from_terms(topo, vals, params, scales, n, noise=0.0):
     return ratio**params.q
 
 
+class DetectorPass:
+    """The detector evaluated once at state u.
+
+    ``alpha`` is the maximum over admissible symmetric-point values,
+    evaluated at the all-max and all-min candidate assignments (one
+    assignment when they coincide).  The pass keeps its candidate values,
+    the assignments and, in smoothed mode, each assignment's term values
+    and ratios, so :meth:`jacobian` derives d alpha/du from them without
+    evaluating the detector again.
+    """
+
+    def __init__(self, nodes, u, trace, params, scales):
+        self.nodes, self.trace = nodes, trace
+        self.params, self.scales = params, scales
+        n = nodes.n_nodes
+        if not params.enabled:
+            self.alpha = np.zeros(n)
+            return
+        topo = nodes.pair_topology()
+        self.u = u = np.asarray(u, dtype=float)
+        self.cand = _candidate_values(topo, u)
+        s_hi, s_lo = _symmetric_candidates(topo, self.cand)
+        self.sides = [s_hi] if np.array_equal(s_hi, s_lo) else [s_hi, s_lo]
+        if params.mode == "raw":
+            u_scale = float(np.abs(u).max(initial=0.0))
+            if trace is not None and len(trace.values):
+                u_scale = max(u_scale, float(np.abs(trace.values).max()))
+            noise = 64.0 * np.finfo(float).eps * topo.w_max * u_scale
+            alphas = [_raw_alpha(topo, self._terms(s), params, n, noise)
+                      for s in self.sides]
+        else:
+            self.branches = [_smoothed_branch(topo, self._terms(s), params,
+                                              scales, n) for s in self.sides]
+            alphas = [br.alpha for br in self.branches]
+        self.alpha = functools.reduce(np.maximum, alphas)
+
+    def _terms(self, s_sym):
+        return _term_values(self.nodes.pair_topology(), self.u, self.trace,
+                            self.params, self.scales, s_sym)
+
+    def jacobian(self):
+        """d alpha/du as a CSR matrix; smoothed mode only.
+
+        Where the detector is not smooth, the derivative is that of the
+        active branch: at each regular pair, the first candidate cell
+        attaining the max (all-max assignment) or the min (all-min); at each
+        node, the assignment np.maximum(a_hi, a_lo) keeps (all-max on ties);
+        and zero where the ramp saturates (zeta >= 1) or the clip to [0, 1]
+        binds.
+        """
+        n, params = self.nodes.n_nodes, self.params
+        if not params.enabled:
+            return sp.csr_matrix((n, n))
+        if params.mode != "smoothed":
+            raise ValueError("the detector Jacobian needs the smoothed mode")
+        topo, scales = self.nodes.pair_topology(), self.scales
+        hi, *lo = self.branches
+        slope = _branch_slope(topo, hi, params, scales, n)
+        choice = _first_attaining(topo, self.cand, self.sides[0])
+        if lo:
+            on_lo = lo[0].alpha > hi.alpha
+            slope = np.where(on_lo[topo.term_idx],
+                             _branch_slope(topo, lo[0], params, scales, n),
+                             slope)
+            choice = np.where(on_lo[topo.reg_a],
+                              _first_attaining(topo, self.cand, self.sides[1]),
+                              choice)
+        rows, cols, vals = _term_slopes(topo, self.u, self.trace, params,
+                                        scales, choice)
+        vals *= slope[rows]  # in place: the triplets are the peak memory
+        return sp.coo_matrix((vals, (topo.term_idx[rows], cols)),
+                             shape=(n, n)).tocsr()
+
+
 def alpha_all(nodes, u, trace, params, scales):
-    """Detector values for all nodes; maximum over admissible symmetric-point
-    values (evaluated at the all-max and all-min candidate assignments)."""
-    if not params.enabled:
-        return np.zeros(nodes.n_nodes)
-    topo = nodes.pair_topology()
-    u = np.asarray(u, dtype=float)
-    u_scale = float(np.abs(u).max(initial=0.0))
-    if trace is not None and len(trace.values):
-        u_scale = max(u_scale, float(np.abs(trace.values).max()))
-    noise = 64.0 * np.finfo(float).eps * topo.w_max * u_scale
-    s_hi, s_lo = _symmetric_candidates(topo, _candidate_values(topo, u))
-    a_hi = _alpha_from_terms(topo, _term_values(topo, u, trace, params,
-                                                scales, s_hi),
-                             params, scales, nodes.n_nodes, noise)
-    if np.array_equal(s_hi, s_lo):
-        return a_hi
-    a_lo = _alpha_from_terms(topo, _term_values(topo, u, trace, params,
-                                                scales, s_lo),
-                             params, scales, nodes.n_nodes, noise)
-    return np.maximum(a_hi, a_lo)
+    """Detector values for all nodes (one :class:`DetectorPass`)."""
+    return DetectorPass(nodes, u, trace, params, scales).alpha
 
 
 def alpha_jacobian(nodes, u, trace, params, scales):
     """(alpha, d alpha/du) of the smoothed detector at state u.
 
-    alpha is bitwise equal to :func:`alpha_all`; d alpha/du is a CSR matrix.
-    Where the detector is not smooth, the derivative is that of the active
-    branch: at each regular pair, the first candidate cell attaining the
-    max (all-max assignment) or the min (all-min); at each node, the
-    assignment np.maximum(a_hi, a_lo) keeps (all-max on ties); and zero
-    where the ramp saturates (zeta >= 1) or the clip to [0, 1] binds.
+    alpha is bitwise equal to :func:`alpha_all`; d alpha/du is a CSR matrix
+    with the branch rules of :meth:`DetectorPass.jacobian`.
     """
-    n = nodes.n_nodes
-    if not params.enabled:
-        return np.zeros(n), sp.csr_matrix((n, n))
-    if params.mode != "smoothed":
-        raise ValueError("the detector Jacobian needs the smoothed mode")
-    topo = nodes.pair_topology()
-    u = np.asarray(u, dtype=float)
-    cand = _candidate_values(topo, u)
-    s_hi, s_lo = _symmetric_candidates(topo, cand)
-    alpha, slope = _smoothed_alpha(
-        topo, _term_values(topo, u, trace, params, scales, s_hi),
-        params, scales, n, slope=True)
-    choice = _first_attaining(topo, cand, s_hi)
-    if not np.array_equal(s_hi, s_lo):
-        a_lo, slope_lo = _smoothed_alpha(
-            topo, _term_values(topo, u, trace, params, scales, s_lo),
-            params, scales, n, slope=True)
-        lo = a_lo > alpha
-        alpha = np.maximum(alpha, a_lo)
-        slope = np.where(lo[topo.term_idx], slope_lo, slope)
-        choice = np.where(lo[topo.reg_a], _first_attaining(topo, cand, s_lo),
-                          choice)
-    rows, cols, vals = _term_slopes(topo, u, trace, params, scales, choice)
-    dalpha = sp.coo_matrix((slope[rows] * vals, (topo.term_idx[rows], cols)),
-                           shape=(n, n))
-    return alpha, dalpha.tocsr()
+    state = DetectorPass(nodes, u, trace, params, scales)
+    return state.alpha, state.jacobian()

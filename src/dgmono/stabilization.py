@@ -16,8 +16,10 @@ import scipy.sparse as sp
 from .assembly import (ProblemSpec, assemble_B, assemble_G, assemble_K,
                        assemble_M, dirichlet_boundary_nodes,
                        interpolate_boundary)
-from .detector import (StabilizationParams, alpha_all, alpha_jacobian,
-                       smax, ssgn)
+from .detector import DetectorPass, StabilizationParams, smax, ssgn
+# alpha_all is not called here; it stays importable from this module
+# because benchmark tracing wraps it by name.
+from .detector import alpha_all  # noqa: F401
 from .mesh import classify_facets
 
 
@@ -148,6 +150,9 @@ def audit_dmp(Ktilde, Btilde, alpha, rel_tol=1e-12):
     B_tilde >= 0; for all rows: sum_b K_tilde_ab - sum_b B_tilde_ab = 0
     relative to the matrix norm.
     """
+    if len(alpha) != Ktilde.shape[0]:
+        raise ValueError(f"alpha has {len(alpha)} entries for "
+                         f"{Ktilde.shape[0]} operator rows")
     report = []
     scale = max(np.abs(Ktilde).max(), 1e-300)
     tol = rel_tol * scale
@@ -158,21 +163,21 @@ def audit_dmp(Ktilde, Btilde, alpha, rel_tol=1e-12):
         report.append({"row": int(a), "condition": "row_sum",
                        "magnitude": float(abs(rowsum[a]))})
 
-    flagged = np.flatnonzero(alpha >= 1.0)
-    if len(flagged):
-        Kc = Ktilde.tocsr()
-        Bc = Btilde.tocsr()
-        for a in flagged:
-            row = Kc.getrow(a)
-            for j, v in zip(row.indices, row.data):
-                if j != a and v > tol:
-                    report.append({"row": int(a), "condition": "K_offdiag",
-                                   "magnitude": float(v)})
-            row = Bc.getrow(a)
-            for j, v in zip(row.indices, row.data):
-                if v < -tol:
-                    report.append({"row": int(a), "condition": "B_sign",
-                                   "magnitude": float(-v)})
+    # stored entries of the alpha == 1 rows that break a sign condition, by
+    # row; within a row K_tilde's come first, each in CSR order
+    flagged = np.asarray(alpha) >= 1.0
+    Kc, Bc = Ktilde.tocsr(), Btilde.tocsr()
+    k_row = np.repeat(np.arange(Kc.shape[0]), np.diff(Kc.indptr))
+    b_row = np.repeat(np.arange(Bc.shape[0]), np.diff(Bc.indptr))
+    k_bad = flagged[k_row] & (Kc.indices != k_row) & (Kc.data > tol)
+    b_bad = flagged[b_row] & (Bc.data < -tol)
+    rows = np.concatenate([k_row[k_bad], b_row[b_bad]])
+    mags = np.concatenate([Kc.data[k_bad], -Bc.data[b_bad]])
+    is_b = np.repeat([False, True], [k_bad.sum(), b_bad.sum()])
+    for i in np.argsort(rows, kind="stable"):
+        report.append({"row": int(rows[i]),
+                       "condition": "B_sign" if is_b[i] else "K_offdiag",
+                       "magnitude": float(mags[i])})
     return report
 
 
@@ -181,19 +186,26 @@ class Linearization:
 
     s is u when steady and theta u + (1 - theta) u_old on a theta-step from
     u_old over dt.  The detector alpha(s) is evaluated once, on
-    construction; everything else derives from it on first use and is kept:
-    the viscosity nu(s), the operators (K_tilde, B_tilde), the selectively
-    lumped mass M_tilde, the lagged-coefficient Picard system (A, rhs), the
-    matrix-free residual T(u) and its exact Jacobian dT/du.
+    construction, as a :class:`DetectorPass`; everything else derives from
+    it on first use and is kept: the viscosity nu(s), the operators
+    (K_tilde, B_tilde), the selectively lumped mass M_tilde, the
+    lagged-coefficient Picard system (A, rhs), the matrix-free residual
+    T(u) and its exact Jacobian dT/du.  A non-finite u or u_old raises
+    ValueError.
     """
 
     def __init__(self, problem, u, dt=None, u_old=None, theta=1.0):
+        for name, v in (("u_old", u_old), ("u", u)):
+            bad = 0 if v is None else np.count_nonzero(~np.isfinite(v))
+            if bad:
+                raise ValueError(f"{name} has {bad} non-finite entries")
         self.problem = problem
         self.u = u
         self.dt, self.u_old, self.theta = dt, u_old, theta
         self.s = u if dt is None else theta * u + (1.0 - theta) * u_old
-        self.alpha = alpha_all(problem.nodes, self.s, problem.trace,
-                               problem.params, problem.scales)
+        self.detector = DetectorPass(problem.nodes, self.s, problem.trace,
+                                     problem.params, problem.scales)
+        self.alpha = self.detector.alpha
 
     def at(self, v):
         """The same (steady or theta-step) scheme linearized at iterate v."""
@@ -269,12 +281,12 @@ class Linearization:
         - theta-step: J = M_tilde/dt + theta [K_tilde + (C + diag((m w - M w)
           Q alpha^(Q-1) / dt)) d alpha/du] with w = u - u_old.
 
-        d alpha/du comes from :func:`alpha_jacobian`, so the smoothed mode
-        is required; with the stabilization disabled J is K, or
-        M/dt + theta K.
+        d alpha/du comes from the construction's detector pass
+        (:meth:`DetectorPass.jacobian`), so the smoothed mode is required;
+        with the stabilization disabled J is K, or M/dt + theta K.
         """
         p, s, t = self.problem, self.s, self.problem.tables
-        _, dalpha = alpha_jacobian(p.nodes, s, p.trace, p.params, p.scales)
+        dalpha = self.detector.jacobian()
         Kt = self.operators[0]
         d_a, d_b, d_bd = viscosity_slopes(t, self.alpha, p.scales)
         ds = s[t.pair_a] - s[t.pair_b]

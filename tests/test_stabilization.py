@@ -200,6 +200,31 @@ class TestCfl:
         assert cfl_bound(m, -np.ones(3), 0.0) == np.inf
 
 
+def audit_dmp_rowwise(Ktilde, Btilde, alpha, rel_tol=1e-12):
+    """The per-row audit: row sums, then for each alpha == 1 row its
+    K_tilde and B_tilde sign violations read with getrow."""
+    report = []
+    tol = rel_tol * max(np.abs(Ktilde).max(), 1e-300)
+    rowsum = np.asarray(Ktilde.sum(axis=1)).ravel() - \
+        np.asarray(Btilde.sum(axis=1)).ravel()
+    for a in np.flatnonzero(np.abs(rowsum) > tol):
+        report.append({"row": int(a), "condition": "row_sum",
+                       "magnitude": float(abs(rowsum[a]))})
+    Kc, Bc = Ktilde.tocsr(), Btilde.tocsr()
+    for a in np.flatnonzero(alpha >= 1.0):
+        row = Kc.getrow(a)
+        for j, v in zip(row.indices, row.data):
+            if j != a and v > tol:
+                report.append({"row": int(a), "condition": "K_offdiag",
+                               "magnitude": float(v)})
+        row = Bc.getrow(a)
+        for j, v in zip(row.indices, row.data):
+            if v < -tol:
+                report.append({"row": int(a), "condition": "B_sign",
+                               "magnitude": float(-v)})
+    return report
+
+
 class TestAudit:
     def test_clean_operator(self):
         prob = make_problem(4)
@@ -219,8 +244,41 @@ class TestAudit:
         assert (2, "B_sign") in kinds      # B[2,0] < 0 at alpha=1
         assert any(c == "row_sum" for _, c in kinds)
 
+    def test_alpha_length_checked(self):
+        K = sp.csr_matrix(np.eye(3))
+        B = sp.csr_matrix(np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="alpha has 2 entries"):
+            audit_dmp(K, B, np.ones(2))
+
     def test_row_sum_only_checked_globally(self):
         # balanced rows, no flagged alphas -> clean
         K = sp.csr_matrix(np.array([[1.0, -1.0], [-2.0, 2.0]]))
         B = sp.csr_matrix(np.zeros((2, 1)))
         assert audit_dmp(K, B, np.zeros(2)) == []
+
+    def test_matches_rowwise_audit(self):
+        # random operators with K_offdiag, B_sign and row_sum violations
+        # planted on alpha == 1 and alpha < 1 rows
+        rng = np.random.default_rng(12)
+        n, nb = 30, 6
+        K = -np.abs(rng.standard_normal((n, n))) * (rng.uniform(
+            size=(n, n)) < 0.3)
+        B = np.abs(rng.standard_normal((n, nb))) * (rng.uniform(
+            size=(n, nb)) < 0.5)
+        alpha = rng.uniform(0.0, 0.9, n)
+        alpha[rng.permutation(n)[:15]] = 1.0
+        on, off = np.flatnonzero(alpha >= 1.0), np.flatnonzero(alpha < 1.0)
+        for rows in (on[:8], off[:8]):
+            K[rows, (rows + 1) % n] = rng.uniform(0.1, 1.0, 8)
+            K[rows, (rows + 2) % n] = rng.uniform(0.1, 1.0, 8)
+            B[rows, rows % nb] = -rng.uniform(0.1, 1.0, 8)
+        np.fill_diagonal(K, 0.0)
+        np.fill_diagonal(K, B.sum(axis=1) - K.sum(axis=1))
+        K[[on[9], off[9]], [on[9], off[9]]] += [1e-3, -2e-3]
+        Kt, Bt = sp.csr_matrix(K), sp.csr_matrix(B)
+        report = audit_dmp(Kt, Bt, alpha)
+        assert report == audit_dmp_rowwise(Kt, Bt, alpha)
+        seen = {(r["condition"], alpha[r["row"]] >= 1.0) for r in report}
+        assert seen == {("K_offdiag", True), ("B_sign", True),
+                        ("row_sum", True), ("row_sum", False)}
+        assert len(report) == 2 + 16 + 8
