@@ -185,7 +185,9 @@ class PairTopology:
         pa, pb = nodes.adjacency_pairs()
         h_own = nodes.mesh.h_cell[nodes.node_cell]
 
+        # kinds of the adjacency pairs, kept for the Jacobian's slot maps
         coinc = nodes.node_vertex[pb] == nodes.node_vertex[pa]
+        self.coincident = coinc
         self.co_a = pa[coinc]
         self.co_b = pb[coinc]
         self.co_w = 2.0 / (h_own[self.co_a] + h_own[self.co_b])
@@ -201,7 +203,7 @@ class PairTopology:
         r = nodes.coords[rb] - nodes.coords[ra]
         r_ab = np.hypot(r[:, 0], r[:, 1])
 
-        deg = sb.degenerate[inv]
+        self.degenerate = deg = sb.degenerate[inv]
         self.dg_a = ra[deg]
         self.dg_b = rb[deg]
         self.dg_w = 1.0 / r_ab[deg]
@@ -231,10 +233,13 @@ class PairTopology:
             self.cand_weights = weights[take]
             self.cand_nodes = 4 * cells[take, None] + np.arange(4)[None, :]
             self.cand_a = np.repeat(self.reg_a, counts)
+            # position of each candidate among the cells at a's vertex
+            self.cand_local = np.nonzero(sb.owner)[1][take]
         else:
             self.cand_weights = np.zeros((0, 4))
             self.cand_nodes = np.zeros((0, 4), dtype=np.int64)
             self.cand_a = np.zeros(0, dtype=np.int64)
+            self.cand_local = np.zeros(0, dtype=np.int64)
 
         # boundary index of the degenerate-pair owners (must be boundary nodes)
         if len(self.dg_a):
@@ -253,6 +258,11 @@ class PairTopology:
         self.w_max = max((float(w.max()) for w in
                           (self.co_w, self.reg_wb, self.reg_ws, self.dg_w)
                           if len(w)), default=0.0)
+
+    @functools.cached_property
+    def slots(self):
+        """The :class:`TermSlots` of the Jacobian, built on first use."""
+        return TermSlots(self)
 
 
 def build_pair_topology(nodes):
@@ -278,9 +288,10 @@ def _symmetric_candidates(topo, cand):
 
 def _first_attaining(topo, cand, s):
     """Per regular pair: index of the first candidate whose value is s."""
-    hit = np.flatnonzero(cand == np.repeat(s, np.diff(topo.cand_ptr)))
-    pair = np.searchsorted(topo.cand_ptr, hit, side="right") - 1
-    return hit[np.unique(pair, return_index=True)[1]]
+    n = len(cand)
+    hit = cand == np.repeat(s, np.diff(topo.cand_ptr))
+    return np.minimum.reduceat(np.where(hit, np.arange(n), n),
+                               topo.cand_ptr[:-1])
 
 
 def _boundary_value(topo, u, trace):
@@ -315,16 +326,14 @@ def _term_values(topo, u, trace, params, scales, s_sym):
     return np.concatenate([t_co, t_pair, t_sym, t_dgb, t_dgs])
 
 
-def _term_slopes(topo, u, trace, params, scales, choice):
-    """d(term)/du as triplets (term, column, value) in the flat layout of
-    _term_values; the symmetric leg of regular pair i is taken on candidate
-    ``choice[i]``.  Smoothed mode only."""
+def _term_slopes(topo, u, trace, params, scales, choice, slope):
+    """slope[t] d(term t)/du for every term t, in the entry layout of
+    :class:`TermSlots`: (fixed, sym), with ``sym`` the (n_reg, 4) symmetric
+    legs at the nodes of candidate ``choice[i]`` of regular pair i and
+    ``fixed`` every other entry.  Smoothed mode only."""
     n_co, n_reg, n_dg = len(topo.co_a), len(topo.reg_a), len(topo.dg_a)
-    r_co = np.arange(n_co)
-    r_pair = n_co + np.arange(n_reg)
-    r_sym = r_pair + n_reg
-    r_dgb = n_co + 2 * n_reg + np.arange(n_dg)
-    r_dgs = r_dgb + n_dg
+    sl_co, sl_pair, sl_sym, sl_dgb, sl_dgs = np.split(
+        slope, np.cumsum([n_co, n_reg, n_reg, n_dg]))
     w_sym = topo.reg_ws[:, None] * topo.cand_weights[choice]
 
     # degenerate extrapolated leg: d0 = ubar_a - u_a depends on u_a only
@@ -344,15 +353,40 @@ def _term_slopes(topo, u, trace, params, scales, choice):
     else:
         s_a, s_b = dd0, np.zeros(n_dg)
 
-    rows = np.concatenate([r_co, r_co, r_pair, r_pair, np.repeat(r_sym, 4),
-                           r_sym, r_dgb, r_dgb, r_dgs, r_dgs])
-    cols = np.concatenate([topo.co_b, topo.co_a, topo.reg_b, topo.reg_a,
-                           topo.cand_nodes[choice].ravel(), topo.reg_a,
-                           topo.dg_b, topo.dg_a, topo.dg_a, topo.dg_b])
-    vals = np.concatenate([topo.co_w, -topo.co_w, topo.reg_wb, -topo.reg_wb,
-                           w_sym.ravel(), -w_sym.sum(axis=1), topo.dg_w,
-                           -topo.dg_w, topo.dg_w * s_a, topo.dg_w * s_b])
-    return rows, cols, vals
+    fixed = np.concatenate([
+        topo.co_w * sl_co, -topo.co_w * sl_co,
+        topo.reg_wb * sl_pair, -topo.reg_wb * sl_pair,
+        -w_sym.sum(axis=1) * sl_sym,
+        topo.dg_w * sl_dgb, -topo.dg_w * sl_dgb,
+        topo.dg_w * s_a * sl_dgs, topo.dg_w * s_b * sl_dgs])
+    return fixed, w_sym * sl_sym[:, None]
+
+
+class TermSlots:
+    """Where the entries of :func:`_term_slopes` land in the node pattern S
+    (:class:`~dgmono.mesh.NodePattern`); each entry's row is its term's
+    node.
+
+    ``fixed`` holds the slots of the entries at fixed columns: coincident
+    terms at (co_b, co_a), pair legs at (reg_b, reg_a), symmetric legs at
+    reg_a, degenerate pair legs at (dg_b, dg_a) and degenerate extrapolated
+    legs at (dg_a, dg_b).  ``cand`` (n_cand, 4) holds, per candidate cell
+    of a regular pair, the slots of its four nodes; the symmetric legs take
+    the rows of the chosen candidates.
+    """
+
+    def __init__(self, topo):
+        S = topo.nodes.pattern()
+        # the topology splits the adjacency pairs in order: coincident, and
+        # the others into degenerate and regular
+        other = S.pairs[~topo.coincident]
+        co, reg, dg = (S.pairs[topo.coincident], other[~topo.degenerate],
+                       other[topo.degenerate])
+        co_d, reg_d, dg_d = (S.diag[topo.co_a], S.diag[topo.reg_a],
+                             S.diag[topo.dg_a])
+        self.fixed = np.concatenate([co, co_d, reg, reg_d, reg_d, dg, dg_d,
+                                     dg_d, dg])
+        self.cand = S.cell_slots(topo.cand_a, topo.cand_local)
 
 
 class _SmoothedBranch(NamedTuple):
@@ -426,6 +460,9 @@ class DetectorPass:
         self.nodes, self.trace = nodes, trace
         self.params, self.scales = params, scales
         n = nodes.n_nodes
+        bad = np.count_nonzero(~np.isfinite(u))
+        if bad:
+            raise ValueError(f"detector state has {bad} non-finite entries")
         if not params.enabled:
             self.alpha = np.zeros(n)
             return
@@ -452,7 +489,8 @@ class DetectorPass:
                             self.params, self.scales, s_sym)
 
     def jacobian(self):
-        """d alpha/du as a CSR matrix; smoothed mode only.
+        """d alpha/du as a CSR matrix in the node pattern S; smoothed mode
+        only.
 
         Where the detector is not smooth, the derivative is that of the
         active branch: at each regular pair, the first candidate cell
@@ -478,11 +516,13 @@ class DetectorPass:
             choice = np.where(on_lo[topo.reg_a],
                               _first_attaining(topo, self.cand, self.sides[1]),
                               choice)
-        rows, cols, vals = _term_slopes(topo, self.u, self.trace, params,
-                                        scales, choice)
-        vals *= slope[rows]  # in place: the triplets are the peak memory
-        return sp.coo_matrix((vals, (topo.term_idx[rows], cols)),
-                             shape=(n, n)).tocsr()
+        fixed, sym = _term_slopes(topo, self.u, self.trace, params, scales,
+                                  choice, slope)
+        S, slots = self.nodes.pattern(), topo.slots
+        data = np.bincount(slots.fixed, weights=fixed, minlength=S.nnz)
+        data += np.bincount(slots.cand[choice].ravel(), weights=sym.ravel(),
+                            minlength=S.nnz)
+        return S.matrix(data)
 
 
 def alpha_all(nodes, u, trace, params, scales):
@@ -494,7 +534,8 @@ def alpha_jacobian(nodes, u, trace, params, scales):
     """(alpha, d alpha/du) of the smoothed detector at state u.
 
     alpha is bitwise equal to :func:`alpha_all`; d alpha/du is a CSR matrix
-    with the branch rules of :meth:`DetectorPass.jacobian`.
+    in the node pattern with the branch rules of
+    :meth:`DetectorPass.jacobian`.
     """
     state = DetectorPass(nodes, u, trace, params, scales)
     return state.alpha, state.jacobian()

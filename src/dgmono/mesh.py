@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 # local corners of the reference square [-1, 1]^2, counter-clockwise
 REF_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -242,6 +243,8 @@ class DgNodeSet:
         self.m = self._lumped_weights()
         self._pairs = None
         self._pair_topology = None
+        self._pattern = None
+        self._vertex_columns = None
 
     def _lumped_weights(self):
         from .assembly import cell_quadrature
@@ -273,36 +276,51 @@ class DgNodeSet:
         cells = np.asarray(self.support(a))
         return (4 * cells[:, None] + np.arange(4)[None, :]).ravel()
 
+    def vertex_columns(self):
+        """Cached node columns of each vertex, shared by all its nodes:
+        (seq, seq_ptr), with ``seq[seq_ptr[v]:seq_ptr[v + 1]]`` the nodes
+        at each vertex w of the cells at v in turn, w ascending and the
+        nodes at w ascending."""
+        if self._vertex_columns is None:
+            nv = self.mesh.n_vertices
+            vc = self.vertex_cells_padded
+            v_of, j_of = np.nonzero(vc >= 0)
+            vw_key = np.unique(np.repeat(v_of, 4) * nv
+                               + self.mesh.cells[vc[v_of, j_of]].ravel())
+            v, w = vw_key // nv, vw_key % nv
+            cnt = np.diff(self.vn_ptr)[w]
+            start = np.cumsum(cnt) - cnt
+            seq = self.vn_ids[np.repeat(self.vn_ptr[w] - start, cnt)
+                              + np.arange(int(cnt.sum()))]
+            seq_ptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(v, weights=cnt, minlength=nv))
+                 ]).astype(np.int64)
+            self._vertex_columns = seq, seq_ptr
+        return self._vertex_columns
+
+    def node_rows(self):
+        """(row_len, src): node a has the row_len[a] columns of its vertex,
+        in :meth:`vertex_columns` order; they are seq[src] over its rows,
+        which follow each other in node order."""
+        seq_ptr = self.vertex_columns()[1]
+        row_len = np.diff(seq_ptr)[self.node_vertex]
+        start = np.cumsum(row_len) - row_len
+        src = (np.repeat(seq_ptr[self.node_vertex] - start, row_len)
+               + np.arange(int(row_len.sum())))
+        return row_len, src
+
     def adjacency_pairs(self):
         """Cached ordered adjacency pairs (a, b), b != a, as flat arrays.
 
         b runs over every node whose coordinate lies in the closed support
-        of a, including coincident duplicates of both endpoints.  The
-        detector's pair topology and the viscosity pair tables share them.
+        of a, including coincident duplicates of both endpoints, in the
+        order of :meth:`vertex_columns`.  The detector's pair topology and
+        the viscosity pair tables share them.
         """
         if self._pairs is None:
-            nv = self.mesh.n_vertices
-            vn_ids, vn_ptr = self.vn_ids, self.vn_ptr[:-1]
-            vn_counts = np.diff(self.vn_ptr)
-
-            # (a, support cell) incidence: the cells at a's vertex
-            rep = vn_counts[self.node_vertex]
-            a1 = np.repeat(np.arange(self.n_nodes), rep)
-            pos = np.arange(len(a1)) - np.repeat(np.cumsum(rep) - rep, rep)
-            sup_cell = self.node_cell[
-                vn_ids[vn_ptr[self.node_vertex[a1]] + pos]]
-
-            # (a, support vertex) incidence, deduplicated
-            key = np.repeat(a1, 4) * nv + self.mesh.cells[sup_cell].ravel()
-            key = np.unique(key)
-            a2, w2 = key // nv, key % nv
-
-            # expand each support vertex into its nodes
-            rep2 = vn_counts[w2]
-            pa = np.repeat(a2, rep2)
-            pos2 = np.arange(len(pa)) - np.repeat(np.cumsum(rep2) - rep2, rep2)
-            pb = vn_ids[np.repeat(vn_ptr[w2], rep2) + pos2]
-
+            row_len, src = self.node_rows()
+            pa = np.repeat(np.arange(self.n_nodes), row_len)
+            pb = self.vertex_columns()[0][src]
             keep = pa != pb
             self._pairs = pa[keep], pb[keep]
         return self._pairs
@@ -313,6 +331,82 @@ class DgNodeSet:
             from .detector import build_pair_topology
             self._pair_topology = build_pair_topology(self)
         return self._pair_topology
+
+    def pattern(self):
+        """Cached node pattern S = adjacency + diagonal, built on first use."""
+        if self._pattern is None:
+            self._pattern = NodePattern(self)
+        return self._pattern
+
+
+class NodePattern:
+    """CSR sparsity pattern S of the node adjacency plus the diagonal.
+
+    Row a holds a itself and every node in the closed support of a, in
+    ascending order.  That column set depends only on the vertex of a, so
+    it is ranked once per vertex (:meth:`DgNodeSet.vertex_columns`) and
+    expanded to the vertex's nodes.  ``indptr`` and ``indices`` are int32
+    and shared by every matrix stored in S (:meth:`matrix`).  The slot
+    maps, int32, are ``pairs`` for the adjacency pairs in their order and
+    ``diag`` for the diagonal.
+    """
+
+    def __init__(self, nodes: DgNodeSet):
+        n, nv = nodes.n_nodes, nodes.mesh.n_vertices
+        self.shape = (n, n)
+        seq, seq_ptr = nodes.vertex_columns()
+        # rank of each entry of a vertex's columns in ascending node order
+        seq_v = np.repeat(np.arange(nv), np.diff(seq_ptr))
+        order = np.argsort(seq_v * n + seq)
+        rank = np.empty(len(seq), dtype=np.int32)
+        rank[order] = np.arange(len(seq)) - seq_ptr[seq_v[order]]
+
+        row_len, src = nodes.node_rows()
+        indptr = np.concatenate([[0], np.cumsum(row_len)])
+        self.nnz = int(indptr[-1])
+        self.indptr = indptr.astype(np.int32)
+        slot = np.repeat(self.indptr[:-1], row_len) + rank[src]
+        self.indices = np.empty(self.nnz, dtype=np.int32)
+        self.indices[slot] = seq[src]
+        # shared by every matrix in S: an in-place edit of one must fail
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        on_diag = np.repeat(np.arange(n), row_len) == seq[src]
+        self.pairs, self.diag = slot[~on_diag], slot[on_diag]
+        self._nodes = nodes
+
+    def transpose(self, slots):
+        """The slots of (b, a) for the slots of entries (a, b)."""
+        t = sp.csr_matrix((np.arange(self.nnz, dtype=np.int32), self.indices,
+                           self.indptr), shape=self.shape).tocsc().data
+        return t[slots]
+
+    def cell_slots(self, a, local):
+        """(len(a), 4) slots in S of (a[i], the four nodes of the cell at
+        position local[i] among the cells at the vertex of a[i])."""
+        nodes, n = self._nodes, self.shape[0]
+        # per (vertex v, cell j at v): the ranks of the cell's four nodes in
+        # the row of its own node at v, which has v's columns; row-major
+        # keys of S ascend, so one search finds them
+        vc = nodes.vertex_cells_padded
+        v_of, j_of = np.nonzero(vc >= 0)
+        own = nodes.vn_ids[nodes.vn_ptr[v_of] + j_of]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        found = np.searchsorted(rows * n + self.indices,
+                                (own * n + 4 * vc[v_of, j_of])[:, None]
+                                + np.arange(4))
+        cell_rank = np.zeros((vc.size, 4), dtype=np.int32)
+        cell_rank[v_of * vc.shape[1] + j_of] = (found
+                                                - self.indptr[own][:, None])
+
+        slots = cell_rank.take(nodes.node_vertex[a] * vc.shape[1] + local,
+                               axis=0)
+        slots += self.indptr[a][:, None]
+        return slots
+
+    def matrix(self, data):
+        """The CSR matrix with values ``data`` (one per slot) in S."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
 
 
 def build_dg_nodes(mesh):

@@ -88,11 +88,14 @@ def solve_linear(A, rhs):
 
     SuperLU orders by minimum degree on the structure of A^T + A, which
     suits the structurally symmetric dG matrices; that ordering keeps its
-    low fill only while the pivots stay on the diagonal."""
+    low fill only while the pivots stay on the diagonal.  Exact zeros that
+    A stores (a fixed pattern keeps them) are dropped first, so the
+    ordering sees the numeric structure; A itself is not modified."""
+    A = A.tocsc(copy=True)
+    A.eliminate_zeros()
     try:
         # pivot off the diagonal only below 0.1 of the column max (less fill)
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.1)
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
     except RuntimeError as exc:
         raise RuntimeError(f"linear solve failed: {exc}") from exc
     x = lu.solve(rhs)
@@ -185,24 +188,14 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
 # Newton uses the analytic StabilizedProblem.jacobian; these remain as the
 # independent finite-difference oracle it is checked against.
 
-def _adjacency_matrix(problem):
-    t = problem.tables
-    n = problem.nodes.n_nodes
-    rows = np.concatenate([t.pair_a, t.pair_b, np.arange(n)])
-    cols = np.concatenate([t.pair_b, t.pair_a, np.arange(n)])
-    data = np.ones(len(rows), dtype=np.int8)
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
 def jacobian_pattern(problem):
-    """Sparsity pattern of dT/du: the squared adjacency graph (viscosities
-    couple each row to the neighbors of its neighbors)."""
-    if getattr(problem, "_jac_pattern", None) is None:
-        A = _adjacency_matrix(problem)
-        P = (A @ A).tocsc()
-        P.data[:] = 1
-        problem._jac_pattern = P
-    return problem._jac_pattern
+    """Sparsity pattern of dT/du: S^2 for the node pattern S (viscosities
+    couple each row to the neighbors of its neighbors), as CSC ones."""
+    S = problem.nodes.pattern()
+    A = S.matrix(np.ones(S.nnz, dtype=np.int32))
+    P = (A @ A).tocsc()
+    P.data[:] = 1
+    return P
 
 
 def color_columns(P):

@@ -42,9 +42,11 @@ class GraphViscosity:
 
 
 class PairTables:
-    """Adjacency pair tables with the frozen K/B entries used by nu."""
+    """Adjacency pair tables with the frozen K/B entries used by nu, and
+    (on first use) the :class:`SlotMaps` that place K, M, the pairs and the
+    boundary pairs in the node pattern."""
 
-    def __init__(self, nodes, K, B):
+    def __init__(self, nodes, K, B, M):
         pa, pb = nodes.adjacency_pairs()  # ordered pairs, a != b
         keep = pb > pa
         self.pair_a = pa[keep]
@@ -60,18 +62,79 @@ class PairTables:
             [nodes.boundary_index[pa[on_b]],
              nodes.boundary_index[nodes.boundary_nodes]])
         self.B_ab = np.asarray(B[self.bpair_a, self.bpair_col]).ravel()
+        self._operators = nodes, K, B, M
+
+    @cached_property
+    def slots(self):
+        return SlotMaps(self, *self._operators)
+
+
+class SlotMaps:
+    """Fixed-pattern assembly of the per-iterate matrices.
+
+    K_tilde, M_tilde and the Picard matrix are stored in the node pattern S
+    (``S``, :class:`~dgmono.mesh.NodePattern`) with one data array each:
+    ``K`` and ``M`` (on first use, so steady problems skip it) are the data
+    of K and M in S, ``ab`` and ``ba`` the slots of the pairs (pair_a,
+    pair_b) and (pair_b, pair_a).  B_tilde is stored in the union of B's
+    pattern and the boundary pairs (``b_indptr``, ``b_indices``), with
+    ``B`` the data of B there and ``b_slots`` the slots of the boundary
+    pairs.
+    """
+
+    def __init__(self, tables, nodes, K, B, M):
+        self.S = S = nodes.pattern()
+        pa, pb = nodes.adjacency_pairs()
+        self.ab = S.pairs[pb > pa]
+        self.ba = S.transpose(self.ab)
+        self.K = self._in_pattern(K)
+        self._M = M
+
+        # B: few entries (boundary rows and columns), so keys are enough
+        Bc = B.tocoo()
+        nb = B.shape[1]
+        b_key = tables.bpair_a * nb + tables.bpair_col
+        key = np.union1d(Bc.row * nb + Bc.col, b_key)
+        self.b_shape = B.shape
+        self.b_indptr = np.searchsorted(
+            key, np.arange(B.shape[0] + 1) * nb).astype(np.int32)
+        self.b_indices = (key % nb).astype(np.int32)
+        self.B = np.zeros(len(key))
+        self.B[np.searchsorted(key, Bc.row * nb + Bc.col)] = Bc.data
+        self.b_slots = np.searchsorted(key, b_key).astype(np.int32)
+
+    @cached_property
+    def M(self):
+        return self._in_pattern(self._M)
+
+    def _in_pattern(self, A):
+        """The data of A in S.  Reading S's slot numbers through A's
+        nonzero pattern (one elementwise product, canonical CSR both) gives
+        the slot of each nonzero of A in A's order."""
+        A = A.tocsr(copy=True)
+        A.sum_duplicates()
+        slot = self.S.matrix(np.arange(1, self.S.nnz + 1)).multiply(A != 0)
+        nz = A.data[A.data != 0.0]
+        if slot.nnz != len(nz):  # assembly may store zeros outside S
+            raise ValueError("operator entry outside the node pattern")
+        data = np.zeros(self.S.nnz)
+        data[slot.data - 1] = nz
+        return data
 
 
 def build_viscosity(tables: PairTables, alpha, params, scales, n_nodes):
     """nu_ab = max{a_a K_ab, 0, a_b K_ba} and nu_b = max{-a_a B_ab, 0};
     smoothed mode uses the nested smoothed maximum, floored by the raw value
-    so the DMP sign conditions hold exactly."""
+    so the DMP sign conditions hold exactly.  Zero when the stabilization is
+    disabled (alpha is 0 then, but the smoothed maximum of zeros is not)."""
     xa = alpha[tables.pair_a] * tables.K_ab
     xb = alpha[tables.pair_b] * tables.K_ba
     nu = np.maximum(np.maximum(xa, 0.0), xb)
     xd = -alpha[tables.bpair_a] * tables.B_ab
     nu_b = np.maximum(xd, 0.0)
-    if params.mode == "smoothed":
+    if not params.enabled:
+        nu, nu_b = np.zeros_like(nu), np.zeros_like(nu_b)
+    elif params.mode == "smoothed":
         s = scales.sigma_h
         nu = np.maximum(nu, smax(0.0, smax(xa, xb, s), s))
         nu_b = np.maximum(nu_b, smax(xd, 0.0, s))
@@ -102,16 +165,22 @@ def viscosity_slopes(tables: PairTables, alpha, scales):
     return d_a, d_b, d_bd
 
 
-def build_stabilized(K, B, visc: GraphViscosity):
-    """(K_tilde, B_tilde): K + graph-Laplacian viscosity, B + boundary nu."""
-    n = K.shape[0]
-    rows = np.concatenate([visc.pair_a, visc.pair_b, np.arange(n)])
-    cols = np.concatenate([visc.pair_b, visc.pair_a, np.arange(n)])
-    vals = np.concatenate([-visc.nu, -visc.nu, visc.diag])
-    D = sp.coo_matrix((vals, (rows, cols)), shape=K.shape).tocsr()
-    nu_b = sp.coo_matrix((visc.nu_boundary, (visc.bpair_a, visc.bpair_col)),
-                         shape=B.shape).tocsr()
-    return (K + D).tocsr(), (B + nu_b).tocsr()
+def build_stabilized(tables: PairTables, visc: GraphViscosity):
+    """(K_tilde, B_tilde): K + graph-Laplacian viscosity, B + boundary nu.
+
+    K_tilde is filled into the node pattern, so it may store exact zeros;
+    B_tilde stores only its nonzero entries."""
+    f = tables.slots
+    kt = f.K.copy()
+    kt[f.ab] -= visc.nu
+    kt[f.ba] -= visc.nu
+    kt[f.S.diag] += visc.diag
+    bt = f.B.copy()
+    bt[f.b_slots] += visc.nu_boundary
+    Bt = sp.csr_matrix((bt, f.b_indices.copy(), f.b_indptr.copy()),
+                       shape=f.b_shape)
+    Bt.eliminate_zeros()
+    return f.S.matrix(kt), Bt
 
 
 def mass_blend(alpha, Q):
@@ -127,10 +196,14 @@ def lumped_mass_apply(M, m, alpha, Q, w):
     return (1.0 - blend) * (M @ w) + blend * (w * m)
 
 
-def lumped_mass_matrix(M, m, alpha, Q):
-    """Matrix of :func:`lumped_mass_apply`: diag(1 - a^Q) M + diag(a^Q m)."""
+def lumped_mass_matrix(tables: PairTables, m, alpha, Q):
+    """Matrix of :func:`lumped_mass_apply`, diag(1 - a^Q) M + diag(a^Q m),
+    in the node pattern."""
+    f = tables.slots
     blend = mass_blend(alpha, Q)
-    return sp.diags(1.0 - blend) @ M + sp.diags(blend * m)
+    data = np.repeat(1.0 - blend, np.diff(f.S.indptr)) * f.M
+    data[f.S.diag] += blend * m
+    return f.S.matrix(data)
 
 
 def cfl_bound(m, Ktilde_diag, theta):
@@ -213,39 +286,32 @@ class Linearization:
 
     @cached_property
     def visc(self):
-        """Graph viscosity nu(s).  Zero when the stabilization is disabled:
-        build_viscosity would not give that, since smax(0, 0) > 0."""
-        p, t = self.problem, self.problem.tables
-        if not p.params.enabled:
-            return GraphViscosity(
-                pair_a=t.pair_a, pair_b=t.pair_b, nu=np.zeros(len(t.pair_a)),
-                bpair_a=t.bpair_a, bpair_col=t.bpair_col,
-                nu_boundary=np.zeros(len(t.bpair_a)),
-                diag=np.zeros(p.nodes.n_nodes))
-        return build_viscosity(t, self.alpha, p.params, p.scales,
+        """Graph viscosity nu(s)."""
+        p = self.problem
+        return build_viscosity(p.tables, self.alpha, p.params, p.scales,
                                p.nodes.n_nodes)
 
     @cached_property
     def operators(self):
         """(K_tilde, B_tilde)."""
-        p = self.problem
-        return build_stabilized(p.K, p.B, self.visc)
+        return build_stabilized(self.problem.tables, self.visc)
 
     @cached_property
     def mass(self):
         """M_tilde, the mass matrix lumped with weight alpha^Q."""
         p = self.problem
-        return lumped_mass_matrix(p.M, p.nodes.m, self.alpha, p.params.Q)
+        return lumped_mass_matrix(p.tables, p.nodes.m, self.alpha, p.params.Q)
 
     @cached_property
     def system(self):
-        """(A, rhs): the linear system with the coefficients frozen at s."""
+        """(A, rhs): the linear system with the coefficients frozen at s.
+        A is in the node pattern (:func:`solve_linear` drops its zeros)."""
         p = self.problem
         Kt, Bt = self.operators
         if self.dt is None:
             return Kt, p.rhs(Bt)
         dt, theta, u_old, Mt = self.dt, self.theta, self.u_old, self.mass
-        A = (Mt / dt + theta * Kt).tocsc()
+        A = p.tables.slots.S.matrix(Mt.data * (1.0 / dt) + theta * Kt.data)
         rhs = Mt @ u_old / dt - (1.0 - theta) * (Kt @ u_old) \
             + p.G + Bt @ p.ubar_vec
         return A, rhs
@@ -271,43 +337,46 @@ class Linearization:
 
     @cached_property
     def jacobian(self):
-        """dT/du as a CSC matrix.
+        """dT/du as a CSR matrix.
 
-        With C the viscosity slope, which holds (s_a - s_b) d nu_ab/d alpha
-        over the pairs and (s_a - ubar) d nu_b/d alpha over the boundary
-        pairs:
+        With A the Picard matrix of :attr:`system` and C the viscosity
+        slope, which holds (s_a - s_b) d nu_ab/d alpha over the pairs and
+        (s_a - ubar) d nu_b/d alpha over the boundary pairs:
 
-        - steady: J = K_tilde + C d alpha/du;
-        - theta-step: J = M_tilde/dt + theta [K_tilde + (C + diag((m w - M w)
-          Q alpha^(Q-1) / dt)) d alpha/du] with w = u - u_old.
+        - steady: J = A + C d alpha/du, with A = K_tilde;
+        - theta-step: J = A + theta (C + diag((m w - M w) Q alpha^(Q-1)
+          / dt)) d alpha/du, with A = M_tilde/dt + theta K_tilde and
+          w = u - u_old.
 
-        d alpha/du comes from the construction's detector pass
-        (:meth:`DetectorPass.jacobian`), so the smoothed mode is required;
-        with the stabilization disabled J is K, or M/dt + theta K.
+        C is filled into the node pattern and d alpha/du comes from the
+        construction's detector pass (:meth:`DetectorPass.jacobian`), so the
+        smoothed mode is required; with the stabilization disabled
+        d alpha/du is 0 and J is A.
         """
         p, s, t = self.problem, self.s, self.problem.tables
         dalpha = self.detector.jacobian()
-        Kt = self.operators[0]
+        A = self.system[0]
+        f = t.slots
+        n = p.nodes.n_nodes
         d_a, d_b, d_bd = viscosity_slopes(t, self.alpha, p.scales)
         ds = s[t.pair_a] - s[t.pair_b]
         dsb = s[t.bpair_a] - p.ubar_vec[t.bpair_col]
-        rows = np.concatenate([t.pair_a, t.pair_a, t.pair_b, t.pair_b,
-                               t.bpair_a])
-        cols = np.concatenate([t.pair_a, t.pair_b, t.pair_a, t.pair_b,
-                               t.bpair_a])
-        vals = np.concatenate([ds * d_a, ds * d_b, -ds * d_a, -ds * d_b,
-                               dsb * d_bd])
-        C = sp.coo_matrix((vals, (rows, cols)), shape=Kt.shape).tocsr()
+        c = np.zeros(f.S.nnz)
+        c[f.ab] = ds * d_b
+        c[f.ba] = -ds * d_a
+        c_diag = (np.bincount(t.pair_a, weights=ds * d_a, minlength=n)
+                  - np.bincount(t.pair_b, weights=ds * d_b, minlength=n)
+                  + np.bincount(t.bpair_a, weights=dsb * d_bd, minlength=n))
         if self.dt is None:
-            return (Kt + C @ dalpha).tocsc()
+            c[f.S.diag] = c_diag
+            return A + f.S.matrix(c) @ dalpha
         Q = p.params.Q
         w = self.u - self.u_old
         with np.errstate(divide="ignore", invalid="ignore"):
             d_blend = Q * self.alpha**(Q - 1.0)
         d_blend[~np.isfinite(d_blend)] = 0.0
-        C = C + sp.diags((p.nodes.m * w - p.M @ w) * d_blend / self.dt)
-        return (self.mass / self.dt
-                + self.theta * (Kt + C @ dalpha)).tocsc()
+        c[f.S.diag] = c_diag + (p.nodes.m * w - p.M @ w) * d_blend / self.dt
+        return A + self.theta * (f.S.matrix(c) @ dalpha)
 
 
 class StabilizedProblem:
@@ -327,7 +396,7 @@ class StabilizedProblem:
         self.G = assemble_G(mesh, nodes, spec.g)
         self.beta_norm = spec.beta_max(mesh)
         self.scales = params.derived(mesh.h, self.beta_norm)
-        self.tables = PairTables(nodes, self.K, self.B)
+        self.tables = PairTables(nodes, self.K, self.B, self.M)
         self.dirichlet_mask = dirichlet_boundary_nodes(
             mesh, nodes, spec, self.classification)
         self.trace = None

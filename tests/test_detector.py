@@ -8,7 +8,7 @@ from dgmono import Mesh, StabilizationParams, alpha_all, build_dg_nodes, \
 from dgmono.assembly import BoundaryTrace, eval_in_cells, interpolate_boundary
 from dgmono.detector import (DerivedScales, _candidate_values,
                              _symmetric_candidates, _term_values, abs_lower,
-                             abs_upper, smax, ssgn, z_ramp)
+                             abs_upper, alpha_jacobian, smax, ssgn, z_ramp)
 
 from dgmono.mesh import symmetric_points_batch
 
@@ -139,6 +139,15 @@ class TestDetector:
                 self.nodes, lambda x, y: c0 + cx * x + cy * y)
             al = alpha_all(self.nodes, u, tr, self.raw, self.sc_raw)
             assert np.all(al == 0.0)
+
+    def test_non_finite_state_raises(self):
+        u = np.zeros(self.nodes.n_nodes)
+        u[3], u[7] = np.nan, np.inf
+        for p, s in ((self.raw, self.sc_raw), (self.smooth, self.sc_smooth)):
+            with pytest.raises(ValueError, match="2 non-finite entries"):
+                alpha_all(self.nodes, u, None, p, s)
+        with pytest.raises(ValueError, match="2 non-finite entries"):
+            alpha_jacobian(self.nodes, u, None, self.smooth, self.sc_smooth)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgmono import (ProblemSpec, StabilizationParams, audit_dmp,
-                    build_dg_nodes, build_structured_quad, build_stabilized,
-                    build_viscosity, cfl_bound, lumped_mass_apply)
+from dgmono import (Mesh, ProblemSpec, StabilizationParams, audit_dmp,
+                    build_dg_nodes, build_structured_quad, build_viscosity,
+                    cfl_bound, lumped_mass_apply, solve)
 from dgmono.assembly import interpolate_boundary
-from dgmono.stabilization import PairTables, StabilizedProblem
+from dgmono.detector import _branch_slope, _first_attaining, _term_slopes
+from dgmono.stabilization import (StabilizedProblem, mass_blend,
+                                  viscosity_slopes)
 
-from .test_mesh import perturbed_mesh
+from .test_mesh import VALENCE3_CELLS, VALENCE3_VERTICES, perturbed_mesh
 
 
 def make_problem(n=5, mu=1e-3, mode="smoothed", mesh=None, **kw):
@@ -282,3 +284,209 @@ class TestAudit:
         assert seen == {("K_offdiag", True), ("B_sign", True),
                         ("row_sum", True), ("row_sum", False)}
         assert len(report) == 2 + 16 + 8
+
+
+# -- the COO assembly that the fixed node pattern replaced, kept as oracle ---
+
+def coo_operators(prob, visc):
+    """(K_tilde, B_tilde) by COO -> CSR and sparse addition."""
+    K, B = prob.K, prob.B
+    n = K.shape[0]
+    rows = np.concatenate([visc.pair_a, visc.pair_b, np.arange(n)])
+    cols = np.concatenate([visc.pair_b, visc.pair_a, np.arange(n)])
+    vals = np.concatenate([-visc.nu, -visc.nu, visc.diag])
+    D = sp.coo_matrix((vals, (rows, cols)), shape=K.shape).tocsr()
+    nu_b = sp.coo_matrix((visc.nu_boundary, (visc.bpair_a, visc.bpair_col)),
+                         shape=B.shape).tocsr()
+    return (K + D).tocsr(), (B + nu_b).tocsr()
+
+
+def coo_mass(prob, alpha):
+    blend = mass_blend(alpha, prob.params.Q)
+    return sp.diags(1.0 - blend) @ prob.M + sp.diags(blend * prob.nodes.m)
+
+
+def coo_system(state):
+    prob = state.problem
+    Kt, Bt = coo_operators(prob, state.visc)
+    if state.dt is None:
+        return Kt, prob.rhs(Bt)
+    dt, theta, u_old = state.dt, state.theta, state.u_old
+    Mt = coo_mass(prob, state.alpha)
+    A = (Mt / dt + theta * Kt).tocsc()
+    rhs = Mt @ u_old / dt - (1.0 - theta) * (Kt @ u_old) \
+        + prob.G + Bt @ prob.ubar_vec
+    return A, rhs
+
+
+def coo_dalpha(state):
+    """d alpha/du from (term, column, value) triplets and COO -> CSR."""
+    det, prob = state.detector, state.problem
+    n, params, scales = prob.nodes.n_nodes, prob.params, prob.scales
+    if not params.enabled:
+        return sp.csr_matrix((n, n))
+    topo = prob.nodes.pair_topology()
+    hi, *lo = det.branches
+    slope = _branch_slope(topo, hi, params, scales, n)
+    choice = _first_attaining(topo, det.cand, det.sides[0])
+    if lo:
+        on_lo = lo[0].alpha > hi.alpha
+        slope = np.where(on_lo[topo.term_idx],
+                         _branch_slope(topo, lo[0], params, scales, n), slope)
+        choice = np.where(on_lo[topo.reg_a],
+                          _first_attaining(topo, det.cand, det.sides[1]),
+                          choice)
+    n_co, n_reg, n_dg = len(topo.co_a), len(topo.reg_a), len(topo.dg_a)
+    r_co = np.arange(n_co)
+    r_pair = n_co + np.arange(n_reg)
+    r_sym = r_pair + n_reg
+    r_dgb = n_co + 2 * n_reg + np.arange(n_dg)
+    r_dgs = r_dgb + n_dg
+    rows = np.concatenate([r_co, r_co, r_pair, r_pair, np.repeat(r_sym, 4),
+                           r_sym, r_dgb, r_dgb, r_dgs, r_dgs])
+    cols = np.concatenate([topo.co_b, topo.co_a, topo.reg_b, topo.reg_a,
+                           topo.cand_nodes[choice].ravel(), topo.reg_a,
+                           topo.dg_b, topo.dg_a, topo.dg_a, topo.dg_b])
+    fixed, sym = _term_slopes(topo, det.u, det.trace, params, scales, choice,
+                              slope)
+    # back to the flat (term, column) layout of the triplets
+    k = 2 * (n_co + n_reg)
+    vals = np.concatenate([fixed[:k], sym.ravel(), fixed[k:]])
+    return sp.coo_matrix((vals, (topo.term_idx[rows], cols)),
+                         shape=(n, n)).tocsr()
+
+
+def coo_jacobian(state):
+    prob, s, t = state.problem, state.s, state.problem.tables
+    dalpha = coo_dalpha(state)
+    Kt = coo_operators(prob, state.visc)[0]
+    d_a, d_b, d_bd = viscosity_slopes(t, state.alpha, prob.scales)
+    ds = s[t.pair_a] - s[t.pair_b]
+    dsb = s[t.bpair_a] - prob.ubar_vec[t.bpair_col]
+    rows = np.concatenate([t.pair_a, t.pair_a, t.pair_b, t.pair_b,
+                           t.bpair_a])
+    cols = np.concatenate([t.pair_a, t.pair_b, t.pair_a, t.pair_b,
+                           t.bpair_a])
+    vals = np.concatenate([ds * d_a, ds * d_b, -ds * d_a, -ds * d_b,
+                           dsb * d_bd])
+    C = sp.coo_matrix((vals, (rows, cols)), shape=Kt.shape).tocsr()
+    if state.dt is None:
+        return (Kt + C @ dalpha).tocsc()
+    Q = prob.params.Q
+    w = state.u - state.u_old
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_blend = Q * state.alpha**(Q - 1.0)
+    d_blend[~np.isfinite(d_blend)] = 0.0
+    C = C + sp.diags((prob.nodes.m * w - prob.M @ w) * d_blend / state.dt)
+    return (coo_mass(prob, state.alpha) / state.dt
+            + state.theta * (Kt + C @ dalpha)).tocsc()
+
+
+def canonical(X):
+    """X as CSR with sorted indices and no stored zeros (a copy)."""
+    X = sp.csr_matrix(X, copy=True)
+    X.sum_duplicates()
+    X.eliminate_zeros()
+    return X
+
+
+def assert_bitwise(got, want):
+    g, w = canonical(got), canonical(want)
+    assert np.array_equal(g.indptr, w.indptr)
+    assert np.array_equal(g.indices, w.indices)
+    assert np.array_equal(g.data, w.data)
+
+
+def assert_close(got, want, rtol=1e-14, structure=True):
+    g, w = canonical(got), canonical(want)
+    scale = max(np.abs(w.data).max(initial=0.0), 1e-300)
+    assert abs(g - w).max() <= rtol * scale
+    if structure:
+        assert np.array_equal(g.indptr, w.indptr)
+        assert np.array_equal(g.indices, w.indices)
+
+
+FIXED_PATTERN_MESHES = {
+    "uniform": lambda: build_structured_quad(6, 6),
+    "jittered": lambda: perturbed_mesh(6, 6, scale=0.2, seed=5),
+    "valence3": lambda: Mesh(VALENCE3_VERTICES, VALENCE3_CELLS),
+}
+FIXED_PATTERN_MODES = {
+    "smoothed": {},
+    "raw": {"mode": "raw"},
+    "disabled": {"enabled": False},
+}
+FIXED_PATTERN_STEPS = {"steady": None, "backward-euler": (1e-2, 1.0),
+                       "crank-nicolson": (1e-2, 0.5)}
+
+
+class TestFixedPattern:
+    """The per-iterate matrices filled into the node pattern against the
+    COO assembly: bitwise where the summation order is kept (K_tilde,
+    B_tilde, M_tilde, the Picard system), to 1e-14 where it changed
+    (d alpha/du, J), and with the same structure once zeros are dropped."""
+
+    @pytest.fixture(params=[(m, k, t) for m in FIXED_PATTERN_MESHES
+                            for k in FIXED_PATTERN_MODES
+                            for t in FIXED_PATTERN_STEPS],
+                    ids=lambda p: "-".join(p))
+    def state(self, request):
+        mesh, mode, step = request.param
+        prob = make_problem(mu=1e-3, mesh=FIXED_PATTERN_MESHES[mesh](),
+                            **FIXED_PATTERN_MODES[mode])
+        rng = np.random.default_rng(21)
+        u, u_old = rng.uniform(0.0, 1.0, (2, prob.nodes.n_nodes))
+        if FIXED_PATTERN_STEPS[step] is None:
+            return prob.linearize(u)
+        dt, theta = FIXED_PATTERN_STEPS[step]
+        return prob.linearize(u, dt, u_old, theta)
+
+    def test_operators_bitwise(self, state):
+        Kt, Bt = state.operators
+        Kc, Bc = coo_operators(state.problem, state.visc)
+        assert_bitwise(Kt, Kc)
+        assert_bitwise(Bt, Bc)
+        # B_tilde's stored columns are its nonzeros, as before
+        assert np.array_equal(Bt.indices, Bc.indices)
+        assert Kt.nnz == state.problem.nodes.pattern().nnz
+
+    def test_mass_bitwise(self, state):
+        assert_bitwise(state.mass, coo_mass(state.problem, state.alpha))
+
+    def test_system_bitwise(self, state):
+        A, rhs = state.system
+        Ac, rhs_c = coo_system(state)
+        assert_bitwise(A, Ac)
+        assert np.array_equal(rhs, rhs_c)
+        # so is the Picard residual the solvers read
+        assert np.array_equal(A @ state.u - rhs, Ac @ state.u - rhs_c)
+
+    def test_jacobian_close(self, state):
+        if state.problem.params.mode == "raw":
+            with pytest.raises(ValueError, match="smoothed"):
+                state.jacobian
+            return
+        assert_close(state.detector.jacobian(), coo_dalpha(state),
+                     structure=False)
+        assert_close(state.jacobian, coo_jacobian(state))
+
+    def test_lu_sees_the_numeric_structure(self, state, monkeypatch):
+        """solve_linear drops the stored zeros of the pattern before SuperLU
+        orders the matrix, and leaves its argument as it was."""
+        seen = []
+
+        class Spla:
+            @staticmethod
+            def splu(A, **kw):
+                seen.append(A.copy())
+                return sp.linalg.splu(A, **kw)
+
+        monkeypatch.setattr(solve, "spla", Spla)
+        A, rhs = state.system
+        before = A.nnz
+        solve.solve_linear(A, rhs)
+        assert A.nnz == before
+        want = coo_system(state)[0].tocsc()
+        assert np.array_equal(seen[0].indptr, want.indptr)
+        assert np.array_equal(seen[0].indices, want.indices)
+        assert np.array_equal(seen[0].data, want.data)
