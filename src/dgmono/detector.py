@@ -53,7 +53,6 @@ class StabilizationParams:
     L: float = 1.0
     enabled: bool = True
     boundary_extrapolation: bool = True
-    z_printed: bool = False
 
     def __post_init__(self):
         if self.mode not in ("raw", "smoothed"):
@@ -143,31 +142,16 @@ def _abs_lower_slope(x, tau_h):
                      where=den > 0.0)
 
 
-def z_ramp(x, printed=False):
-    """C^2 ramp onto [0, 1] with Z(x >= 1) = 1.
-
-    The default quartic 2x^4 - 5x^3 + 3x^2 + x has Z(0)=0, Z'(0)=1 and
-    Z'(1)=Z''(1)=0.  ``printed=True`` selects the variant with constant
-    term +1 instead of the linear term, clamped to [0, 1].
-    """
+def z_ramp(x):
+    """C^2 ramp onto [0, 1] with Z(x >= 1) = 1: the quartic
+    2x^4 - 5x^3 + 3x^2 + x, with Z(0)=0, Z'(0)=1 and Z'(1)=Z''(1)=0."""
     x = np.asarray(x, dtype=float)
-    if printed:
-        val = 2 * x**4 - 5 * x**3 + 3 * x**2 + 1.0
-        val = np.clip(val, 0.0, 1.0)
-    else:
-        val = x * (x * (x * (2 * x - 5) + 3) + 1)
-    return np.where(x >= 1.0, 1.0, val)
+    return np.where(x >= 1.0, 1.0, x * (x * (x * (2 * x - 5) + 3) + 1))
 
 
-def _z_ramp_slope(x, printed=False):
-    """dZ/dx; 0 where Z saturates (x >= 1) or its clamp is active."""
-    if printed:
-        val = 2 * x**4 - 5 * x**3 + 3 * x**2 + 1.0
-        slope = x * (x * (8 * x - 15) + 6)
-        slope = np.where((val < 0.0) | (val > 1.0), 0.0, slope)
-    else:
-        slope = x * (x * (8 * x - 15) + 6) + 1
-    return np.where(x >= 1.0, 0.0, slope)
+def _z_ramp_slope(x):
+    """dZ/dx; 0 where Z saturates (x >= 1)."""
+    return np.where(x >= 1.0, 0.0, x * (x * (8 * x - 15) + 6) + 1)
 
 
 # -- pair topology ------------------------------------------------------------
@@ -175,9 +159,13 @@ def _z_ramp_slope(x, printed=False):
 class PairTopology:
     """Flattened node-pair data for vectorized detector evaluation.
 
-    Three pair families: coincident (x_a == x_b), regular (with candidate
-    interpolation stencils at the symmetric point), and boundary-degenerate
-    (symmetric point collapses onto x_a).
+    Every adjacency pair (a, b), in the order of
+    :meth:`~dgmono.mesh.DgNodeSet.adjacency_pairs`, has a pair leg
+    ``pair_w * (u_b - u_a)``, with ``pair_w`` 2/(h_a + h_b) for coincident
+    pairs (x_a == x_b) and 1/|x_b - x_a| for the others.  A non-coincident
+    pair is regular, with candidate interpolation stencils at its symmetric
+    point, or boundary-degenerate (the symmetric point collapses onto x_a),
+    with an extrapolated leg instead.
     """
 
     def __init__(self, nodes: DgNodeSet):
@@ -185,34 +173,31 @@ class PairTopology:
         pa, pb = nodes.adjacency_pairs()
         h_own = nodes.mesh.h_cell[nodes.node_cell]
 
-        # kinds of the adjacency pairs, kept for the Jacobian's slot maps
         coinc = nodes.node_vertex[pb] == nodes.node_vertex[pa]
-        self.coincident = coinc
-        self.co_a = pa[coinc]
-        self.co_b = pb[coinc]
-        self.co_w = 2.0 / (h_own[self.co_a] + h_own[self.co_b])
+        self.pair_w = 2.0 / (h_own[pa] + h_own[pb])
 
         # the symmetric point, its owning cells and their Q1 weights depend
         # only on the vertices of a and b: compute them once per vertex pair
         # (one representative node pair each) and expand by the inverse index
-        ra, rb = pa[~coinc], pb[~coinc]
+        other = np.flatnonzero(~coinc)
+        ra, rb = pa[other], pb[other]
         vkey = (nodes.node_vertex[ra] * nodes.mesh.n_vertices
                 + nodes.node_vertex[rb])
         _, rep, inv = np.unique(vkey, return_index=True, return_inverse=True)
         sb = symmetric_points_batch(nodes, ra[rep], rb[rep])
         r = nodes.coords[rb] - nodes.coords[ra]
-        r_ab = np.hypot(r[:, 0], r[:, 1])
+        self.pair_w[other] = 1.0 / np.hypot(r[:, 0], r[:, 1])
 
-        self.degenerate = deg = sb.degenerate[inv]
-        self.dg_a = ra[deg]
-        self.dg_b = rb[deg]
-        self.dg_w = 1.0 / r_ab[deg]
+        # positions of the degenerate pairs among the adjacency pairs
+        deg = sb.degenerate[inv]
+        self.dg_pair = other[deg]
+        self.dg_a = pa[self.dg_pair]
+        self.dg_b = pb[self.dg_pair]
+        self.dg_w = self.pair_w[self.dg_pair]
 
         reg = ~deg
         v_reg = inv[reg]
         self.reg_a = ra[reg]
-        self.reg_b = rb[reg]
-        self.reg_wb = 1.0 / r_ab[reg]
         self.reg_ws = 1.0 / sb.distance[v_reg]
 
         # candidates of each vertex pair (degenerate ones own no cell), then
@@ -249,14 +234,11 @@ class PairTopology:
         else:
             self.dg_bidx = np.zeros(0, dtype=np.int64)
 
-        # fixed flat layout: [coincident, pair legs, symmetric legs,
-        # degenerate pair legs, degenerate extrapolated legs]
-        self.term_idx = np.concatenate(
-            [self.co_a, self.reg_a, self.reg_a, self.dg_a, self.dg_a])
+        # fixed flat layout: [pair legs, symmetric legs, extrapolated legs]
+        self.term_idx = np.concatenate([pa, self.reg_a, self.dg_a])
 
         # largest term weight; scales the rounding-noise floor of the detector
-        self.w_max = max((float(w.max()) for w in
-                          (self.co_w, self.reg_wb, self.reg_ws, self.dg_w)
+        self.w_max = max((float(w.max()) for w in (self.pair_w, self.reg_ws)
                           if len(w)), default=0.0)
 
     @functools.cached_property
@@ -304,8 +286,8 @@ def _boundary_value(topo, u, trace):
 
 
 def _term_values(topo, u, trace, params, scales, s_sym):
-    t_co = topo.co_w * (u[topo.co_b] - u[topo.co_a])
-    t_pair = topo.reg_wb * (u[topo.reg_b] - u[topo.reg_a])
+    pa, pb = topo.nodes.adjacency_pairs()
+    t_pair = topo.pair_w * (u[pb] - u[pa])
     t_sym = topo.reg_ws * s_sym
     uba = _boundary_value(topo, u, trace)
     d0 = uba - u[topo.dg_a]
@@ -322,8 +304,7 @@ def _term_values(topo, u, trace, params, scales, s_sym):
         t_dgs = topo.dg_w * (d0 + db * sg)
     else:
         t_dgs = topo.dg_w * d0
-    t_dgb = topo.dg_w * db
-    return np.concatenate([t_co, t_pair, t_sym, t_dgb, t_dgs])
+    return np.concatenate([t_pair, t_sym, t_dgs])
 
 
 def _term_slopes(topo, u, trace, params, scales, choice, slope):
@@ -331,9 +312,9 @@ def _term_slopes(topo, u, trace, params, scales, choice, slope):
     :class:`TermSlots`: (fixed, sym), with ``sym`` the (n_reg, 4) symmetric
     legs at the nodes of candidate ``choice[i]`` of regular pair i and
     ``fixed`` every other entry.  Smoothed mode only."""
-    n_co, n_reg, n_dg = len(topo.co_a), len(topo.reg_a), len(topo.dg_a)
-    sl_co, sl_pair, sl_sym, sl_dgb, sl_dgs = np.split(
-        slope, np.cumsum([n_co, n_reg, n_reg, n_dg]))
+    n_dg = len(topo.dg_a)
+    sl_pair, sl_sym, sl_dgs = np.split(
+        slope, np.cumsum([len(topo.pair_w), len(topo.reg_a)]))
     w_sym = topo.reg_ws[:, None] * topo.cand_weights[choice]
 
     # degenerate extrapolated leg: d0 = ubar_a - u_a depends on u_a only
@@ -353,11 +334,9 @@ def _term_slopes(topo, u, trace, params, scales, choice, slope):
     else:
         s_a, s_b = dd0, np.zeros(n_dg)
 
+    w_pair = topo.pair_w * sl_pair
     fixed = np.concatenate([
-        topo.co_w * sl_co, -topo.co_w * sl_co,
-        topo.reg_wb * sl_pair, -topo.reg_wb * sl_pair,
-        -w_sym.sum(axis=1) * sl_sym,
-        topo.dg_w * sl_dgb, -topo.dg_w * sl_dgb,
+        w_pair, -w_pair, -w_sym.sum(axis=1) * sl_sym,
         topo.dg_w * s_a * sl_dgs, topo.dg_w * s_b * sl_dgs])
     return fixed, w_sym * sl_sym[:, None]
 
@@ -367,25 +346,18 @@ class TermSlots:
     (:class:`~dgmono.mesh.NodePattern`); each entry's row is its term's
     node.
 
-    ``fixed`` holds the slots of the entries at fixed columns: coincident
-    terms at (co_b, co_a), pair legs at (reg_b, reg_a), symmetric legs at
-    reg_a, degenerate pair legs at (dg_b, dg_a) and degenerate extrapolated
-    legs at (dg_a, dg_b).  ``cand`` (n_cand, 4) holds, per candidate cell
-    of a regular pair, the slots of its four nodes; the symmetric legs take
-    the rows of the chosen candidates.
+    ``fixed`` holds the slots of the entries at fixed columns: pair legs
+    at (b, a) of every adjacency pair, symmetric legs at reg_a and
+    extrapolated legs at (dg_a, dg_b).  ``cand`` (n_cand, 4) holds, per
+    candidate cell of a regular pair, the slots of its four nodes; the
+    symmetric legs take the rows of the chosen candidates.
     """
 
     def __init__(self, topo):
         S = topo.nodes.pattern()
-        # the topology splits the adjacency pairs in order: coincident, and
-        # the others into degenerate and regular
-        other = S.pairs[~topo.coincident]
-        co, reg, dg = (S.pairs[topo.coincident], other[~topo.degenerate],
-                       other[topo.degenerate])
-        co_d, reg_d, dg_d = (S.diag[topo.co_a], S.diag[topo.reg_a],
-                             S.diag[topo.dg_a])
-        self.fixed = np.concatenate([co, co_d, reg, reg_d, reg_d, dg, dg_d,
-                                     dg_d, dg])
+        pa = topo.nodes.adjacency_pairs()[0]
+        self.fixed = np.concatenate([S.pairs, S.diag[pa], S.diag[topo.reg_a],
+                                     S.diag[topo.dg_a], S.pairs[topo.dg_pair]])
         self.cand = S.cell_slots(topo.cand_a, topo.cand_local)
 
 
@@ -410,7 +382,7 @@ def _smoothed_branch(topo, vals, params, scales, n):
     num_s = abs_upper(num, tau_h) + scales.gamma_h
     den_s = den + scales.gamma_h
     zeta = np.divide(num_s, den_s, out=np.zeros(n), where=den_s > 0.0)
-    z = z_ramp(zeta, printed=params.z_printed)
+    z = z_ramp(zeta)
     return _SmoothedBranch(vals, num, den_s, zeta, z,
                            np.clip(z**params.q, 0.0, 1.0))
 
@@ -422,8 +394,7 @@ def _branch_slope(topo, br, params, scales, n):
     tau_h = scales.tau_h
     zq = br.z**params.q
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_z = params.q * br.z**(params.q - 1.0) \
-            * _z_ramp_slope(br.zeta, params.z_printed)
+        d_z = params.q * br.z**(params.q - 1.0) * _z_ramp_slope(br.zeta)
     d_z[~np.isfinite(d_z) | (zq < 0.0) | (zq > 1.0)] = 0.0
     c = np.divide(d_z, br.den_s, out=np.zeros(n), where=br.den_s > 0.0)
     i = topo.term_idx

@@ -21,9 +21,9 @@ from .stabilization import StabilizedProblem
 
 PARAM_KEYS = ("mode", "q", "Q", "sigma", "tau", "gamma",
               "sigma_h", "tau_h", "gamma_h", "L", "enabled",
-              "boundary_extrapolation", "z_printed")
-SOLVER_KEYS = ("tol", "max_iter", "switch_tol", "omega", "adaptive_omega",
-               "rho", "c1", "max_backtracks")
+              "boundary_extrapolation")
+SOLVER_KEYS = ("tol", "max_iter", "switch_tol", "omega", "rho", "c1",
+               "max_backtracks")
 
 
 def coerce(text):
@@ -63,7 +63,12 @@ def resolve_options(defaults, file_options=None, overrides=None):
     return merged
 
 
-def _split_options(options):
+def _split_options(options, keys):
+    """(params_kw, solver_kw, rest) of ``options``, with ``keys`` the
+    driver's own options; any other key raises ValueError."""
+    unknown = sorted(set(options).difference(PARAM_KEYS, SOLVER_KEYS, keys))
+    if unknown:
+        raise ValueError(f"unknown option(s) {', '.join(unknown)}")
     params_kw = {k: options[k] for k in PARAM_KEYS if k in options}
     solver_kw = {k: options[k] for k in SOLVER_KEYS if k in options}
     rest = {k: v for k, v in options.items()
@@ -88,7 +93,7 @@ def _out(outdir, name):
 # -- drivers ------------------------------------------------------------------
 
 def run_tuning(options, outdir):
-    params_kw, solver_kw, opts = _split_options(options)
+    params_kw, solver_kw, opts = _split_options(options, ("n", "solver"))
     n = int(opts.get("n", 100))
     method = opts.get("solver", "picard")
     case = get_case("tuning", **params_kw)
@@ -113,7 +118,8 @@ def run_tuning(options, outdir):
 
 
 def run_smooth(options, outdir):
-    params_kw, solver_kw, opts = _split_options(options)
+    params_kw, solver_kw, opts = _split_options(
+        options, ("mu", "meshes", "solver"))
     mu = float(opts.get("mu", 1.0))
     meshes = opts.get("meshes", "16,32,64,128")
     if isinstance(meshes, str):
@@ -143,7 +149,7 @@ def run_smooth(options, outdir):
 
 
 def run_sharp_layer(options, outdir):
-    params_kw, solver_kw, opts = _split_options(options)
+    params_kw, solver_kw, opts = _split_options(options, ("n", "solver"))
     n = int(opts.get("n", 100))
     method = opts.get("solver", "hybrid")
     case = get_case("sharp-layer", **params_kw)
@@ -158,7 +164,8 @@ def run_sharp_layer(options, outdir):
 
 
 def run_three_body(options, outdir):
-    params_kw, solver_kw, opts = _split_options(options)
+    params_kw, solver_kw, opts = _split_options(
+        options, ("n", "n_steps", "theta"))
     n = int(opts.get("n", 200))
     n_steps = int(opts.get("n_steps", 2000))
     theta = float(opts.get("theta", 0.5))

@@ -244,7 +244,6 @@ class DgNodeSet:
         self._pairs = None
         self._pair_topology = None
         self._pattern = None
-        self._vertex_columns = None
 
     def _lumped_weights(self):
         from .assembly import cell_quadrature
@@ -266,9 +265,10 @@ class DgNodeSet:
         return np.unique(self.mesh.cells[self.support(a)])
 
     def neighbors(self, a):
-        """All nodes b with x_b in the closed support of a (includes a)."""
-        return np.sort(np.concatenate(
-            [self._vertex_nodes(v) for v in self.support_vertices(a)]))
+        """All nodes b with x_b in the closed support of a (includes a),
+        ascending: row a of the node pattern S."""
+        S = self.pattern()
+        return S.indices[S.indptr[a]:S.indptr[a + 1]]
 
     def support_nodes(self, a):
         """Nodes (i, K) with K a cell of the support; u_h over the support
@@ -276,53 +276,18 @@ class DgNodeSet:
         cells = np.asarray(self.support(a))
         return (4 * cells[:, None] + np.arange(4)[None, :]).ravel()
 
-    def vertex_columns(self):
-        """Cached node columns of each vertex, shared by all its nodes:
-        (seq, seq_ptr), with ``seq[seq_ptr[v]:seq_ptr[v + 1]]`` the nodes
-        at each vertex w of the cells at v in turn, w ascending and the
-        nodes at w ascending."""
-        if self._vertex_columns is None:
-            nv = self.mesh.n_vertices
-            vc = self.vertex_cells_padded
-            v_of, j_of = np.nonzero(vc >= 0)
-            vw_key = np.unique(np.repeat(v_of, 4) * nv
-                               + self.mesh.cells[vc[v_of, j_of]].ravel())
-            v, w = vw_key // nv, vw_key % nv
-            cnt = np.diff(self.vn_ptr)[w]
-            start = np.cumsum(cnt) - cnt
-            seq = self.vn_ids[np.repeat(self.vn_ptr[w] - start, cnt)
-                              + np.arange(int(cnt.sum()))]
-            seq_ptr = np.concatenate(
-                [[0], np.cumsum(np.bincount(v, weights=cnt, minlength=nv))
-                 ]).astype(np.int64)
-            self._vertex_columns = seq, seq_ptr
-        return self._vertex_columns
-
-    def node_rows(self):
-        """(row_len, src): node a has the row_len[a] columns of its vertex,
-        in :meth:`vertex_columns` order; they are seq[src] over its rows,
-        which follow each other in node order."""
-        seq_ptr = self.vertex_columns()[1]
-        row_len = np.diff(seq_ptr)[self.node_vertex]
-        start = np.cumsum(row_len) - row_len
-        src = (np.repeat(seq_ptr[self.node_vertex] - start, row_len)
-               + np.arange(int(row_len.sum())))
-        return row_len, src
-
     def adjacency_pairs(self):
         """Cached ordered adjacency pairs (a, b), b != a, as flat arrays.
 
         b runs over every node whose coordinate lies in the closed support
-        of a, including coincident duplicates of both endpoints, in the
-        order of :meth:`vertex_columns`.  The detector's pair topology and
-        the viscosity pair tables share them.
+        of a, including coincident duplicates of both endpoints: the
+        off-diagonal entries of the node pattern S, in its CSR order.  The
+        detector's pair topology and the viscosity pair tables share them.
         """
         if self._pairs is None:
-            row_len, src = self.node_rows()
-            pa = np.repeat(np.arange(self.n_nodes), row_len)
-            pb = self.vertex_columns()[0][src]
-            keep = pa != pb
-            self._pairs = pa[keep], pb[keep]
+            S = self.pattern()
+            rows = np.repeat(np.arange(self.n_nodes), np.diff(S.indptr))
+            self._pairs = rows[S.pairs], S.indices[S.pairs].astype(np.int64)
         return self._pairs
 
     def pair_topology(self):
@@ -342,36 +307,34 @@ class DgNodeSet:
 class NodePattern:
     """CSR sparsity pattern S of the node adjacency plus the diagonal.
 
-    Row a holds a itself and every node in the closed support of a, in
-    ascending order.  That column set depends only on the vertex of a, so
-    it is ranked once per vertex (:meth:`DgNodeSet.vertex_columns`) and
-    expanded to the vertex's nodes.  ``indptr`` and ``indices`` are int32
-    and shared by every matrix stored in S (:meth:`matrix`).  The slot
-    maps, int32, are ``pairs`` for the adjacency pairs in their order and
-    ``diag`` for the diagonal.
+    Row a holds every node b with x_b in the closed support of a, a itself
+    included, in ascending order: S is the structure of N (V V^T) N^T, with
+    N the node-vertex and V the vertex-cell incidence, built by one sparse
+    product.  ``indptr`` and ``indices`` are int32, canonical and shared by
+    every matrix stored in S (:meth:`matrix`).  The slot maps, int32, are
+    ``pairs`` for the off-diagonal entries in CSR order, which is the order
+    of :meth:`DgNodeSet.adjacency_pairs`, and ``diag`` for the diagonal.
     """
 
     def __init__(self, nodes: DgNodeSet):
         n, nv = nodes.n_nodes, nodes.mesh.n_vertices
         self.shape = (n, n)
-        seq, seq_ptr = nodes.vertex_columns()
-        # rank of each entry of a vertex's columns in ascending node order
-        seq_v = np.repeat(np.arange(nv), np.diff(seq_ptr))
-        order = np.argsort(seq_v * n + seq)
-        rank = np.empty(len(seq), dtype=np.int32)
-        rank[order] = np.arange(len(seq)) - seq_ptr[seq_v[order]]
-
-        row_len, src = nodes.node_rows()
-        indptr = np.concatenate([[0], np.cumsum(row_len)])
-        self.nnz = int(indptr[-1])
-        self.indptr = indptr.astype(np.int32)
-        slot = np.repeat(self.indptr[:-1], row_len) + rank[src]
-        self.indices = np.empty(self.nnz, dtype=np.int32)
-        self.indices[slot] = seq[src]
+        ones = np.ones(n, dtype=np.int32)
+        N = sp.csr_matrix((ones, nodes.node_vertex, np.arange(n + 1)),
+                          shape=(n, nv))
+        # V^T, the cell-vertex incidence, shares N's vertex ids
+        Vt = sp.csr_matrix((ones, nodes.node_vertex, np.arange(0, n + 1, 4)),
+                           shape=(nodes.mesh.n_cells, nv))
+        S = N @ (Vt.T @ Vt) @ N.T
+        S.sort_indices()
+        self.nnz = S.nnz
+        self.indptr = S.indptr.astype(np.int32)
+        self.indices = S.indices.astype(np.int32)
         # shared by every matrix in S: an in-place edit of one must fail
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        on_diag = np.repeat(np.arange(n), row_len) == seq[src]
-        self.pairs, self.diag = slot[~on_diag], slot[on_diag]
+        on_diag = np.repeat(np.arange(n), np.diff(self.indptr)) == self.indices
+        self.pairs = np.flatnonzero(~on_diag).astype(np.int32)
+        self.diag = np.flatnonzero(on_diag).astype(np.int32)
         self._nodes = nodes
 
     def transpose(self, slots):

@@ -22,7 +22,6 @@ class SolverConfig:
     max_iter: int = 500
     switch_tol: float = 1e-2
     omega: float = 1.0
-    adaptive_omega: bool = False
     rho: float = 0.5
     c1: float = 1e-4
     max_backtracks: int = 30
@@ -147,9 +146,6 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
     cfg = cfg or SolverConfig()
     u = _initial_guess(problem, u0)
     trace = SolveTrace()
-    omega = cfg.omega
-
-    prev_norm = None
     best_norm, since_best = np.inf, 0
     for _ in range(cfg.max_iter):
         state = problem.linearize(u, dt, u_old, theta)
@@ -157,7 +153,7 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
         res_norm = float(np.linalg.norm(A @ u - rhs))
         ref = float(np.linalg.norm(rhs))
         trace.record(res_norm, _osc(u, bounds),
-                     np.count_nonzero(state.alpha >= 1.0), omega)
+                     np.count_nonzero(state.alpha >= 1.0), cfg.omega)
         if res_norm <= cfg.tol * max(ref, 1e-300):
             trace.converged = True
             return u, trace
@@ -167,17 +163,13 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
             since_best += 1
             if stall_window and since_best >= stall_window:
                 return u, trace
-        if cfg.adaptive_omega and prev_norm is not None:
-            omega = min(1.0, 2 * omega) if res_norm < prev_norm \
-                else max(2.0**-6, 0.5 * omega)
-        prev_norm = res_norm
-        u = _picard_update(state, omega)
+        u = _picard_update(state, cfg.omega)
         # free this state and its detector pass before the next one is built
         del state
 
     state = problem.linearize(u, dt, u_old, theta)
     res_norm = float(np.linalg.norm(state.residual))
-    trace.record(res_norm, _osc(u, bounds), None, omega)
+    trace.record(res_norm, _osc(u, bounds), None, cfg.omega)
     trace.converged = res_norm <= cfg.tol * max(
         float(np.linalg.norm(state.system[1])), 1e-300)
     return u, trace

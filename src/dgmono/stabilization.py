@@ -25,14 +25,11 @@ from .mesh import classify_facets
 
 @dataclass
 class GraphViscosity:
-    """Edge viscosities: symmetric nu per unordered pair, boundary nu, and
-    the compensating diagonal nu_aa = sum(nu) + sum(nu_boundary) per row."""
+    """Edge viscosities: symmetric nu per unordered pair and boundary nu per
+    boundary pair, both in the order of the :class:`PairTables`, and the
+    compensating diagonal nu_aa = sum(nu) + sum(nu_boundary) per row."""
 
-    pair_a: np.ndarray
-    pair_b: np.ndarray
     nu: np.ndarray
-    bpair_a: np.ndarray      # row node
-    bpair_col: np.ndarray    # boundary column index
     nu_boundary: np.ndarray
     diag: np.ndarray
 
@@ -141,9 +138,7 @@ def build_viscosity(tables: PairTables, alpha, params, scales, n_nodes):
     diag = (np.bincount(tables.pair_a, weights=nu, minlength=n_nodes)
             + np.bincount(tables.pair_b, weights=nu, minlength=n_nodes)
             + np.bincount(tables.bpair_a, weights=nu_b, minlength=n_nodes))
-    return GraphViscosity(pair_a=tables.pair_a, pair_b=tables.pair_b, nu=nu,
-                          bpair_a=tables.bpair_a, bpair_col=tables.bpair_col,
-                          nu_boundary=nu_b, diag=diag)
+    return GraphViscosity(nu=nu, nu_boundary=nu_b, diag=diag)
 
 
 def viscosity_slopes(tables: PairTables, alpha, scales):
@@ -320,15 +315,15 @@ class Linearization:
     def residual(self):
         """T(u) = K_tilde s - G - B_tilde ubar, plus the lumped mass action
         on (u - u_old)/dt on a theta-step; no sparse matrix is built."""
-        p, visc, s = self.problem, self.visc, self.s
+        p, visc, s, t = self.problem, self.visc, self.s, self.problem.tables
         n = p.nodes.n_nodes
         ub = p.ubar_vec
         out = p.K @ s - p.B @ ub
-        du = visc.nu * (s[visc.pair_a] - s[visc.pair_b])
-        out += np.bincount(visc.pair_a, weights=du, minlength=n)
-        out -= np.bincount(visc.pair_b, weights=du, minlength=n)
-        bd = visc.nu_boundary * (s[visc.bpair_a] - ub[visc.bpair_col])
-        out += np.bincount(visc.bpair_a, weights=bd, minlength=n)
+        du = visc.nu * (s[t.pair_a] - s[t.pair_b])
+        out += np.bincount(t.pair_a, weights=du, minlength=n)
+        out -= np.bincount(t.pair_b, weights=du, minlength=n)
+        bd = visc.nu_boundary * (s[t.bpair_a] - ub[t.bpair_col])
+        out += np.bincount(t.bpair_a, weights=bd, minlength=n)
         if self.dt is None:
             return out - p.G
         mass = lumped_mass_apply(p.M, p.nodes.m, self.alpha, p.params.Q,

@@ -48,12 +48,6 @@ class TestPrimitives:
         eps = 1e-6
         assert abs(z_ramp(1.0) - z_ramp(1.0 - eps)) < 1e-11
 
-    def test_z_printed_variant(self):
-        assert z_ramp(0.5, printed=True) == 1.0  # 1.25 clamped
-        assert z_ramp(0.0, printed=True) == 1.0
-        vals = z_ramp(np.linspace(0, 2, 41), printed=True)
-        assert np.all((vals >= 0.0) & (vals <= 1.0))
-
 
 class TestParams:
     def test_defaults(self):
@@ -214,11 +208,12 @@ class TestDetector:
         u = np.zeros(nodes.n_nodes)
         u[b] = 1.0
         topo = nodes.pair_topology()
-        k = np.flatnonzero((topo.co_a == a) & (topo.co_b == b))
+        pa, pb = nodes.adjacency_pairs()
+        k = np.flatnonzero((pa == a) & (pb == b))
         assert len(k) == 1
         h_ab = 0.1  # both cells have h_K = sqrt(0.01)
-        assert topo.co_w[k[0]] == pytest.approx(1.0 / h_ab, rel=1e-13)
-        # coincident terms lead the detector's flat term layout; this one is
+        assert topo.pair_w[k[0]] == pytest.approx(1.0 / h_ab, rel=1e-13)
+        # pair legs lead the detector's flat term layout; this one is
         # w (u_b - u_a), and in raw mode its magnitude enters the mean
         s_hi, _ = _symmetric_candidates(topo, _candidate_values(topo, u))
         terms = _term_values(topo, u, None, StabilizationParams(mode="raw"),
@@ -246,6 +241,9 @@ def reference_topology(nodes):
     sb = symmetric_points_batch(nodes, ra, rb)
     r = nodes.coords[rb] - nodes.coords[ra]
     r_ab = np.hypot(r[:, 0], r[:, 1])
+    h_own = nodes.mesh.h_cell[nodes.node_cell]
+    pair_w = 2.0 / (h_own[pa] + h_own[pb])
+    pair_w[~coinc] = 1.0 / r_ab
     reg = ~sb.degenerate
     owner = sb.owner[reg]
     counts = owner.sum(axis=1)
@@ -254,9 +252,11 @@ def reference_topology(nodes):
                             np.repeat(sb.point[reg], counts, axis=0))
     dg_a = ra[sb.degenerate]
     return {
+        "pair_w": pair_w,
+        "dg_pair": np.flatnonzero(~coinc)[sb.degenerate],
         "dg_a": dg_a, "dg_b": rb[sb.degenerate],
         "dg_w": 1.0 / r_ab[sb.degenerate],
-        "reg_a": ra[reg], "reg_b": rb[reg], "reg_wb": 1.0 / r_ab[reg],
+        "reg_a": ra[reg],
         "reg_ws": 1.0 / sb.distance[reg],
         "cand_ptr": np.concatenate([[0], np.cumsum(counts)]),
         "cand_weights": np.clip(weights, 0.0, 1.0),
@@ -281,14 +281,10 @@ class TestPairTopology:
             got = getattr(topo, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
-        pa, pb = nodes.adjacency_pairs()
-        coinc = nodes.node_vertex[pa] == nodes.node_vertex[pb]
-        assert np.array_equal(topo.co_a, pa[coinc])
-        assert np.array_equal(topo.co_b, pb[coinc])
+        pa = nodes.adjacency_pairs()[0]
         assert np.array_equal(topo.term_idx, np.concatenate(
-            [topo.co_a, ref["reg_a"], ref["reg_a"], ref["dg_a"], ref["dg_a"]]))
-        assert topo.w_max == max(w.max() for w in (
-            topo.co_w, ref["reg_wb"], ref["reg_ws"], ref["dg_w"]))
+            [pa, ref["reg_a"], ref["dg_a"]]))
+        assert topo.w_max == max(ref["pair_w"].max(), ref["reg_ws"].max())
 
     def test_valence3_support_width(self):
         nodes = build_dg_nodes(Mesh(VALENCE3_VERTICES, VALENCE3_CELLS))

@@ -102,6 +102,11 @@ class TestHarness:
         with pytest.raises(KeyError):
             run_experiment("bogus")
 
+    def test_unknown_option_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="z_printed"):
+            run_experiment("smooth", overrides={"z_printed": True},
+                           outdir=str(tmp_path))
+
     def test_smooth_small(self, tmp_path):
         report = run_experiment(
             "smooth", overrides={"meshes": "4,8", "mu": 1.0, "tol": 1e-8},
@@ -148,6 +153,12 @@ class TestCli:
                        "-o", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_option_exit_code(self, tmp_path, capsys):
+        rc = cli_main(["run", "smooth", "meshes=4", "bogus=1",
+                       "-o", str(tmp_path)])
+        assert rc == 1
+        assert "bogus" in capsys.readouterr().err
 
     def test_bad_override(self):
         with pytest.raises(SystemExit):

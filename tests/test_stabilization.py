@@ -96,12 +96,12 @@ class TestViscosity:
     def test_diagonal_compensates(self):
         prob = make_problem(4)
         u = np.random.default_rng(3).standard_normal(prob.nodes.n_nodes)
-        visc = prob.viscosity(u)
+        visc, t = prob.viscosity(u), prob.tables
         n = prob.nodes.n_nodes
         lhs = visc.diag
-        rhs = (np.bincount(visc.pair_a, weights=visc.nu, minlength=n)
-               + np.bincount(visc.pair_b, weights=visc.nu, minlength=n)
-               + np.bincount(visc.bpair_a, weights=visc.nu_boundary,
+        rhs = (np.bincount(t.pair_a, weights=visc.nu, minlength=n)
+               + np.bincount(t.pair_b, weights=visc.nu, minlength=n)
+               + np.bincount(t.bpair_a, weights=visc.nu_boundary,
                              minlength=n))
         assert np.array_equal(lhs, rhs)
 
@@ -290,13 +290,13 @@ class TestAudit:
 
 def coo_operators(prob, visc):
     """(K_tilde, B_tilde) by COO -> CSR and sparse addition."""
-    K, B = prob.K, prob.B
+    K, B, t = prob.K, prob.B, prob.tables
     n = K.shape[0]
-    rows = np.concatenate([visc.pair_a, visc.pair_b, np.arange(n)])
-    cols = np.concatenate([visc.pair_b, visc.pair_a, np.arange(n)])
+    rows = np.concatenate([t.pair_a, t.pair_b, np.arange(n)])
+    cols = np.concatenate([t.pair_b, t.pair_a, np.arange(n)])
     vals = np.concatenate([-visc.nu, -visc.nu, visc.diag])
     D = sp.coo_matrix((vals, (rows, cols)), shape=K.shape).tocsr()
-    nu_b = sp.coo_matrix((visc.nu_boundary, (visc.bpair_a, visc.bpair_col)),
+    nu_b = sp.coo_matrix((visc.nu_boundary, (t.bpair_a, t.bpair_col)),
                          shape=B.shape).tocsr()
     return (K + D).tocsr(), (B + nu_b).tocsr()
 
@@ -336,21 +336,19 @@ def coo_dalpha(state):
         choice = np.where(on_lo[topo.reg_a],
                           _first_attaining(topo, det.cand, det.sides[1]),
                           choice)
-    n_co, n_reg, n_dg = len(topo.co_a), len(topo.reg_a), len(topo.dg_a)
-    r_co = np.arange(n_co)
-    r_pair = n_co + np.arange(n_reg)
-    r_sym = r_pair + n_reg
-    r_dgb = n_co + 2 * n_reg + np.arange(n_dg)
-    r_dgs = r_dgb + n_dg
-    rows = np.concatenate([r_co, r_co, r_pair, r_pair, np.repeat(r_sym, 4),
-                           r_sym, r_dgb, r_dgb, r_dgs, r_dgs])
-    cols = np.concatenate([topo.co_b, topo.co_a, topo.reg_b, topo.reg_a,
-                           topo.cand_nodes[choice].ravel(), topo.reg_a,
-                           topo.dg_b, topo.dg_a, topo.dg_a, topo.dg_b])
+    pa, pb = prob.nodes.adjacency_pairs()
+    n_pair, n_reg = len(pa), len(topo.reg_a)
+    r_pair = np.arange(n_pair)
+    r_sym = n_pair + np.arange(n_reg)
+    r_dgs = n_pair + n_reg + np.arange(len(topo.dg_a))
+    rows = np.concatenate([r_pair, r_pair, np.repeat(r_sym, 4), r_sym,
+                           r_dgs, r_dgs])
+    cols = np.concatenate([pb, pa, topo.cand_nodes[choice].ravel(),
+                           topo.reg_a, topo.dg_a, topo.dg_b])
     fixed, sym = _term_slopes(topo, det.u, det.trace, params, scales, choice,
                               slope)
     # back to the flat (term, column) layout of the triplets
-    k = 2 * (n_co + n_reg)
+    k = 2 * n_pair
     vals = np.concatenate([fixed[:k], sym.ravel(), fixed[k:]])
     return sp.coo_matrix((vals, (topo.term_idx[rows], cols)),
                          shape=(n, n)).tocsr()
