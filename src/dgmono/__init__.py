@@ -5,7 +5,7 @@ from .assembly import (BoundaryTrace, ProblemSpec, assemble_B, assemble_G,
 from .detector import StabilizationParams, alpha_all
 from .mesh import (DgNodeSet, Mesh, MeshError, build_dg_nodes,
                    build_structured_quad, classify_facets, load_mesh,
-                   save_mesh, symmetric_point)
+                   save_mesh)
 from .metrics import eoc_fit, eoc_pairs, l2_error, osc
 from .problems import get_case
 from .solve import (SolverConfig, SolveTrace, TimeLoopConfig, hybrid_newton,
@@ -21,7 +21,7 @@ __all__ = [
     "assemble_M", "interpolate_boundary", "StabilizationParams", "alpha_all",
     "DgNodeSet", "Mesh", "MeshError", "build_dg_nodes",
     "build_structured_quad", "classify_facets", "load_mesh", "save_mesh",
-    "symmetric_point", "eoc_fit", "eoc_pairs", "l2_error", "osc", "get_case",
+    "eoc_fit", "eoc_pairs", "l2_error", "osc", "get_case",
     "SolverConfig", "SolveTrace", "TimeLoopConfig", "hybrid_newton", "picard",
     "run_transient", "solve_linear", "theta_step", "GraphViscosity",
     "StabilizedProblem", "audit_dmp", "build_stabilized", "build_viscosity",

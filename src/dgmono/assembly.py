@@ -20,8 +20,9 @@ class ProblemSpec:
     """Continuous problem data: velocity, diffusion, source and boundary data.
 
     ``beta`` must be divergence-free and evaluable on coordinate arrays;
-    ``ubar`` takes (x, y) arrays.  ``c_ip`` is the interior-penalty constant,
-    ``L`` the characteristic length used by the stabilization scalings.
+    ``ubar`` takes (x, y) arrays.  ``c_ip`` is the interior-penalty constant.
+    The stabilization scalings take their characteristic length from
+    ``StabilizationParams.L``.
     """
 
     beta: Callable
@@ -30,7 +31,6 @@ class ProblemSpec:
     ubar: Optional[Callable] = None
     u0: Optional[Callable] = None
     c_ip: float = 10.0
-    L: float = 1.0
 
     def __post_init__(self):
         if self.mu < 0.0:

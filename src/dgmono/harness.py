@@ -94,9 +94,9 @@ def _out(outdir, name):
 
 def run_tuning(options, outdir):
     params_kw, solver_kw, opts = _split_options(options, ("n", "solver"))
-    n = int(opts.get("n", 100))
-    method = opts.get("solver", "picard")
     case = get_case("tuning", **params_kw)
+    n = int(opts.get("n", case.mesh_n))
+    method = opts.get("solver", "picard")
     mesh = build_structured_quad(n, n)
     nodes = build_dg_nodes(mesh)
     problem = StabilizedProblem(mesh, nodes, case.spec, case.params)
@@ -150,9 +150,9 @@ def run_smooth(options, outdir):
 
 def run_sharp_layer(options, outdir):
     params_kw, solver_kw, opts = _split_options(options, ("n", "solver"))
-    n = int(opts.get("n", 100))
-    method = opts.get("solver", "hybrid")
     case = get_case("sharp-layer", **params_kw)
+    n = int(opts.get("n", case.mesh_n))
+    method = opts.get("solver", "hybrid")
     mesh = build_structured_quad(n, n)
     nodes = build_dg_nodes(mesh)
     problem = StabilizedProblem(mesh, nodes, case.spec, case.params)
@@ -166,12 +166,12 @@ def run_sharp_layer(options, outdir):
 def run_three_body(options, outdir):
     params_kw, solver_kw, opts = _split_options(
         options, ("n", "n_steps", "theta"))
-    n = int(opts.get("n", 200))
-    n_steps = int(opts.get("n_steps", 2000))
-    theta = float(opts.get("theta", 0.5))
+    case = get_case("three-body", **params_kw)
+    n = int(opts.get("n", case.mesh_n))
+    n_steps = int(opts.get("n_steps", case.n_steps))
+    theta = float(opts.get("theta", case.theta))
     solver_kw.setdefault("tol", 5e-4)
     solver_kw.setdefault("max_iter", 50)
-    case = get_case("three-body", **params_kw)
     mesh = build_structured_quad(n, n)
     nodes = build_dg_nodes(mesh)
     problem = StabilizedProblem(mesh, nodes, case.spec, case.params)

@@ -8,7 +8,7 @@ quadrilaterals listed counter-clockwise; ``Mesh`` rejects any other cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,9 +125,6 @@ class Mesh:
     @property
     def area(self):
         return float(self.cell_area.sum())
-
-    def cell_polygon(self, c):
-        return self.vertices[self.cells[c]]
 
     def facet_points(self, v0, v1, ref_points):
         """Map 1D reference points in [-1, 1] to physical facet points."""
@@ -377,85 +374,9 @@ def build_dg_nodes(mesh):
 
 
 @dataclass
-class SymmetricPoint:
-    """Intersection of the ray from x_a away from x_b with the support boundary."""
-
-    point: np.ndarray
-    r_sym: np.ndarray
-    cells: list[int] = field(default_factory=list)
-    degenerate: bool = False
-
-    @property
-    def distance(self):
-        return float(np.hypot(*self.r_sym))
-
-
-def _ray_exit_convex(origin, direction, polygon, tol):
-    """Exit parameter of the ray origin + t*direction from a convex CCW polygon.
-
-    Returns -inf when the ray never enters the polygon (origin is assumed to
-    lie on the closed polygon, so exit 0 means the ray leaves immediately).
-    """
-    t_exit = np.inf
-    n_edges = len(polygon)
-    for e in range(n_edges):
-        v0 = polygon[e]
-        v1 = polygon[(e + 1) % n_edges]
-        t_vec = v1 - v0
-        n_out = np.array([t_vec[1], -t_vec[0]])
-        n_out /= np.hypot(*n_out)
-        dn = direction @ n_out
-        side = (origin - v0) @ n_out
-        if dn > tol:
-            t_exit = min(t_exit, max(-side, 0.0) / dn)
-        elif side > tol:
-            return -np.inf  # origin outside this half-plane, moving away
-    return t_exit
-
-
-def point_in_convex(point, polygon, tol):
-    n_edges = len(polygon)
-    for e in range(n_edges):
-        v0 = polygon[e]
-        v1 = polygon[(e + 1) % n_edges]
-        t_vec = v1 - v0
-        n_out = np.array([t_vec[1], -t_vec[0]])
-        n_out /= np.hypot(*n_out)
-        if (point - v0) @ n_out > tol:
-            return False
-    return True
-
-
-def symmetric_point(nodes: DgNodeSet, a, b) -> SymmetricPoint:
-    """Symmetric point of x_b with respect to x_a on the support boundary."""
-    xa = nodes.coords[a]
-    xb = nodes.coords[b]
-    r = xb - xa
-    dist = np.hypot(*r)
-    if dist == 0.0:
-        raise ValueError("symmetric point undefined for coincident nodes")
-    d = -r / dist
-
-    mesh = nodes.mesh
-    geo_tol = 1e-12 * mesh.h
-    t_max = 0.0
-    for c in nodes.support(a):
-        t = _ray_exit_convex(xa, d, mesh.cell_polygon(c), geo_tol)
-        if np.isfinite(t):
-            t_max = max(t_max, t)
-
-    if t_max <= geo_tol:
-        return SymmetricPoint(point=xa.copy(), r_sym=np.zeros(2), degenerate=True)
-
-    point = xa + t_max * d
-    owners = [c for c in nodes.support(a)
-              if point_in_convex(point, mesh.cell_polygon(c), 1e-10 * mesh.h)]
-    return SymmetricPoint(point=point, r_sym=point - xa, cells=owners)
-
-
-@dataclass
 class SymmetricPointBatch:
-    """Vectorized :func:`symmetric_point` results for many (a, b) pairs.
+    """Symmetric points of many (a, b) pairs: where the ray from x_a away
+    from x_b leaves the support of a.
 
     ``cells`` is the padded support-cell table of the owning nodes (-1 pads);
     ``owner`` flags which of those cells contain the symmetric point.

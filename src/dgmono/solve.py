@@ -140,8 +140,8 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
     the active-alpha count of the record and the next iterate.  A positive
     ``stall_window`` stops early (unconverged) when the residual has not
     improved for that many iterations, e.g. on a limit cycle.  When
-    ``max_iter`` runs out, the last iterate's record holds its matrix-free
-    residual.
+    ``max_iter`` runs out, the last iterate is linearized once more for
+    its record.
     """
     cfg = cfg or SolverConfig()
     u = _initial_guess(problem, u0)
@@ -149,9 +149,8 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
     best_norm, since_best = np.inf, 0
     for _ in range(cfg.max_iter):
         state = problem.linearize(u, dt, u_old, theta)
-        A, rhs = state.system
-        res_norm = float(np.linalg.norm(A @ u - rhs))
-        ref = float(np.linalg.norm(rhs))
+        res_norm = float(np.linalg.norm(state.residual))
+        ref = float(np.linalg.norm(state.system[1]))
         trace.record(res_norm, _osc(u, bounds),
                      np.count_nonzero(state.alpha >= 1.0), cfg.omega)
         if res_norm <= cfg.tol * max(ref, 1e-300):
@@ -245,8 +244,10 @@ def _newton(state, cfg, trace, bounds):
 
     Every iterate is linearized once: the accepted line-search trial (or
     the state after a fallback) supplies the residual, the active-alpha
-    count of the record and the Jacobian, and its Picard system serves a
-    fallback.  The Jacobian is exact for the smoothed residual
+    count of the record and the Jacobian.  The residual is A u - rhs of the
+    iterate's Picard system, the same T that :func:`picard` records, so
+    each trial builds that system, and a fallback solves the one it
+    built.  The Jacobian is exact for the smoothed residual
     (:attr:`Linearization.jacobian`).  Where the smoothed detector is not
     differentiable it is the derivative of the active branch: the first
     candidate cell attaining the max (min) at a symmetric point, the

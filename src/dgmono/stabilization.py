@@ -1,8 +1,11 @@
 """Graph-viscosity stabilization: perturbed operators, residuals and auditing.
 
-The viscosities are evaluated on precomputed pair tables (unordered adjacent
-node pairs for nu, node x boundary-node pairs for nu_boundary), so a full
-rebuild per nonlinear iterate is a handful of vectorized passes.
+One set of pair tables (:class:`PairTables`), built with the problem, holds
+the unordered adjacent node pairs for nu, the node x boundary-node pairs for
+nu_boundary, their slots in the node pattern and the data of K, B and M
+there.  Every per-iterate matrix is a data array filled into those patterns,
+so a full rebuild per nonlinear iterate is a handful of vectorized passes.
+The residual T(u) is the Picard system's A u - rhs (:class:`Linearization`).
 """
 
 from __future__ import annotations
@@ -39,58 +42,44 @@ class GraphViscosity:
 
 
 class PairTables:
-    """Adjacency pair tables with the frozen K/B entries used by nu, and
-    (on first use) the :class:`SlotMaps` that place K, M, the pairs and the
-    boundary pairs in the node pattern."""
+    """The node pattern S with the pair tables and the frozen operator data
+    that nu and the per-iterate matrices are built from.
+
+    ``pair_a`` < ``pair_b`` are the unordered adjacent node pairs in the
+    CSR order of S, and ``ab`` and ``ba`` the slots of (pair_a, pair_b) and
+    (pair_b, pair_a) in S.  ``bpair_a`` and ``bpair_col`` are the (row,
+    boundary column) pairs: every a in N(bn) for each boundary node bn, bn
+    itself included.  K_tilde, M_tilde and the Picard matrix are stored in S
+    with one data array each: ``K`` and ``M`` (on first use, so steady
+    problems skip it) are the data of K and M in S.  B_tilde is stored in
+    the union of B's pattern and the boundary pairs (``b_indptr``,
+    ``b_indices``), with ``B`` the data of B there and ``b_slots`` the slots
+    of the boundary pairs.  ``K_ab``, ``K_ba`` and ``B_ab`` are read off
+    that data.
+    """
 
     def __init__(self, nodes, K, B, M):
+        self.S = S = nodes.pattern()
         pa, pb = nodes.adjacency_pairs()  # ordered pairs, a != b
         keep = pb > pa
         self.pair_a = pa[keep]
         self.pair_b = pb[keep]
-        self.K_ab = np.asarray(K[self.pair_a, self.pair_b]).ravel()
-        self.K_ba = np.asarray(K[self.pair_b, self.pair_a]).ravel()
+        self.ab = S.pairs[keep]
+        self.ba = S.transpose(self.ab)
+        self.K = self._in_pattern(K)
+        self.K_ab = self.K[self.ab]
+        self.K_ba = self.K[self.ba]
+        self._M = M
 
-        # (row, boundary column) pairs: a in N(bn) for each boundary node bn,
-        # including bn itself
         on_b = nodes.boundary_index[pa] >= 0
         self.bpair_a = np.concatenate([pb[on_b], nodes.boundary_nodes])
         self.bpair_col = np.concatenate(
             [nodes.boundary_index[pa[on_b]],
              nodes.boundary_index[nodes.boundary_nodes]])
-        self.B_ab = np.asarray(B[self.bpair_a, self.bpair_col]).ravel()
-        self._operators = nodes, K, B, M
-
-    @cached_property
-    def slots(self):
-        return SlotMaps(self, *self._operators)
-
-
-class SlotMaps:
-    """Fixed-pattern assembly of the per-iterate matrices.
-
-    K_tilde, M_tilde and the Picard matrix are stored in the node pattern S
-    (``S``, :class:`~dgmono.mesh.NodePattern`) with one data array each:
-    ``K`` and ``M`` (on first use, so steady problems skip it) are the data
-    of K and M in S, ``ab`` and ``ba`` the slots of the pairs (pair_a,
-    pair_b) and (pair_b, pair_a).  B_tilde is stored in the union of B's
-    pattern and the boundary pairs (``b_indptr``, ``b_indices``), with
-    ``B`` the data of B there and ``b_slots`` the slots of the boundary
-    pairs.
-    """
-
-    def __init__(self, tables, nodes, K, B, M):
-        self.S = S = nodes.pattern()
-        pa, pb = nodes.adjacency_pairs()
-        self.ab = S.pairs[pb > pa]
-        self.ba = S.transpose(self.ab)
-        self.K = self._in_pattern(K)
-        self._M = M
-
         # B: few entries (boundary rows and columns), so keys are enough
         Bc = B.tocoo()
         nb = B.shape[1]
-        b_key = tables.bpair_a * nb + tables.bpair_col
+        b_key = self.bpair_a * nb + self.bpair_col
         key = np.union1d(Bc.row * nb + Bc.col, b_key)
         self.b_shape = B.shape
         self.b_indptr = np.searchsorted(
@@ -99,6 +88,7 @@ class SlotMaps:
         self.B = np.zeros(len(key))
         self.B[np.searchsorted(key, Bc.row * nb + Bc.col)] = Bc.data
         self.b_slots = np.searchsorted(key, b_key).astype(np.int32)
+        self.B_ab = self.B[self.b_slots]
 
     @cached_property
     def M(self):
@@ -165,17 +155,17 @@ def build_stabilized(tables: PairTables, visc: GraphViscosity):
 
     K_tilde is filled into the node pattern, so it may store exact zeros;
     B_tilde stores only its nonzero entries."""
-    f = tables.slots
-    kt = f.K.copy()
-    kt[f.ab] -= visc.nu
-    kt[f.ba] -= visc.nu
-    kt[f.S.diag] += visc.diag
-    bt = f.B.copy()
-    bt[f.b_slots] += visc.nu_boundary
-    Bt = sp.csr_matrix((bt, f.b_indices.copy(), f.b_indptr.copy()),
-                       shape=f.b_shape)
+    t = tables
+    kt = t.K.copy()
+    kt[t.ab] -= visc.nu
+    kt[t.ba] -= visc.nu
+    kt[t.S.diag] += visc.diag
+    bt = t.B.copy()
+    bt[t.b_slots] += visc.nu_boundary
+    Bt = sp.csr_matrix((bt, t.b_indices.copy(), t.b_indptr.copy()),
+                       shape=t.b_shape)
     Bt.eliminate_zeros()
-    return f.S.matrix(kt), Bt
+    return t.S.matrix(kt), Bt
 
 
 def mass_blend(alpha, Q):
@@ -194,11 +184,11 @@ def lumped_mass_apply(M, m, alpha, Q, w):
 def lumped_mass_matrix(tables: PairTables, m, alpha, Q):
     """Matrix of :func:`lumped_mass_apply`, diag(1 - a^Q) M + diag(a^Q m),
     in the node pattern."""
-    f = tables.slots
+    S = tables.S
     blend = mass_blend(alpha, Q)
-    data = np.repeat(1.0 - blend, np.diff(f.S.indptr)) * f.M
-    data[f.S.diag] += blend * m
-    return f.S.matrix(data)
+    data = np.repeat(1.0 - blend, np.diff(S.indptr)) * tables.M
+    data[S.diag] += blend * m
+    return S.matrix(data)
 
 
 def cfl_bound(m, Ktilde_diag, theta):
@@ -257,8 +247,8 @@ class Linearization:
     construction, as a :class:`DetectorPass`; everything else derives from
     it on first use and is kept: the viscosity nu(s), the operators
     (K_tilde, B_tilde), the selectively lumped mass M_tilde, the
-    lagged-coefficient Picard system (A, rhs), the matrix-free residual
-    T(u) and its exact Jacobian dT/du.  A non-finite u or u_old raises
+    lagged-coefficient Picard system (A, rhs), the residual T(u) = A u - rhs
+    and its exact Jacobian dT/du.  A non-finite u or u_old raises
     ValueError.
     """
 
@@ -306,35 +296,25 @@ class Linearization:
         if self.dt is None:
             return Kt, p.rhs(Bt)
         dt, theta, u_old, Mt = self.dt, self.theta, self.u_old, self.mass
-        A = p.tables.slots.S.matrix(Mt.data * (1.0 / dt) + theta * Kt.data)
+        A = p.tables.S.matrix(Mt.data * (1.0 / dt) + theta * Kt.data)
         rhs = Mt @ u_old / dt - (1.0 - theta) * (Kt @ u_old) \
             + p.G + Bt @ p.ubar_vec
         return A, rhs
 
     @cached_property
     def residual(self):
-        """T(u) = K_tilde s - G - B_tilde ubar, plus the lumped mass action
-        on (u - u_old)/dt on a theta-step; no sparse matrix is built."""
-        p, visc, s, t = self.problem, self.visc, self.s, self.problem.tables
-        n = p.nodes.n_nodes
-        ub = p.ubar_vec
-        out = p.K @ s - p.B @ ub
-        du = visc.nu * (s[t.pair_a] - s[t.pair_b])
-        out += np.bincount(t.pair_a, weights=du, minlength=n)
-        out -= np.bincount(t.pair_b, weights=du, minlength=n)
-        bd = visc.nu_boundary * (s[t.bpair_a] - ub[t.bpair_col])
-        out += np.bincount(t.bpair_a, weights=bd, minlength=n)
-        if self.dt is None:
-            return out - p.G
-        mass = lumped_mass_apply(p.M, p.nodes.m, self.alpha, p.params.Q,
-                                 self.u - self.u_old)
-        return mass / self.dt + out - p.G
+        """T(u) = A u - rhs of :attr:`system`: K_tilde s - G - B_tilde ubar,
+        plus M_tilde (u - u_old)/dt on a theta-step."""
+        A, rhs = self.system
+        return A @ self.u - rhs
 
     @cached_property
     def jacobian(self):
-        """dT/du as a CSR matrix.
+        """dT/du of :attr:`residual` as a CSR matrix.
 
-        With A the Picard matrix of :attr:`system` and C the viscosity
+        A u - rhs differentiates to A where the coefficients are frozen; the
+        rest flows through alpha.  With A the Picard matrix of
+        :attr:`system` and C the viscosity
         slope, which holds (s_a - s_b) d nu_ab/d alpha over the pairs and
         (s_a - ubar) d nu_b/d alpha over the boundary pairs:
 
@@ -351,27 +331,27 @@ class Linearization:
         p, s, t = self.problem, self.s, self.problem.tables
         dalpha = self.detector.jacobian()
         A = self.system[0]
-        f = t.slots
+        S = t.S
         n = p.nodes.n_nodes
         d_a, d_b, d_bd = viscosity_slopes(t, self.alpha, p.scales)
         ds = s[t.pair_a] - s[t.pair_b]
         dsb = s[t.bpair_a] - p.ubar_vec[t.bpair_col]
-        c = np.zeros(f.S.nnz)
-        c[f.ab] = ds * d_b
-        c[f.ba] = -ds * d_a
+        c = np.zeros(S.nnz)
+        c[t.ab] = ds * d_b
+        c[t.ba] = -ds * d_a
         c_diag = (np.bincount(t.pair_a, weights=ds * d_a, minlength=n)
                   - np.bincount(t.pair_b, weights=ds * d_b, minlength=n)
                   + np.bincount(t.bpair_a, weights=dsb * d_bd, minlength=n))
         if self.dt is None:
-            c[f.S.diag] = c_diag
-            return A + f.S.matrix(c) @ dalpha
+            c[S.diag] = c_diag
+            return A + S.matrix(c) @ dalpha
         Q = p.params.Q
         w = self.u - self.u_old
         with np.errstate(divide="ignore", invalid="ignore"):
             d_blend = Q * self.alpha**(Q - 1.0)
         d_blend[~np.isfinite(d_blend)] = 0.0
-        c[f.S.diag] = c_diag + (p.nodes.m * w - p.M @ w) * d_blend / self.dt
-        return A + self.theta * (f.S.matrix(c) @ dalpha)
+        c[S.diag] = c_diag + (p.nodes.m * w - p.M @ w) * d_blend / self.dt
+        return A + self.theta * (S.matrix(c) @ dalpha)
 
 
 class StabilizedProblem:

@@ -1,0 +1,94 @@
+"""Scalar reference implementations that the tests check the package against.
+
+The symmetric point of one node pair, computed cell by cell with plain
+loops: the oracle for the batch path
+:func:`dgmono.mesh.symmetric_points_batch`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+
+@dataclass
+class SymmetricPoint:
+    """Intersection of the ray from x_a away from x_b with the support boundary."""
+
+    point: np.ndarray
+    r_sym: np.ndarray
+    cells: list[int] = field(default_factory=list)
+    degenerate: bool = False
+
+    @property
+    def distance(self):
+        return float(np.hypot(*self.r_sym))
+
+
+def cell_polygon(mesh, c):
+    """The corners of cell c, counter-clockwise: (4, 2)."""
+    return mesh.vertices[mesh.cells[c]]
+
+
+def _ray_exit_convex(origin, direction, polygon, tol):
+    """Exit parameter of the ray origin + t*direction from a convex CCW polygon.
+
+    Returns -inf when the ray never enters the polygon (origin is assumed to
+    lie on the closed polygon, so exit 0 means the ray leaves immediately).
+    """
+    t_exit = np.inf
+    n_edges = len(polygon)
+    for e in range(n_edges):
+        v0 = polygon[e]
+        v1 = polygon[(e + 1) % n_edges]
+        t_vec = v1 - v0
+        n_out = np.array([t_vec[1], -t_vec[0]])
+        n_out /= np.hypot(*n_out)
+        dn = direction @ n_out
+        side = (origin - v0) @ n_out
+        if dn > tol:
+            t_exit = min(t_exit, max(-side, 0.0) / dn)
+        elif side > tol:
+            return -np.inf  # origin outside this half-plane, moving away
+    return t_exit
+
+
+def point_in_convex(point, polygon, tol):
+    n_edges = len(polygon)
+    for e in range(n_edges):
+        v0 = polygon[e]
+        v1 = polygon[(e + 1) % n_edges]
+        t_vec = v1 - v0
+        n_out = np.array([t_vec[1], -t_vec[0]])
+        n_out /= np.hypot(*n_out)
+        if (point - v0) @ n_out > tol:
+            return False
+    return True
+
+
+def symmetric_point(nodes, a, b) -> SymmetricPoint:
+    """Symmetric point of x_b with respect to x_a on the support boundary."""
+    xa = nodes.coords[a]
+    xb = nodes.coords[b]
+    r = xb - xa
+    dist = np.hypot(*r)
+    if dist == 0.0:
+        raise ValueError("symmetric point undefined for coincident nodes")
+    d = -r / dist
+
+    mesh = nodes.mesh
+    geo_tol = 1e-12 * mesh.h
+    t_max = 0.0
+    for c in nodes.support(a):
+        t = _ray_exit_convex(xa, d, cell_polygon(mesh, c), geo_tol)
+        if np.isfinite(t):
+            t_max = max(t_max, t)
+
+    if t_max <= geo_tol:
+        return SymmetricPoint(point=xa.copy(), r_sym=np.zeros(2), degenerate=True)
+
+    point = xa + t_max * d
+    owners = [c for c in nodes.support(a)
+              if point_in_convex(point, cell_polygon(mesh, c), 1e-10 * mesh.h)]
+    return SymmetricPoint(point=point, r_sym=point - xa, cells=owners)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgmono import build_dg_nodes, build_structured_quad
-from dgmono import io_utils
+from dgmono import build_dg_nodes, build_structured_quad, get_case
+from dgmono import harness, io_utils
 from dgmono.cli import main as cli_main
 from dgmono.harness import (coerce, load_config, osc_from_trace,
                             resolve_options, run_experiment)
@@ -132,6 +132,28 @@ class TestHarness:
         assert (tmp_path / "three_body_osc.csv").exists()
         # smoke only: coarse mesh + huge steps; just require a finite report
         assert np.isfinite(report["max_osc"])
+
+    @pytest.mark.parametrize("name", ["tuning", "sharp-layer", "three-body"])
+    def test_defaults_from_case(self, tmp_path, monkeypatch, name):
+        """Mesh size, step count and theta default to the case's own."""
+        def small_case(case_name, **kw):
+            case = get_case(case_name, **kw)
+            case.mesh_n, case.n_steps, case.theta = 4, 2, 1.0
+            return case
+
+        loops, real_run_transient = [], harness.run_transient
+
+        def run_transient(problem, u0, loop, **kw):
+            loops.append(loop)
+            return real_run_transient(problem, u0, loop, **kw)
+
+        monkeypatch.setattr(harness, "get_case", small_case)
+        monkeypatch.setattr(harness, "run_transient", run_transient)
+        run_experiment(name, overrides={"tol": 1e-3}, outdir=str(tmp_path))
+        vtk = next(tmp_path.glob("*.vtk")).read_text()
+        assert "CELLS 16 80\n" in vtk
+        if name == "three-body":
+            assert (loops[0].n_steps, loops[0].theta) == (2, 1.0)
 
 
 class TestCli:

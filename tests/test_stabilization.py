@@ -25,9 +25,19 @@ def make_problem(n=5, mu=1e-3, mode="smoothed", mesh=None, **kw):
     return StabilizedProblem(mesh, nodes, spec, params)
 
 
+PAIR_TABLE_MESHES = {
+    "uniform": lambda: build_structured_quad(3, 3),
+    "jittered": lambda: perturbed_mesh(3, 3, scale=0.2, seed=5),
+    "valence3": lambda: Mesh(VALENCE3_VERTICES, VALENCE3_CELLS),
+}
+
+
 class TestPairTables:
-    def test_tables_match_queries(self):
-        prob = make_problem(3)
+    @pytest.fixture(params=list(PAIR_TABLE_MESHES))
+    def prob(self, request):
+        return make_problem(mesh=PAIR_TABLE_MESHES[request.param]())
+
+    def test_tables_match_queries(self, prob):
         nodes = prob.nodes
         t = prob.tables
         ref = {(a, int(b)) for a in range(nodes.n_nodes)
@@ -39,13 +49,15 @@ class TestPairTables:
             assert t.K_ab[i] == K[a, b]
             assert t.K_ba[i] == K[b, a]
 
-    def test_boundary_pairs(self):
-        prob = make_problem(3)
+    def test_boundary_pairs(self, prob):
         nodes = prob.nodes
         t = prob.tables
         ref = {(int(a), int(nodes.boundary_index[bn]))
                for bn in nodes.boundary_nodes for a in nodes.neighbors(bn)}
         assert set(zip(t.bpair_a.tolist(), t.bpair_col.tolist())) == ref
+        B = prob.B
+        for i, (a, col) in enumerate(zip(t.bpair_a, t.bpair_col)):
+            assert t.B_ab[i] == B[a, col]
 
 
 class TestViscosity:
@@ -140,16 +152,22 @@ class TestStabilizedOperators:
         ref = Kt @ u - prob.G - Bt @ prob.ubar_vec
         assert np.allclose(prob.residual_steady(u), ref, atol=1e-12)
 
-        # theta-steps: the matrix-free residual is the assembled Picard
-        # residual A u - rhs, on a uniform and a jittered mesh
+        # theta-steps: the residual is the definition
+        # M_tilde (u - u_old)/dt + K_tilde s - G - B_tilde ubar, with the
+        # operators and the lumped mass at the stage state s, on a uniform
+        # and a jittered mesh
+        dt = 1e-2
         for mesh in (None, perturbed_mesh(4, 4, seed=11)):
             prob = make_problem(4, mesh=mesh)
             rng = np.random.default_rng(12)
             u, u_old = rng.uniform(0.0, 1.0, (2, prob.nodes.n_nodes))
             for theta in (1.0, 0.5):
-                A, rhs = prob.linearize(u, 1e-2, u_old, theta).system
-                ref = A @ u - rhs
-                res = prob.residual_transient(u, u_old, 1e-2, theta)
+                s = theta * u + (1.0 - theta) * u_old
+                Kt, Bt = prob.operators(s)
+                mass = lumped_mass_apply(prob.M, prob.nodes.m, prob.alpha(s),
+                                         prob.params.Q, u - u_old)
+                ref = mass / dt + Kt @ s - prob.G - Bt @ prob.ubar_vec
+                res = prob.residual_transient(u, u_old, dt, theta)
                 assert np.linalg.norm(res - ref) \
                     <= 1e-12 * np.linalg.norm(ref)
 
