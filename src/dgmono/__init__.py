@@ -11,8 +11,7 @@ from .problems import get_case
 from .solve import (SolverConfig, SolveTrace, TimeLoopConfig, hybrid_newton,
                     picard, run_transient, solve_linear, theta_step)
 from .stabilization import (GraphViscosity, StabilizedProblem, audit_dmp,
-                            build_stabilized, build_viscosity, cfl_bound,
-                            lumped_mass_apply)
+                            build_stabilized, build_viscosity, cfl_bound)
 
 __version__ = "0.1.0"
 
@@ -25,5 +24,5 @@ __all__ = [
     "SolverConfig", "SolveTrace", "TimeLoopConfig", "hybrid_newton", "picard",
     "run_transient", "solve_linear", "theta_step", "GraphViscosity",
     "StabilizedProblem", "audit_dmp", "build_stabilized", "build_viscosity",
-    "cfl_bound", "lumped_mass_apply",
+    "cfl_bound",
 ]

@@ -73,18 +73,23 @@ CELL_QP3 = np.array([[x, y]
 CELL_QW3 = np.outer([5 / 9, 8 / 9, 5 / 9], [5 / 9, 8 / 9, 5 / 9]).ravel()
 
 
-def _cell_geometry(mesh, ref_pts, ref_w):
-    """Physical gradients and weighted Jacobians at cell quadrature points."""
-    N, gradref = basis_at_ref(ref_pts)       # (nq,4), (nq,4,2)
-    verts = mesh.vertices[mesh.cells]        # (nc,4,2)
-    # J[c,q,i,j] = d x_i / d xi_j
-    J = np.einsum("ckd,qke->cqde", verts, gradref)
+def _det_inv_2x2(J):
+    """(det J, J^-1) of a stack of 2x2 matrices J[..., i, j]."""
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     Jinv = np.empty_like(J)
     Jinv[..., 0, 0] = J[..., 1, 1] / det
     Jinv[..., 0, 1] = -J[..., 0, 1] / det
     Jinv[..., 1, 0] = -J[..., 1, 0] / det
     Jinv[..., 1, 1] = J[..., 0, 0] / det
+    return det, Jinv
+
+
+def _cell_geometry(mesh, ref_pts, ref_w):
+    """Physical gradients and weighted Jacobians at cell quadrature points."""
+    N, gradref = basis_at_ref(ref_pts)       # (nq,4), (nq,4,2)
+    verts = mesh.vertices[mesh.cells]        # (nc,4,2)
+    # J[c,q,i,j] = d x_i / d xi_j
+    det, Jinv = _det_inv_2x2(np.einsum("ckd,qke->cqde", verts, gradref))
     gradN = np.einsum("qke,cqed->cqkd", gradref, Jinv)
     w_det = ref_w[None, :] * det
     return N, gradN, w_det
@@ -133,13 +138,7 @@ def _facet_basis(mesh, cells_idx, edges, s_params):
         ref = edge_ref_coords(e, s_params)        # (nq, 2)
         Ne, gradref = basis_at_ref(ref)           # (nq,4), (nq,4,2)
         v = verts[mask]                           # (m,4,2)
-        J = np.einsum("mkd,qke->mqde", v, gradref)
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        Jinv = np.empty_like(J)
-        Jinv[..., 0, 0] = J[..., 1, 1] / det
-        Jinv[..., 0, 1] = -J[..., 0, 1] / det
-        Jinv[..., 1, 0] = -J[..., 1, 0] / det
-        Jinv[..., 1, 1] = J[..., 0, 0] / det
+        _, Jinv = _det_inv_2x2(np.einsum("mkd,qke->mqde", v, gradref))
         N[mask] = Ne[None, :, :]
         gradN[mask] = np.einsum("qke,mqed->mqkd", gradref, Jinv)
         pts[mask] = np.einsum("qk,mkd->mqd", Ne, v)
@@ -350,12 +349,6 @@ class BoundaryTrace:
 
     values: np.ndarray
     dirichlet: np.ndarray
-
-    def value_of(self, nodes, a):
-        idx = nodes.boundary_index[a]
-        if idx < 0 or not self.dirichlet[idx]:
-            return None
-        return float(self.values[idx])
 
 
 def dirichlet_boundary_nodes(mesh, nodes, spec, classification=None):

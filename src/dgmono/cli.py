@@ -5,8 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import io_utils
 from .harness import EXPERIMENTS, coerce, run_experiment
 from .stabilization import audit_dmp
@@ -55,7 +53,7 @@ def main(argv=None):
         Kt = io_utils.read_operator(args.ktilde)
         Bt = io_utils.read_operator(args.btilde)
         alpha = io_utils.read_field_csv(args.alpha)
-        report = audit_dmp(Kt, Bt, np.asarray(alpha))
+        report = audit_dmp(Kt, Bt, alpha)
         io_utils.write_audit_csv(report, args.output)
         print(f"{len(report)} violation(s); report written to {args.output}")
         return 0

@@ -500,13 +500,3 @@ def alpha_all(nodes, u, trace, params, scales):
     """Detector values for all nodes (one :class:`DetectorPass`)."""
     return DetectorPass(nodes, u, trace, params, scales).alpha
 
-
-def alpha_jacobian(nodes, u, trace, params, scales):
-    """(alpha, d alpha/du) of the smoothed detector at state u.
-
-    alpha is bitwise equal to :func:`alpha_all`; d alpha/du is a CSR matrix
-    in the node pattern with the branch rules of
-    :meth:`DetectorPass.jacobian`.
-    """
-    state = DetectorPass(nodes, u, trace, params, scales)
-    return state.alpha, state.jacobian()

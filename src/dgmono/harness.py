@@ -85,6 +85,12 @@ def _solve_steady(problem, solver_kw, method, bounds):
     raise ValueError(f"unknown solver {method!r}")
 
 
+def _problem(case, n):
+    mesh = build_structured_quad(n, n)
+    return StabilizedProblem(mesh, build_dg_nodes(mesh), case.spec,
+                             case.params)
+
+
 def _out(outdir, name):
     os.makedirs(outdir, exist_ok=True)
     return os.path.join(outdir, name)
@@ -97,22 +103,20 @@ def run_tuning(options, outdir):
     case = get_case("tuning", **params_kw)
     n = int(opts.get("n", case.mesh_n))
     method = opts.get("solver", "picard")
-    mesh = build_structured_quad(n, n)
-    nodes = build_dg_nodes(mesh)
-    problem = StabilizedProblem(mesh, nodes, case.spec, case.params)
+    problem = _problem(case, n)
     u, trace = _solve_steady(problem, solver_kw, method, case.bounds)
 
     # outflow profile: 100 equispaced samples on y=0, from the cells above
     xs = (np.arange(100) + 0.5) / 100.0
     cells = np.minimum((xs * n).astype(np.int64), n - 1)  # bottom row
     pts = np.column_stack([xs, np.zeros_like(xs)])
-    values = evaluate(mesh, nodes, u, cells, pts)
+    values = evaluate(problem.mesh, problem.nodes, u, cells, pts)
     exact = case.outflow_exact(xs)
     io_utils.write_table_csv(_out(outdir, "tuning_outflow.csv"),
                              ["x", "u", "exact"],
                              list(zip(xs, values, exact)))
     trace.to_csv(_out(outdir, "tuning_trace.csv"))
-    io_utils.write_vtk(mesh, u, _out(outdir, "tuning_solution.vtk"))
+    io_utils.write_vtk(problem.mesh, u, _out(outdir, "tuning_solution.vtk"))
     return {"iterations": trace.iterations, "converged": trace.converged,
             "osc": osc(u), "profile_linf": float(np.abs(values - exact).max())}
 
@@ -132,12 +136,10 @@ def run_smooth(options, outdir):
     hs, errors, iters = [], [], []
     for n in meshes:
         case = get_case("smooth", mu=mu, **params_kw)
-        mesh = build_structured_quad(n, n)
-        nodes = build_dg_nodes(mesh)
-        problem = StabilizedProblem(mesh, nodes, case.spec, case.params)
+        problem = _problem(case, n)
         u, trace = _solve_steady(problem, solver_kw, method, None)
-        hs.append(mesh.h)
-        errors.append(l2_error(mesh, u, case.exact))
+        hs.append(problem.mesh.h)
+        errors.append(l2_error(problem.mesh, u, case.exact))
         iters.append(trace.iterations)
 
     orders = [float("nan")] + eoc_pairs(hs, errors)
@@ -153,12 +155,11 @@ def run_sharp_layer(options, outdir):
     case = get_case("sharp-layer", **params_kw)
     n = int(opts.get("n", case.mesh_n))
     method = opts.get("solver", "hybrid")
-    mesh = build_structured_quad(n, n)
-    nodes = build_dg_nodes(mesh)
-    problem = StabilizedProblem(mesh, nodes, case.spec, case.params)
+    problem = _problem(case, n)
     u, trace = _solve_steady(problem, solver_kw, method, case.bounds)
     trace.to_csv(_out(outdir, "sharp_layer_trace.csv"))
-    io_utils.write_vtk(mesh, u, _out(outdir, "sharp_layer_solution.vtk"))
+    io_utils.write_vtk(problem.mesh, u,
+                       _out(outdir, "sharp_layer_solution.vtk"))
     return {"iterations": trace.iterations, "converged": trace.converged,
             "final_osc": osc(u), "max_trace_osc": float(np.nanmax(trace.osc))}
 
@@ -172,10 +173,9 @@ def run_three_body(options, outdir):
     theta = float(opts.get("theta", case.theta))
     solver_kw.setdefault("tol", 5e-4)
     solver_kw.setdefault("max_iter", 50)
-    mesh = build_structured_quad(n, n)
-    nodes = build_dg_nodes(mesh)
-    problem = StabilizedProblem(mesh, nodes, case.spec, case.params)
-    u0 = case.spec.u0(nodes.coords[:, 0], nodes.coords[:, 1])
+    problem = _problem(case, n)
+    mesh, coords = problem.mesh, problem.nodes.coords
+    u0 = case.spec.u0(coords[:, 0], coords[:, 1])
     loop = TimeLoopConfig(theta=theta, dt=case.T / n_steps, n_steps=n_steps,
                           solver=SolverConfig(**solver_kw))
     u, traces = run_transient(problem, u0, loop, bounds=case.bounds)

@@ -55,7 +55,10 @@ def read_field_csv(path):
             cells.append(int(row["cell"]))
             locals_.append(int(row["local"]))
             vals.append(float(row["value"]))
-    ids = 4 * np.asarray(cells) + np.asarray(locals_)
+    ids = 4 * np.asarray(cells, dtype=np.int64) + np.asarray(locals_)
+    if not np.array_equal(np.sort(ids), np.arange(len(ids))):
+        raise ValueError(f"{path} does not list each node id "
+                         f"0..{len(ids) - 1} exactly once")
     u = np.empty(len(ids))
     u[ids] = vals
     return u

@@ -250,28 +250,11 @@ class DgNodeSet:
 
     # -- topology queries -----------------------------------------------------
 
-    def _vertex_nodes(self, v):
-        return self.vn_ids[self.vn_ptr[v]:self.vn_ptr[v + 1]]
-
-    def support(self, a):
-        """Cells whose closure contains x_a."""
-        return self.node_cell[self._vertex_nodes(self.node_vertex[a])].tolist()
-
-    def support_vertices(self, a):
-        """Vertex ids lying in the closed support of a."""
-        return np.unique(self.mesh.cells[self.support(a)])
-
     def neighbors(self, a):
         """All nodes b with x_b in the closed support of a (includes a),
         ascending: row a of the node pattern S."""
         S = self.pattern()
         return S.indices[S.indptr[a]:S.indptr[a + 1]]
-
-    def support_nodes(self, a):
-        """Nodes (i, K) with K a cell of the support; u_h over the support
-        attains its extrema at exactly these nodes."""
-        cells = np.asarray(self.support(a))
-        return (4 * cells[:, None] + np.arange(4)[None, :]).ravel()
 
     def adjacency_pairs(self):
         """Cached ordered adjacency pairs (a, b), b != a, as flat arrays.
@@ -448,13 +431,21 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
+    """Read the format of :func:`save_mesh`; MeshError if a file breaks it."""
     with open(path) as f:
-        lines = [ln.strip() for ln in f
+        lines = [(i, ln.split()) for i, ln in enumerate(f, 1)
                  if ln.strip() and not ln.lstrip().startswith("#")]
-    nv, nc = (int(t) for t in lines[0].split())
+    try:
+        nv, nc = (int(t) for t in lines[0][1])
+    except (IndexError, ValueError):
+        raise MeshError("no header line 'n_vertices n_cells'") from None
     if len(lines) != 1 + nv + nc:
         raise MeshError("truncated mesh file")
-    vertices = np.array([[float(t) for t in ln.split()] for ln in lines[1:1 + nv]])
-    cells = np.array([[int(t) for t in ln.split()] for ln in lines[1 + nv:]],
+    for k, (i, ln) in enumerate(lines[1:]):
+        if len(ln) != (2 if k < nv else 4):
+            raise MeshError(f"line {i}: {len(ln)} values; a vertex line "
+                            "has 2 and a cell line 4")
+    vertices = np.array([[float(t) for t in ln] for _, ln in lines[1:1 + nv]])
+    cells = np.array([[int(t) for t in ln] for _, ln in lines[1 + nv:]],
                      dtype=np.int64)
     return Mesh(vertices, cells)

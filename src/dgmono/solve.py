@@ -176,18 +176,8 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
 
 # -- finite-difference Jacobian with graph coloring ---------------------------
 #
-# Newton uses the analytic StabilizedProblem.jacobian; these remain as the
+# Newton uses the analytic Linearization.jacobian; these remain as the
 # independent finite-difference oracle it is checked against.
-
-def jacobian_pattern(problem):
-    """Sparsity pattern of dT/du: S^2 for the node pattern S (viscosities
-    couple each row to the neighbors of its neighbors), as CSC ones."""
-    S = problem.nodes.pattern()
-    A = S.matrix(np.ones(S.nnz, dtype=np.int32))
-    P = (A @ A).tocsc()
-    P.data[:] = 1
-    return P
-
 
 def color_columns(P):
     """Greedy distance-1 coloring of columns: same-color columns share no row."""
@@ -321,7 +311,7 @@ def theta_step(problem, u_old, dt, theta, cfg=None, method="picard",
     raise ValueError(f"unknown nonlinear method {method!r}")
 
 
-def run_transient(problem, u0, loop: TimeLoopConfig, bounds=None, ubar_t=None):
+def run_transient(problem, u0, loop: TimeLoopConfig, bounds=None):
     """Sequential theta-steps from u0; returns (u_final, per-step traces).
 
     Each unconverged step is returned as is and reported by a
@@ -329,8 +319,6 @@ def run_transient(problem, u0, loop: TimeLoopConfig, bounds=None, ubar_t=None):
     u = np.asarray(u0, dtype=float).copy()
     traces = []
     for n in range(loop.n_steps):
-        if ubar_t is not None:
-            problem.set_boundary(ubar_t((n + loop.theta) * loop.dt))
         u, tr = theta_step(problem, u, loop.dt, loop.theta, loop.solver,
                            loop.method, bounds, loop.enforce_cfl)
         if not tr.converged:

@@ -36,10 +36,6 @@ class GraphViscosity:
     nu_boundary: np.ndarray
     diag: np.ndarray
 
-    @property
-    def is_zero(self):
-        return (not self.nu.any()) and (not self.nu_boundary.any())
-
 
 class PairTables:
     """The node pattern S with the pair tables and the frozen operator data
@@ -175,15 +171,9 @@ def mass_blend(alpha, Q):
     return alpha**Q
 
 
-def lumped_mass_apply(M, m, alpha, Q, w):
-    """Selectively lumped mass action: (1 - a^Q)(Mw)_a + a^Q w_a m_a."""
-    blend = mass_blend(alpha, Q)
-    return (1.0 - blend) * (M @ w) + blend * (w * m)
-
-
 def lumped_mass_matrix(tables: PairTables, m, alpha, Q):
-    """Matrix of :func:`lumped_mass_apply`, diag(1 - a^Q) M + diag(a^Q m),
-    in the node pattern."""
+    """Selectively lumped mass diag(1 - a^Q) M + diag(a^Q m), whose action
+    on w is (1 - a^Q)(Mw)_a + a^Q w_a m_a, in the node pattern."""
     S = tables.S
     blend = mass_blend(alpha, Q)
     data = np.repeat(1.0 - blend, np.diff(S.indptr)) * tables.M
@@ -211,6 +201,9 @@ def audit_dmp(Ktilde, Btilde, alpha, rel_tol=1e-12):
     if len(alpha) != Ktilde.shape[0]:
         raise ValueError(f"alpha has {len(alpha)} entries for "
                          f"{Ktilde.shape[0]} operator rows")
+    if Btilde.shape[0] != Ktilde.shape[0]:
+        raise ValueError(f"B_tilde has shape {Btilde.shape} and K_tilde "
+                         f"{Ktilde.shape}: their row counts differ")
     report = []
     scale = max(np.abs(Ktilde).max(), 1e-300)
     tol = rel_tol * scale
@@ -379,13 +372,6 @@ class StabilizedProblem:
             self.trace = interpolate_boundary(nodes, spec.ubar,
                                               self.dirichlet_mask)
 
-    # -- boundary data --------------------------------------------------------
-
-    def set_boundary(self, ubar):
-        """Re-interpolate Dirichlet data (for time-dependent conditions)."""
-        self.trace = interpolate_boundary(self.nodes, ubar,
-                                          self.dirichlet_mask)
-
     @property
     def ubar_vec(self):
         if self.trace is None:
@@ -395,8 +381,6 @@ class StabilizedProblem:
     def rhs(self, Btilde):
         return self.G + Btilde @ self.ubar_vec
 
-    # -- the scheme at one iterate --------------------------------------------
-
     def linearize(self, u, dt=None, u_old=None, theta=1.0):
         """The scheme at iterate u: steady, or the theta-step from u_old over
         dt when (dt, u_old, theta) are given; see :class:`Linearization`."""
@@ -404,10 +388,6 @@ class StabilizedProblem:
 
     def alpha(self, u):
         return self.linearize(u).alpha
-
-    def viscosity(self, u):
-        """Graph viscosity at u."""
-        return self.linearize(u).visc
 
     def operators(self, u):
         """(K_tilde, B_tilde) at u."""
@@ -420,12 +400,6 @@ class StabilizedProblem:
     def residual_transient(self, u_new, u_old, dt, theta):
         """Theta-method residual; nonlinear coefficients at the stage state."""
         return self.linearize(u_new, dt, u_old, theta).residual
-
-    def jacobian(self, u, dt=None, u_old=None, theta=1.0):
-        """dT/du of :meth:`residual_steady`, or of :meth:`residual_transient`
-        when (dt, u_old, theta) are given; see :attr:`Linearization.jacobian`.
-        """
-        return self.linearize(u, dt, u_old, theta).jacobian
 
     def cfl_bound(self, u_stage, theta):
         Ktilde, _ = self.operators(u_stage)

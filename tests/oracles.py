@@ -1,8 +1,13 @@
-"""Scalar reference implementations that the tests check the package against.
+"""Reference implementations that the tests check the package against.
 
-The symmetric point of one node pair, computed cell by cell with plain
-loops: the oracle for the batch path
-:func:`dgmono.mesh.symmetric_points_batch`.
+- the support queries of one node, read off the vertex-to-node table;
+- the symmetric point of one node pair, computed cell by cell with plain
+  loops: the oracle for the batch path
+  :func:`dgmono.mesh.symmetric_points_batch`;
+- the selectively lumped mass action, the oracle for
+  :func:`dgmono.stabilization.lumped_mass_matrix`;
+- the pattern S^2 that the finite-difference Jacobian oracle
+  (:func:`dgmono.solve.fd_jacobian`) is restricted to.
 """
 
 from __future__ import annotations
@@ -10,6 +15,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from dgmono.stabilization import mass_blend
+
+
+def support(nodes, a):
+    """Cells whose closure contains x_a."""
+    v = nodes.node_vertex[a]
+    at_v = nodes.vn_ids[nodes.vn_ptr[v]:nodes.vn_ptr[v + 1]]
+    return nodes.node_cell[at_v].tolist()
+
+
+def support_vertices(nodes, a):
+    """Vertex ids lying in the closed support of a."""
+    return np.unique(nodes.mesh.cells[support(nodes, a)])
+
+
+def support_nodes(nodes, a):
+    """Nodes (i, K) with K a cell of the support; u_h over the support
+    attains its extrema at exactly these nodes."""
+    cells = np.asarray(support(nodes, a))
+    return (4 * cells[:, None] + np.arange(4)[None, :]).ravel()
 
 
 @dataclass
@@ -80,7 +106,7 @@ def symmetric_point(nodes, a, b) -> SymmetricPoint:
     mesh = nodes.mesh
     geo_tol = 1e-12 * mesh.h
     t_max = 0.0
-    for c in nodes.support(a):
+    for c in support(nodes, a):
         t = _ray_exit_convex(xa, d, cell_polygon(mesh, c), geo_tol)
         if np.isfinite(t):
             t_max = max(t_max, t)
@@ -89,6 +115,22 @@ def symmetric_point(nodes, a, b) -> SymmetricPoint:
         return SymmetricPoint(point=xa.copy(), r_sym=np.zeros(2), degenerate=True)
 
     point = xa + t_max * d
-    owners = [c for c in nodes.support(a)
+    owners = [c for c in support(nodes, a)
               if point_in_convex(point, cell_polygon(mesh, c), 1e-10 * mesh.h)]
     return SymmetricPoint(point=point, r_sym=point - xa, cells=owners)
+
+
+def lumped_mass_apply(M, m, alpha, Q, w):
+    """Selectively lumped mass action: (1 - a^Q)(Mw)_a + a^Q w_a m_a."""
+    blend = mass_blend(alpha, Q)
+    return (1.0 - blend) * (M @ w) + blend * (w * m)
+
+
+def jacobian_pattern(problem):
+    """Sparsity pattern of dT/du: S^2 for the node pattern S (viscosities
+    couple each row to the neighbors of its neighbors), as CSC ones."""
+    S = problem.nodes.pattern()
+    A = S.matrix(np.ones(S.nnz, dtype=np.int32))
+    P = (A @ A).tocsc()
+    P.data[:] = 1
+    return P

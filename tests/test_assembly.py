@@ -196,7 +196,7 @@ class TestBoundaryOperator:
         assert np.allclose(tr.values, xy[:, 0] + 10 * xy[:, 1])
         assert tr.dirichlet.all()
         a = int(nodes.boundary_nodes[0])
-        assert tr.value_of(nodes, a) == pytest.approx(
+        assert tr.values[nodes.boundary_index[a]] == pytest.approx(
             nodes.coords[a, 0] + 10 * nodes.coords[a, 1])
 
 

@@ -6,12 +6,13 @@ import pytest
 from dgmono import Mesh, StabilizationParams, alpha_all, build_dg_nodes, \
     build_structured_quad
 from dgmono.assembly import BoundaryTrace, eval_in_cells, interpolate_boundary
-from dgmono.detector import (DerivedScales, _candidate_values,
+from dgmono.detector import (DerivedScales, DetectorPass, _candidate_values,
                              _symmetric_candidates, _term_values, abs_lower,
-                             abs_upper, alpha_jacobian, smax, ssgn, z_ramp)
+                             abs_upper, smax, ssgn, z_ramp)
 
 from dgmono.mesh import symmetric_points_batch
 
+from .oracles import support_nodes
 from .test_mesh import VALENCE3_CELLS, VALENCE3_VERTICES, perturbed_mesh
 
 
@@ -89,7 +90,7 @@ class TestParams:
 def forced_extremum(nodes, rng, lo=False):
     u = rng.standard_normal(nodes.n_nodes)
     a = int(rng.integers(nodes.n_nodes))
-    forced = np.union1d(nodes.neighbors(a), nodes.support_nodes(a))
+    forced = np.union1d(nodes.neighbors(a), support_nodes(nodes, a))
     if lo:
         u[forced] = np.maximum(u[forced], u[a] + 0.1)
         u[a] -= 0.5
@@ -141,7 +142,7 @@ class TestDetector:
             with pytest.raises(ValueError, match="2 non-finite entries"):
                 alpha_all(self.nodes, u, None, p, s)
         with pytest.raises(ValueError, match="2 non-finite entries"):
-            alpha_jacobian(self.nodes, u, None, self.smooth, self.sc_smooth)
+            DetectorPass(self.nodes, u, None, self.smooth, self.sc_smooth)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)

@@ -22,6 +22,20 @@ class TestFieldCsv:
         back = io_utils.read_field_csv(path)
         assert np.array_equal(back, u)
 
+    def test_each_node_once(self, tmp_path):
+        # node 0 listed twice and node 1 missing: the same row count
+        nodes = build_dg_nodes(build_structured_quad(2, 2))
+        path = tmp_path / "field.csv"
+        io_utils.write_field_csv(nodes, np.arange(16.0), path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="exactly once"):
+            io_utils.read_field_csv(path)
+        path.write_text("\n".join(lines[:1] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match="exactly once"):
+            io_utils.read_field_csv(path)
+
 
 class TestOperatorIO:
     def test_round_trip(self, tmp_path):

@@ -7,7 +7,8 @@ from dgmono import (Mesh, MeshError, build_dg_nodes, build_structured_quad,
                     classify_facets, load_mesh, save_mesh)
 from dgmono.mesh import symmetric_points_batch
 
-from .oracles import cell_polygon, symmetric_point
+from .oracles import (cell_polygon, support, support_nodes, support_vertices,
+                      symmetric_point)
 
 
 # a triangle split into three quads around a valence-3 interior vertex (6)
@@ -205,11 +206,11 @@ class TestDgNodeSet:
         # interior vertex: 4 owning cells, 9 support vertices
         interior = [a for a in range(nodes.n_nodes)
                     if not nodes.boundary_mask[a]
-                    and len(nodes.support(a)) == 4]
+                    and len(support(nodes, a)) == 4]
         a = interior[0]
-        assert len(nodes.support_vertices(a)) == 9
+        assert len(support_vertices(nodes, a)) == 9
         # 4 corner vertices x 4 dupes + 4 edge vertices x ... counted directly
-        counts = np.diff(nodes.vn_ptr)[nodes.support_vertices(a)]
+        counts = np.diff(nodes.vn_ptr)[support_vertices(nodes, a)]
         assert len(nodes.neighbors(a)) == counts.sum()
 
 
@@ -224,10 +225,10 @@ class TestDgNodeSet:
             verts = sorted(set(mesh.cells[cells].ravel().tolist()))
             near = [b for b in range(nodes.n_nodes)
                     if nodes.node_vertex[b] in verts]
-            assert nodes.support(a) == cells
-            assert np.array_equal(nodes.support_vertices(a), verts)
+            assert support(nodes, a) == cells
+            assert np.array_equal(support_vertices(nodes, a), verts)
             assert np.array_equal(nodes.neighbors(a), near)
-            assert np.array_equal(nodes.support_nodes(a), [
+            assert np.array_equal(support_nodes(nodes, a), [
                 4 * c + i for c in cells for i in range(4)])
 
 
@@ -244,7 +245,7 @@ class TestNodePattern:
         n = nodes.n_nodes
         rows = np.repeat(np.arange(n), np.diff(S.indptr))
         for a in range(n):
-            near = np.isin(nodes.node_vertex, nodes.support_vertices(a))
+            near = np.isin(nodes.node_vertex, support_vertices(nodes, a))
             assert np.array_equal(S.indices[S.indptr[a]:S.indptr[a + 1]],
                                   np.flatnonzero(near))
         assert S.nnz == len(S.indices) == S.indptr[-1]
@@ -289,7 +290,7 @@ class TestSymmetricPoint:
     def test_interior_central_symmetry(self):
         mesh = build_structured_quad(4, 4)
         nodes = build_dg_nodes(mesh)
-        a = [x for x in range(nodes.n_nodes) if len(nodes.support(x)) == 4][0]
+        a = [x for x in range(nodes.n_nodes) if len(support(nodes, x)) == 4][0]
         xa = nodes.coords[a]
         for b in nodes.neighbors(a):
             if b == a or np.allclose(nodes.coords[b], xa):
@@ -351,7 +352,7 @@ class TestSymmetricPoint:
     def test_point_on_support_boundary(self):
         mesh = build_structured_quad(3, 3)
         nodes = build_dg_nodes(mesh)
-        a = [x for x in range(nodes.n_nodes) if len(nodes.support(x)) == 4][0]
+        a = [x for x in range(nodes.n_nodes) if len(support(nodes, x)) == 4][0]
         for b in nodes.neighbors(a):
             if b == a or np.allclose(nodes.coords[b], nodes.coords[a]):
                 continue
@@ -386,4 +387,28 @@ class TestMeshIO:
         path = tmp_path / "bad.txt"
         path.write_text("# dgmono mesh v1\n4 1\n0 0\n1 0\n")
         with pytest.raises(MeshError):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("text", [
+        "", "# dgmono mesh v1\n", "4\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n",
+        "4 1 0\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n",
+        "four one\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n"],
+        ids=["empty", "comment-only", "one-count", "three-counts",
+             "not-integers"])
+    def test_bad_header(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MeshError, match="header"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("4 1\n0 0\n1\n1 1\n0 1\n0 1 2 3\n", 3),
+        ("4 1\n0 0\n1 0 0\n1 1\n0 1\n0 1 2 3\n", 3),
+        ("4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2\n", 6),
+        ("# c\n4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 3 0\n", 7)],
+        ids=["vertex-short", "vertex-long", "cell-short", "cell-long"])
+    def test_wrong_token_count(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MeshError, match=f"line {line}: "):
             load_mesh(path)

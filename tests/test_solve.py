@@ -8,10 +8,11 @@ from dgmono import (Mesh, SolverConfig, TimeLoopConfig, build_dg_nodes,
                     build_structured_quad, detector, get_case, hybrid_newton,
                     picard, run_transient, solve, solve_linear, theta_step)
 from dgmono import ProblemSpec, StabilizationParams
-from dgmono.detector import alpha_jacobian
-from dgmono.solve import (SolveTrace, color_columns, fd_jacobian,
-                          jacobian_pattern)
+from dgmono.detector import DetectorPass
+from dgmono.solve import SolveTrace, color_columns, fd_jacobian
 from dgmono.stabilization import StabilizedProblem
+
+from .oracles import jacobian_pattern
 
 from .test_stabilization import make_problem
 
@@ -241,14 +242,15 @@ class TestAnalyticJacobian:
     def test_alpha_is_the_detector(self, case):
         prob, u, _, kw = case
         s = u if not kw else kw["theta"] * u + (1 - kw["theta"]) * kw["u_old"]
-        al, dal = alpha_jacobian(prob.nodes, s, prob.trace, prob.params,
-                                 prob.scales)
+        state = DetectorPass(prob.nodes, s, prob.trace, prob.params,
+                             prob.scales)
+        al, dal = state.alpha, state.jacobian()
         assert np.array_equal(al, prob.alpha(s))
         assert dal.shape == (prob.nodes.n_nodes,) * 2
 
     def test_matches_central_differences(self, case):
         prob, u, residual, kw = case
-        J = prob.jacobian(u, **kw)
+        J = prob.linearize(u, **kw).jacobian
         rng = np.random.default_rng(3)
         eps = 1e-6 * max(1.0, float(np.abs(u).max()))
         for _ in range(10):
@@ -261,7 +263,7 @@ class TestAnalyticJacobian:
 
     def test_matches_fd_jacobian_within_pattern(self, case):
         prob, u, residual, kw = case
-        J = prob.jacobian(u, **kw).tocoo()
+        J = prob.linearize(u, **kw).jacobian.tocoo()
         P = jacobian_pattern(prob)
         colors, n_colors = color_columns(P)
         J_fd = fd_jacobian(residual, u, residual(u), P, colors, n_colors)
@@ -273,7 +275,7 @@ class TestAnalyticJacobian:
     def test_raw_mode_rejected(self):
         prob = make_problem(3, mode="raw")
         with pytest.raises(ValueError, match="smoothed"):
-            prob.jacobian(np.zeros(prob.nodes.n_nodes))
+            prob.linearize(np.zeros(prob.nodes.n_nodes)).jacobian
 
 
 class TestHybridNewton:
@@ -349,8 +351,9 @@ class TestThetaStep:
         for a in np.flatnonzero(al >= 1.0):
             nb = prob.nodes.neighbors(a)
             vals = [u0[nb].max(), u0[nb].min()]
-            bv = prob.trace.value_of(prob.nodes, a) if prob.trace else None
-            if bv is not None:
+            ib = prob.nodes.boundary_index[a]
+            if prob.trace and ib >= 0 and prob.trace.dirichlet[ib]:
+                bv = prob.trace.values[ib]
                 vals = [max(vals[0], bv), min(vals[1], bv)]
             if u0[a] >= vals[0]:       # discrete maximum
                 assert u1[a] - u0[a] <= tol

@@ -6,12 +6,13 @@ import scipy.sparse as sp
 
 from dgmono import (Mesh, ProblemSpec, StabilizationParams, audit_dmp,
                     build_dg_nodes, build_structured_quad, build_viscosity,
-                    cfl_bound, lumped_mass_apply, solve)
+                    cfl_bound, solve)
 from dgmono.assembly import interpolate_boundary
 from dgmono.detector import _branch_slope, _first_attaining, _term_slopes
 from dgmono.stabilization import (StabilizedProblem, mass_blend,
                                   viscosity_slopes)
 
+from .oracles import lumped_mass_apply
 from .test_mesh import VALENCE3_CELLS, VALENCE3_VERTICES, perturbed_mesh
 
 
@@ -66,7 +67,7 @@ class TestViscosity:
         rng = np.random.default_rng(0)
         u = rng.standard_normal(prob.nodes.n_nodes)
         al = prob.alpha(u)
-        visc = prob.viscosity(u)
+        visc = prob.linearize(u).visc
         t = prob.tables
         nu_ref = np.maximum.reduce([al[t.pair_a] * t.K_ab,
                                     np.zeros(len(t.pair_a)),
@@ -101,14 +102,14 @@ class TestViscosity:
             prob.trace = interpolate_boundary(
                 prob.nodes, lambda x, y: c0 + cx * x + cy * y,
                 prob.dirichlet_mask)
-            visc = prob.viscosity(u)
-            assert visc.is_zero
+            visc = prob.linearize(u).visc
+            assert not (visc.nu.any() or visc.nu_boundary.any())
             assert np.all(visc.diag == 0.0)
 
     def test_diagonal_compensates(self):
         prob = make_problem(4)
         u = np.random.default_rng(3).standard_normal(prob.nodes.n_nodes)
-        visc, t = prob.viscosity(u), prob.tables
+        visc, t = prob.linearize(u).visc, prob.tables
         n = prob.nodes.n_nodes
         lhs = visc.diag
         rhs = (np.bincount(t.pair_a, weights=visc.nu, minlength=n)
@@ -269,6 +270,12 @@ class TestAudit:
         B = sp.csr_matrix(np.zeros((3, 1)))
         with pytest.raises(ValueError, match="alpha has 2 entries"):
             audit_dmp(K, B, np.ones(2))
+
+    def test_operator_rows_checked(self):
+        K = sp.csr_matrix(np.eye(3))
+        B = sp.csr_matrix(np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=r"\(2, 1\).*\(3, 3\)"):
+            audit_dmp(K, B, np.ones(3))
 
     def test_row_sum_only_checked_globally(self):
         # balanced rows, no flagged alphas -> clean
