@@ -1,7 +1,20 @@
 """Interior-penalty dG operators on Q1 quadrilaterals.
 
-Quadrature: 2x2 Gauss per cell, 2-point Gauss per facet; exact for all
-Q1 x Q1 and Q1 x grad-Q1 products on affine (parallelogram) cells.
+K is the volume term mu (grad u, grad v) - (u, beta . grad v) plus one facet
+form, summed over the facets F with normal n and pen = c_ip mu / |F|:
+
+    int_F beta.n u_up [v] - mu {du/dn} [v] - mu [u] {dv/dn} + pen [u] [v].
+
+On an interior facet n points out of the plus cell, [w] = w+ - w-,
+{w} = (w+ + w-) / 2 and the upwind trace u_up is u+ where beta.n > 0, else
+u-.  On a boundary facet the exterior trace of u is the boundary data ubar
+and that of v is 0: [u] = u - ubar, [v] = v, the means are the interior
+traces, and u_up is u on outflow, ubar on inflow.  The ubar parts make B,
+so that K u = G + B ubar.
+
+Quadrature: 2x2 Gauss per cell, 2-point Gauss per facet.  Both are exact on
+parallelogram cells with beta at most linear (and beta.n of one sign on
+each facet), not on general convex quadrilaterals, whose Jacobians vary.
 """
 
 from __future__ import annotations
@@ -12,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import GAUSS2, Mesh, DgNodeSet, FacetClassification, REF_CORNERS, classify_facets
+from .mesh import GAUSS2, GAUSS2_W, REF_CORNERS, classify_facets
 
 
 @dataclass
@@ -50,16 +63,17 @@ class ProblemSpec:
 # -- reference element --------------------------------------------------------
 
 def basis_at_ref(xi):
-    """Q1 shape values and reference gradients at reference points (m, 2)."""
+    """Q1 shape values (..., 4) and reference gradients (..., 4, 2) at
+    reference points (..., 2)."""
     xi = np.atleast_2d(xi)
     s = REF_CORNERS[:, 0]  # (4,)
     t = REF_CORNERS[:, 1]
-    a = 1.0 + xi[:, 0, None] * s
-    b = 1.0 + xi[:, 1, None] * t
+    a = 1.0 + xi[..., 0, None] * s
+    b = 1.0 + xi[..., 1, None] * t
     N = 0.25 * a * b
-    grad = np.empty((len(xi), 4, 2))
-    grad[:, :, 0] = 0.25 * s * b
-    grad[:, :, 1] = 0.25 * t * a
+    grad = np.empty(N.shape + (2,))
+    grad[..., 0] = 0.25 * s * b
+    grad[..., 1] = 0.25 * t * a
     return N, grad
 
 
@@ -111,38 +125,49 @@ def cell_quad_points(mesh, order=2):
 
 
 def edge_ref_coords(edge, s):
-    """Exact reference coordinates along a local edge for parameters s."""
-    s = np.asarray(s, dtype=float)
+    """Exact reference coordinates along local edges for parameters s.
+
+    ``edge`` (...) broadcasts against ``s`` (..., nq) to (..., nq, 2).
+    """
+    s = np.asarray(s, dtype=float)[..., None]
+    edge = np.asarray(edge)[..., None]
     c0 = REF_CORNERS[edge]
     c1 = REF_CORNERS[(edge + 1) % 4]
-    return 0.5 * (1.0 - s)[:, None] * c0 + 0.5 * (1.0 + s)[:, None] * c1
+    return 0.5 * (1.0 - s) * c0 + 0.5 * (1.0 + s) * c1
 
 
-def _facet_basis(mesh, cells_idx, edges, s_params):
-    """Shape values/physical gradients of the given cells at facet points.
+def _facet_traces(mesh, spec, facets, *sides):
+    """Quadrature on facets: weights w (nf, nq), beta.n at the Gauss points
+    and, per side (cells, edges, s), the shape values N (nf, nq, 4) and
+    normal derivatives dN/dn of those cells at parameters s on their edges.
 
-    Reference coordinates are built exactly on the edge, so off-edge shape
-    values are exactly zero.
-    Returns N (nf, nq, 4), gradN (nf, nq, 4, 2), points (nf, nq, 2).
+    Reference coordinates lie exactly on the edge, so off-edge shape values
+    are exactly zero.
     """
-    nf = len(cells_idx)
-    nq = len(s_params)
-    N = np.empty((nf, nq, 4))
-    gradN = np.empty((nf, nq, 4, 2))
-    pts = np.empty((nf, nq, 2))
-    verts = mesh.vertices[mesh.cells[cells_idx]]  # (nf,4,2)
-    for e in range(4):
-        mask = edges == e
-        if not mask.any():
-            continue
-        ref = edge_ref_coords(e, s_params)        # (nq, 2)
-        Ne, gradref = basis_at_ref(ref)           # (nq,4), (nq,4,2)
-        v = verts[mask]                           # (m,4,2)
-        _, Jinv = _det_inv_2x2(np.einsum("mkd,qke->mqde", v, gradref))
-        N[mask] = Ne[None, :, :]
-        gradN[mask] = np.einsum("qke,mqed->mqkd", gradref, Jinv)
-        pts[mask] = np.einsum("qk,mkd->mqd", Ne, v)
-    return N, gradN, pts
+    nrm = facets["normal"]
+    traces = []
+    for cells, edges, s in sides:
+        N, gradref = basis_at_ref(edge_ref_coords(edges, s))
+        verts = mesh.vertices[mesh.cells[cells]]          # (nf,4,2)
+        _, Jinv = _det_inv_2x2(np.einsum("fkd,fqke->fqde", verts, gradref))
+        traces.append((N, np.einsum("fqke,fqed,fd->fqk", gradref, Jinv, nrm)))
+    bx, by = _beta_at(spec, mesh.facet_points(facets["v0"], facets["v1"],
+                                              GAUSS2))
+    w = 0.5 * facets["length"][:, None] * GAUSS2_W
+    return w, bx * nrm[:, None, 0] + by * nrm[:, None, 1], traces
+
+
+def _facet_form(w, bn, v, dv, u, du, u_up, mu, pen):
+    """Local matrices (nf, test a, trial b) of the facet form
+
+        sum_q w (beta.n u_up [v] - mu {du/dn}[v] - mu [u]{dv/dn} + pen [u][v])
+
+    from the test traces v = [v], dv = {dv/dn} (nf, nq, a) and the trial
+    traces u = [u], du = {du/dn} and u_up, the upwind trace (nf, nq, b).
+    """
+    coef = bn[..., None] * u_up + pen[:, None, None] * u - mu * du
+    return (np.einsum("fq,fqa,fqb->fab", w, v, coef)
+            - mu * np.einsum("fq,fqa,fqb->fab", w, dv, u))
 
 
 def _beta_at(spec, pts):
@@ -202,9 +227,9 @@ def assemble_G(mesh, nodes, g):
 
 
 def assemble_K(mesh, nodes, spec, classification=None):
-    """Convection-diffusion dG matrix: volume, IP viscous and upwind terms.
+    """Convection-diffusion dG matrix: volume terms and the facet form.
 
-    When mu == 0 all viscous facet terms are skipped entirely.
+    When mu == 0 the viscous and penalty terms vanish.
     """
     if classification is None:
         classification = classify_facets(mesh, spec.beta)
@@ -223,74 +248,32 @@ def assemble_K(mesh, nodes, spec, classification=None):
     ids = _node_ids(np.arange(mesh.n_cells))
     coo.add(ids[:, :, None], ids[:, None, :], local)
 
-    # interior facets
+    # interior facets, on the stacked traces [plus, minus] of both cells;
+    # the minus cell runs the shared edge backwards (Mesh checks it)
     fi = mesh.interior_facets
-    if mesh.n_interior_facets:
-        cp, cm = fi["cell_plus"], fi["cell_minus"]
-        Np, Gp, ptsf = _facet_basis(mesh, cp, fi["edge_plus"], GAUSS2)
-        # minus-cell params follow the plus-edge orientation
-        same = mesh.cells[cm, fi["edge_minus"]] == fi["v0"]
-        Nm = np.empty_like(Np)
-        Gm = np.empty_like(Gp)
-        for flag in (True, False):
-            mask = same == flag
-            if not mask.any():
-                continue
-            s = GAUSS2 if flag else -GAUSS2
-            Nm[mask], Gm[mask], _ = _facet_basis(
-                mesh, cm[mask], fi["edge_minus"][mask], s)
-        nrm = fi["normal"]                        # out of plus cell
-        wq = 0.5 * fi["length"][:, None] * np.ones((1, len(GAUSS2)))
-        idp, idm = _node_ids(cp), _node_ids(cm)
+    w, bn, ((Np, Dp), (Nm, Dm)) = _facet_traces(
+        mesh, spec, fi, (fi["cell_plus"], fi["edge_plus"], GAUSS2),
+        (fi["cell_minus"], fi["edge_minus"], -GAUSS2))
+    jump = np.concatenate([Np, -Nm], axis=2)
+    mean = 0.5 * np.concatenate([Dp, Dm], axis=2)
+    plus = (bn > 0.0)[..., None]
+    up = np.concatenate([Np * plus, Nm * ~plus], axis=2)
+    ids = np.concatenate([_node_ids(fi["cell_plus"]),
+                          _node_ids(fi["cell_minus"])], axis=1)
+    local = _facet_form(w, bn, jump, mean, jump, mean, up, mu,
+                        spec.c_ip * mu / fi["length"])
+    coo.add(ids[:, :, None], ids[:, None, :], local)
 
-        bxf, byf = _beta_at(spec, ptsf)
-        bn = bxf * nrm[:, None, 0] + byf * nrm[:, None, 1]
-
-        sides = ((Np, Gp, idp, 1.0), (Nm, Gm, idm, -1.0))
-        for (Na, Ga, ida, sa) in sides:
-            Gan = Ga[..., 0] * nrm[:, None, None, 0] + Ga[..., 1] * nrm[:, None, None, 1]
-            for (Nb, Gb, idb, sb) in sides:
-                Gbn = Gb[..., 0] * nrm[:, None, None, 0] + Gb[..., 1] * nrm[:, None, None, 1]
-                # convection: mean(beta u) . jump(v) + |beta.n|/2 jump(u).jump(v)
-                term = np.einsum("fq,fq,fqb,fqa->fab",
-                                 wq, 0.5 * bn * sa + 0.5 * np.abs(bn) * sa * sb,
-                                 Nb, Na)
-                if mu > 0.0:
-                    term += mu * np.einsum("fq,fqb,fqa->fab", wq,
-                                           -0.5 * sb * Nb, Gan)
-                    term += mu * np.einsum("fq,fqb,fqa->fab", wq,
-                                           -0.5 * Gbn, sa * Na)
-                    pen = spec.c_ip * mu / fi["length"]
-                    term += (sa * sb) * pen[:, None, None] * np.einsum(
-                        "fq,fqb,fqa->fab", wq, Nb, Na)
-                coo.add(ida[:, None, :], idb[:, :, None],
-                        np.swapaxes(term, 1, 2))
-    # boundary facets
+    # boundary facets: u_up is u on outflow and the boundary data (in B) on
+    # inflow; [u] = u and the viscous terms are Nitsche's
     fb = mesh.boundary_facets
-    if mesh.n_boundary_facets:
-        cb = fb["cell"]
-        Nb_, Gb_, ptsb = _facet_basis(mesh, cb, fb["edge"], GAUSS2)
-        nrm = fb["normal"]
-        wq = 0.5 * fb["length"][:, None] * np.ones((1, len(GAUSS2)))
-        ids_b = _node_ids(cb)
-        bxf, byf = _beta_at(spec, ptsb)
-        bn = bxf * nrm[:, None, 0] + byf * nrm[:, None, 1]
-
-        # convection on outflow boundary facets: int beta.n u v
-        out = classification.outflow_mask
-        if out.any():
-            term = np.einsum("fq,fq,fqb,fqa->fab",
-                             wq[out], bn[out], Nb_[out], Nb_[out])
-            coo.add(ids_b[out][:, None, :], ids_b[out][:, :, None],
-                    np.swapaxes(term, 1, 2))
-        if mu > 0.0:
-            Gn = Gb_[..., 0] * nrm[:, None, None, 0] + Gb_[..., 1] * nrm[:, None, None, 1]
-            term = -mu * np.einsum("fq,fqb,fqa->fab", wq, Nb_, Gn)
-            term += -mu * np.einsum("fq,fqb,fqa->fab", wq, Gn, Nb_)
-            pen = spec.c_ip * mu / fb["length"]
-            term += pen[:, None, None] * np.einsum("fq,fqb,fqa->fab", wq, Nb_, Nb_)
-            coo.add(ids_b[:, None, :], ids_b[:, :, None], np.swapaxes(term, 1, 2))
-
+    w, bn, ((N, D),) = _facet_traces(mesh, spec, fb,
+                                     (fb["cell"], fb["edge"], GAUSS2))
+    out = classification.outflow_mask[:, None, None]
+    local = _facet_form(w, bn, N, D, N, D, N * out, mu,
+                        spec.c_ip * mu / fb["length"])
+    ids = _node_ids(fb["cell"])
+    coo.add(ids[:, :, None], ids[:, None, :], local)
     return coo.build((n, n))
 
 
@@ -304,38 +287,23 @@ def assemble_B(mesh, nodes, spec, classification=None):
     n = nodes.n_nodes
     nb = nodes.n_boundary
     mu = spec.mu
-    coo = _Coo()
     fb = mesh.boundary_facets
-    if mesh.n_boundary_facets:
-        cb = fb["cell"]
-        Nf, Gf, ptsb = _facet_basis(mesh, cb, fb["edge"], GAUSS2)
-        nrm = fb["normal"]
-        wq = 0.5 * fb["length"][:, None] * np.ones((1, len(GAUSS2)))
-        ids = _node_ids(cb)                       # rows: all 4 cell nodes
-        # trial columns: the two edge nodes of the owning cell
-        e = fb["edge"]
-        col_nodes = np.stack([4 * cb + e, 4 * cb + (e + 1) % 4], axis=1)
-        col_idx = nodes.boundary_index[col_nodes]
-        # shape values of the two edge nodes at the facet points
-        Ncols = np.stack([Nf[np.arange(len(cb)), :, e],
-                          Nf[np.arange(len(cb)), :, (e + 1) % 4]], axis=2)
-
-        bxf, byf = _beta_at(spec, ptsb)
-        bn = bxf * nrm[:, None, 0] + byf * nrm[:, None, 1]
-
-        inm = classification.inflow_mask
-        if inm.any():
-            term = -np.einsum("fq,fq,fqb,fqa->fab",
-                              wq[inm], bn[inm], Ncols[inm], Nf[inm])
-            coo.add(ids[inm][:, None, :], col_idx[inm][:, :, None],
-                    np.swapaxes(term, 1, 2))
-        if mu > 0.0:
-            Gn = Gf[..., 0] * nrm[:, None, None, 0] + Gf[..., 1] * nrm[:, None, None, 1]
-            term = -mu * np.einsum("fq,fqb,fqa->fab", wq, Ncols, Gn)
-            pen = spec.c_ip * mu / fb["length"]
-            term += pen[:, None, None] * np.einsum("fq,fqb,fqa->fab", wq, Ncols, Nf)
-            coo.add(ids[:, None, :], col_idx[:, :, None], np.swapaxes(term, 1, 2))
-
+    # with mu == 0 only inflow facets carry a term: store nothing elsewhere
+    f = classification.inflow_mask if mu == 0.0 else slice(None)
+    facets = {k: fb[k][f] for k in ("v0", "v1", "normal", "length")}
+    cb, e = fb["cell"][f], fb["edge"][f]
+    w, bn, ((N, D),) = _facet_traces(mesh, spec, facets, (cb, e, GAUSS2))
+    # trial: ubar at the two edge nodes of the cell.  Its part of the form,
+    # [u] = -ubar and u_up = ubar on inflow, moved to the right-hand side is
+    # the form with -beta.n, [u] = ubar and no trial gradient
+    cols = np.stack([e, (e + 1) % 4], axis=1)
+    ubar = np.take_along_axis(N, cols[:, None, :], axis=2)
+    inflow = classification.inflow_mask[f][:, None, None]
+    local = _facet_form(w, -bn, N, D, ubar, 0.0, ubar * inflow, mu,
+                        spec.c_ip * mu / facets["length"])
+    coo = _Coo()
+    coo.add(_node_ids(cb)[:, :, None],
+            nodes.boundary_index[4 * cb[:, None] + cols][:, None, :], local)
     return coo.build((n, nb))
 
 
@@ -358,18 +326,10 @@ def dirichlet_boundary_nodes(mesh, nodes, spec, classification=None):
     if classification is None:
         classification = classify_facets(mesh, spec.beta)
     fb = mesh.boundary_facets
-    mask = np.zeros(nodes.n_boundary, dtype=bool)
-    inflow = classification.inflow
-    cb = fb["cell"][inflow]
-    e = fb["edge"][inflow]
-    for nd in (4 * cb + e, 4 * cb + (e + 1) % 4):
-        mask[nodes.boundary_index[nd]] = True
+    inflow = classification.inflow_mask
     # duplicates at the same inflow vertex share the (single-valued) data
-    verts = set(nodes.node_vertex[nodes.boundary_nodes[mask]])
-    for i, a in enumerate(nodes.boundary_nodes):
-        if nodes.node_vertex[a] in verts:
-            mask[i] = True
-    return mask
+    return np.isin(nodes.node_vertex[nodes.boundary_nodes],
+                   np.concatenate([fb["v0"][inflow], fb["v1"][inflow]]))
 
 
 def interpolate_boundary(nodes, ubar, dirichlet_mask=None):

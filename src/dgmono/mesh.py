@@ -30,7 +30,8 @@ class Mesh:
     cells : (nc, 4) int array, counter-clockwise vertex ids
     interior_facets : dict of arrays (cell_plus, cell_minus, edge_plus,
         edge_minus, v0, v1, normal, length); ``normal`` points out of
-        ``cell_plus``.
+        ``cell_plus``, whose edge runs from v0 to v1, and the minus cell's
+        edge runs from v1 to v0.
     boundary_facets : dict of arrays (cell, edge, v0, v1, normal, length);
         ``normal`` is the outward domain normal.
     """
@@ -42,6 +43,10 @@ class Mesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if cells.ndim != 2 or cells.shape[1] != 4:
             raise MeshError("cells must be an (nc, 4) array")
+        bad = cells[(cells < 0) | (cells >= len(vertices))]
+        if bad.size:
+            raise MeshError(f"vertex id {bad[0]} out of range for "
+                            f"{len(vertices)} vertices")
         self.vertices = vertices
         self.cells = cells
         self.n_vertices = len(vertices)
@@ -93,6 +98,11 @@ class Mesh:
         f_plus = order[start[two]]
         f_minus = order[start[two] + 1]
         f_bnd = order[start[~two]]
+        # counter-clockwise neighbours run a shared edge in opposite
+        # directions; the same direction means the two cells overlap
+        if np.any(v0[f_minus] != v1[f_plus]):
+            raise MeshError("interior facet run in the same direction by "
+                            "both cells: the cells overlap")
         self.interior_facets = {
             "cell_plus": f_plus // 4, "cell_minus": f_minus // 4,
             "edge_plus": f_plus % 4, "edge_minus": f_minus % 4,
@@ -160,9 +170,7 @@ def build_structured_quad(nx, ny, domain=((0.0, 1.0), (0.0, 1.0))):
 class FacetClassification:
     """Boundary facet split by the sign of beta . n at facet Gauss points."""
 
-    inflow: np.ndarray    # indices into mesh.boundary_facets
-    outflow: np.ndarray
-    inflow_mask: np.ndarray
+    inflow_mask: np.ndarray  # over mesh.boundary_facets
 
     @property
     def outflow_mask(self):
@@ -193,11 +201,7 @@ def classify_facets(mesh, velocity):
         raise MeshError(
             f"{mixed.sum()} boundary facet(s) with mixed beta.n sign; "
             "mesh not conforming with the inflow/outflow boundaries")
-    inflow_mask = neg.all(axis=1)
-    idx = np.arange(mesh.n_boundary_facets)
-    return FacetClassification(inflow=idx[inflow_mask],
-                               outflow=idx[~inflow_mask],
-                               inflow_mask=inflow_mask)
+    return FacetClassification(inflow_mask=neg.all(axis=1))
 
 
 class DgNodeSet:

@@ -11,6 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .metrics import osc
+
 # build_stabilized is not called here; it stays importable from this module
 # because benchmark tracing wraps it by name in every module namespace.
 from .stabilization import StabilizedProblem, build_stabilized  # noqa: F401
@@ -104,10 +106,7 @@ def solve_linear(A, rhs):
 
 
 def _osc(u, bounds):
-    if bounds is None:
-        return None
-    lo, hi = bounds
-    return max(0.0, lo - float(u.min()), float(u.max()) - hi)
+    return None if bounds is None else osc(u, *bounds)
 
 
 def _initial_guess(problem, u0):

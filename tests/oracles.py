@@ -7,7 +7,10 @@
 - the selectively lumped mass action, the oracle for
   :func:`dgmono.stabilization.lumped_mass_matrix`;
 - the pattern S^2 that the finite-difference Jacobian oracle
-  (:func:`dgmono.solve.fd_jacobian`) is restricted to.
+  (:func:`dgmono.solve.fd_jacobian`) is restricted to;
+- the interior-penalty operators K and B on any convex quadrilateral mesh,
+  built with plain loops over cells, facets and Gauss points: the oracle for
+  :func:`dgmono.assemble_K` and :func:`dgmono.assemble_B`.
 """
 
 from __future__ import annotations
@@ -134,3 +137,111 @@ def jacobian_pattern(problem):
     P = (A @ A).tocsc()
     P.data[:] = 1
     return P
+
+
+# -- scalar interior-penalty operators ----------------------------------------
+
+_CORNERS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+
+
+def q1_at(mesh, c, xi, eta):
+    """Shape values (4,), physical gradients (4, 2), physical point and
+    det J of cell c at one reference point."""
+    N, dN = np.empty(4), np.empty((4, 2))
+    for k, (s, t) in enumerate(_CORNERS):
+        N[k] = 0.25 * (1 + s * xi) * (1 + t * eta)
+        dN[k] = 0.25 * s * (1 + t * eta), 0.25 * t * (1 + s * xi)
+    X = cell_polygon(mesh, c)
+    J = X.T @ dN  # J[i, j] = d x_i / d xi_j
+    return N, dN @ np.linalg.inv(J), N @ X, np.linalg.det(J)
+
+
+def _edge_ref(mesh, c, va, vb, t):
+    """Reference coordinates in cell c of the point (1 - t) x_va + t x_vb
+    on the edge of c that joins vertices va and vb."""
+    ids = [int(v) for v in mesh.cells[c]]
+    for e in range(4):
+        if {ids[e], ids[(e + 1) % 4]} == {va, vb}:
+            p, q = np.array(_CORNERS[e]), np.array(_CORNERS[(e + 1) % 4])
+            return (1 - t) * p + t * q if ids[e] == va else t * p + (1 - t) * q
+    raise ValueError(f"cell {c} has no edge {va}-{vb}")
+
+
+def facet_quadrature(mesh, facets, i, n_gauss=2):
+    """Gauss points of facet i of ``mesh.interior_facets`` or
+    ``mesh.boundary_facets``.
+
+    Yields (weight, t, point, traces): t in (0, 1) runs from v0 to v1, and
+    traces holds (N, dN/dn) of each adjacent cell, the plus cell first.
+    """
+    va, vb = int(facets["v0"][i]), int(facets["v1"][i])
+    x0, x1 = mesh.vertices[va], mesh.vertices[vb]
+    cells = [int(facets[k][i]) for k in ("cell_plus", "cell_minus", "cell")
+             if k in facets]
+    for g, wg in zip(*np.polynomial.legendre.leggauss(n_gauss)):
+        t = 0.5 * (1 + g)
+        traces = []
+        for c in cells:
+            N, grad, _, _ = q1_at(mesh, c, *_edge_ref(mesh, c, va, vb, t))
+            traces.append((N, grad @ facets["normal"][i]))
+        yield 0.5 * wg * facets["length"][i], t, (1 - t) * x0 + t * x1, traces
+
+
+def interior_penalty_operators(mesh, nodes, spec, n_gauss=2):
+    """Dense K and B with n_gauss Gauss points per direction.
+
+    Rows are test functions, columns trial functions.  Interior facets carry
+    beta.n {u}[v] + |beta.n|/2 [u][v] and the symmetric interior-penalty
+    terms; on a boundary facet the trace is upwinded point by point (outflow
+    keeps u in K, inflow takes the boundary data into B) and the viscous
+    terms are Nitsche's.  B's columns are the boundary nodes at the facet
+    ends, whose traces are the linear hats 1 - t and t.
+    """
+    n, mu = nodes.n_nodes, spec.mu
+    K, B = np.zeros((n, n)), np.zeros((n, nodes.n_boundary))
+
+    def beta(p):
+        return np.array([float(v) for v in
+                         spec.beta(np.array(p[0]), np.array(p[1]))])
+
+    gauss = np.polynomial.legendre.leggauss(n_gauss)
+    for c in range(mesh.n_cells):
+        ids = np.ix_(4 * c + np.arange(4), 4 * c + np.arange(4))
+        for xi, wx in zip(*gauss):
+            for eta, wy in zip(*gauss):
+                N, grad, p, det = q1_at(mesh, c, xi, eta)
+                K[ids] += wx * wy * det * (mu * grad @ grad.T
+                                           - np.outer(grad @ beta(p), N))
+
+    fi = mesh.interior_facets
+    for i in range(mesh.n_interior_facets):
+        ids = np.concatenate([4 * fi[k][i] + np.arange(4)
+                              for k in ("cell_plus", "cell_minus")])
+        pen = spec.c_ip * mu / fi["length"][i]
+        for w, _, p, ((Np, Dp), (Nm, Dm)) in facet_quadrature(mesh, fi, i,
+                                                              n_gauss):
+            bn = beta(p) @ fi["normal"][i]
+            jump = np.concatenate([Np, -Nm])
+            mean = 0.5 * np.concatenate([Np, Nm])
+            dmean = 0.5 * np.concatenate([Dp, Dm])
+            K[np.ix_(ids, ids)] += w * (
+                bn * np.outer(jump, mean) + 0.5 * abs(bn) * np.outer(jump, jump)
+                - mu * np.outer(jump, dmean) - mu * np.outer(dmean, jump)
+                + pen * np.outer(jump, jump))
+
+    fb = mesh.boundary_facets
+    for i in range(mesh.n_boundary_facets):
+        c = int(fb["cell"][i])
+        ids = 4 * c + np.arange(4)
+        local = [int(v) for v in mesh.cells[c]]
+        cols = [nodes.boundary_index[4 * c + local.index(int(fb[v][i]))]
+                for v in ("v0", "v1")]
+        pen = spec.c_ip * mu / fb["length"][i]
+        for w, t, p, ((N, D),) in facet_quadrature(mesh, fb, i, n_gauss):
+            bn = beta(p) @ fb["normal"][i]
+            K[np.ix_(ids, ids)] += w * (
+                max(bn, 0.0) * np.outer(N, N) - mu * np.outer(N, D)
+                - mu * np.outer(D, N) + pen * np.outer(N, N))
+            for col, hat in zip(cols, (1 - t, t)):
+                B[ids, col] += w * hat * (-min(bn, 0.0) * N - mu * D + pen * N)
+    return K, B

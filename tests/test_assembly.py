@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dgmono import (ProblemSpec, assemble_B, assemble_G, assemble_K,
+from dgmono import (Mesh, ProblemSpec, assemble_B, assemble_G, assemble_K,
                     assemble_M, build_dg_nodes, build_structured_quad,
                     classify_facets, interpolate_boundary)
 from dgmono.assembly import (basis_at_ref, dirichlet_boundary_nodes,
@@ -11,7 +11,10 @@ from dgmono.assembly import (basis_at_ref, dirichlet_boundary_nodes,
                              inverse_map)
 from dgmono.mesh import GAUSS2
 
+from .oracles import facet_quadrature, interior_penalty_operators
 from .test_mesh import perturbed_mesh
+
+SHEAR = np.array([[1.0, 0.3], [0.1, 0.9]])
 
 
 def unit_cell():
@@ -110,12 +113,11 @@ class TestStiffness:
                           [-2, -1, 4, -1], [-1, -2, -1, 4]]) / 6.0
         # remaining parts: stiffness minus the two boundary consistency terms
         # -mu (u, grad v . n) - mu (grad u . n, v); build them by quadrature
-        from dgmono.assembly import _facet_basis
         fb = mesh.boundary_facets
-        N, G, _ = _facet_basis(mesh, fb["cell"], fb["edge"], GAUSS2)
-        wq = 0.5 * fb["length"][:, None] * np.ones((1, 2))
-        Gn = np.einsum("fqkd,fd->fqk", G, fb["normal"])
-        cons = -np.einsum("fq,fqb,fqa->ab", wq, N, Gn)
+        cons = np.zeros((4, 4))
+        for i in range(mesh.n_boundary_facets):
+            for w, _, _, ((N, Gn),) in facet_quadrature(mesh, fb, i):
+                cons -= w * np.outer(Gn, N)
         expected = stiff + cons + cons.T
         assert np.allclose(K, expected, atol=1e-12)
 
@@ -133,10 +135,8 @@ class TestStiffness:
         # T(const) = 0: K c = B (c on the boundary) for constant states.
         # Sheared mesh: cells stay parallelograms, so the facet quadrature is
         # exact and the identity holds to rounding.
-        from dgmono import Mesh
         base = build_structured_quad(4, 3)
-        A = np.array([[1.0, 0.3], [0.1, 0.9]])
-        sheared = Mesh(base.vertices @ A.T, base.cells)
+        sheared = Mesh(base.vertices @ SHEAR.T, base.cells)
         cases = [(sheared,
                   lambda x, y: (0.7 * np.ones_like(x), 0.4 * np.ones_like(y))),
                  (build_structured_quad(5, 4),
@@ -152,6 +152,58 @@ class TestStiffness:
                     - B @ np.ones(nodes.n_boundary)
                 scale = np.abs(K.toarray()).sum(axis=1).max()
                 assert np.abs(resid).max() <= 1e-13 * scale
+
+
+def rotation(x, y):
+    """Solid-body rotation about (0.5, 0.5)."""
+    return 0.5 - y, x - 0.5
+
+
+class TestArbitraryMeshOracle:
+    """K and B against the scalar oracle on non-uniform meshes."""
+
+    @staticmethod
+    def operators(mesh, beta, mu):
+        nodes = build_dg_nodes(mesh)
+        spec = ProblemSpec(beta=beta, mu=mu)
+        return (assemble_K(mesh, nodes, spec).toarray(),
+                assemble_B(mesh, nodes, spec).toarray(),
+                *interior_penalty_operators(mesh, nodes, spec))
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3])
+    def test_jittered_mesh_rotation(self, mu):
+        # beta.n changes sign on the boundary where x or y is 0.5, at
+        # boundary vertices, so every boundary facet is single-signed;
+        # inside, it changes sign within some facets
+        mesh = perturbed_mesh(6, 4, scale=0.2, seed=11)
+        fi = mesh.interior_facets
+        bn = [np.einsum("df,fd->f", rotation(*mesh.vertices[fi[v]].T),
+                        fi["normal"]) for v in ("v0", "v1")]
+        assert np.any(bn[0] * bn[1] < 0.0)
+        K, B, K_ref, B_ref = self.operators(mesh, rotation, mu)
+        scale = np.abs(K_ref).max()
+        assert np.abs(K - K_ref).max() <= 1e-13 * scale
+        assert np.abs(B - B_ref).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3])
+    def test_sheared_mesh_quadrature_exact(self, mu):
+        # parallelograms and linear beta: the 2x2 cell and 2-point facet
+        # rules integrate K and B exactly, so 3 points change nothing
+        base = build_structured_quad(4, 3)
+        mesh = Mesh(base.vertices @ SHEAR.T, base.cells)
+        nodes = build_dg_nodes(mesh)
+
+        def beta(x, y):
+            return y + 0.2, -x - 0.1
+
+        K, B, K2, B2 = self.operators(mesh, beta, mu)
+        K3, B3 = interior_penalty_operators(
+            mesh, nodes, ProblemSpec(beta=beta, mu=mu), n_gauss=3)
+        scale = np.abs(K2).max()
+        assert np.abs(K3 - K2).max() <= 1e-13 * scale
+        assert np.abs(B3 - B2).max() <= 1e-13 * scale
+        assert np.abs(K - K2).max() <= 1e-13 * scale
+        assert np.abs(B - B2).max() <= 1e-13 * scale
 
 
 class TestBoundaryOperator:

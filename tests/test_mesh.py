@@ -73,6 +73,18 @@ class TestStructuredQuad:
         with pytest.raises(MeshError, match="convex"):
             Mesh(p, [[0, 1, 2, 3]])
 
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_vertex_id_out_of_range(self, bad):
+        verts = [[0.0, 0], [1, 0], [1, 1], [0, 1]]
+        with pytest.raises(MeshError, match=f"vertex id {bad} out of range"):
+            Mesh(verts, [[0, 1, 2, bad]])
+
+    def test_facet_run_in_same_direction_rejected(self):
+        # both cells lie above the edge 0 -> 1 and overlap
+        verts = [[0, 0], [1, 0], [1, 1], [0, 1], [1, .5], [0, .5]]
+        with pytest.raises(MeshError, match="same direction"):
+            Mesh(verts, [[0, 1, 2, 3], [0, 1, 4, 5]])
+
     def test_cells_row_major(self):
         nx, ny = 3, 2
         mesh = build_structured_quad(nx, ny)
@@ -387,6 +399,12 @@ class TestMeshIO:
         path = tmp_path / "bad.txt"
         path.write_text("# dgmono mesh v1\n4 1\n0 0\n1 0\n")
         with pytest.raises(MeshError):
+            load_mesh(path)
+
+    def test_vertex_id_out_of_range(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 9\n")
+        with pytest.raises(MeshError, match="vertex id 9 out of range"):
             load_mesh(path)
 
     @pytest.mark.parametrize("text", [
