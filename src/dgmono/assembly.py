@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import GAUSS2, GAUSS2_W, REF_CORNERS, classify_facets
+from .mesh import GAUSS2, GAUSS2_W, REF_CORNERS
 
 
 @dataclass
@@ -198,8 +198,9 @@ class _Coo:
         mat = sp.coo_matrix(
             (np.concatenate(self.vals),
              (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=shape)
-        return mat.tocsr()
+            shape=shape).tocsr()
+        mat.eliminate_zeros()  # store only the nonzeros
+        return mat
 
 
 def assemble_M(mesh, nodes):
@@ -226,13 +227,12 @@ def assemble_G(mesh, nodes, g):
     return vec.ravel()
 
 
-def assemble_K(mesh, nodes, spec, classification=None):
+def assemble_K(mesh, nodes, spec, inflow):
     """Convection-diffusion dG matrix: volume terms and the facet form.
 
+    ``inflow`` is the inflow mask of :func:`~dgmono.mesh.classify_facets`.
     When mu == 0 the viscous and penalty terms vanish.
     """
-    if classification is None:
-        classification = classify_facets(mesh, spec.beta)
     n = nodes.n_nodes
     mu = spec.mu
     coo = _Coo()
@@ -269,7 +269,7 @@ def assemble_K(mesh, nodes, spec, classification=None):
     fb = mesh.boundary_facets
     w, bn, ((N, D),) = _facet_traces(mesh, spec, fb,
                                      (fb["cell"], fb["edge"], GAUSS2))
-    out = classification.outflow_mask[:, None, None]
+    out = ~inflow[:, None, None]
     local = _facet_form(w, bn, N, D, N, D, N * out, mu,
                         spec.c_ip * mu / fb["length"])
     ids = _node_ids(fb["cell"])
@@ -277,19 +277,18 @@ def assemble_K(mesh, nodes, spec, classification=None):
     return coo.build((n, n))
 
 
-def assemble_B(mesh, nodes, spec, classification=None):
+def assemble_B(mesh, nodes, spec, inflow):
     """Weak boundary operator; columns indexed by boundary dG nodes.
 
+    ``inflow`` is the inflow mask of :func:`~dgmono.mesh.classify_facets`.
     For mu == 0 only the inflow convection term is kept.
     """
-    if classification is None:
-        classification = classify_facets(mesh, spec.beta)
     n = nodes.n_nodes
     nb = nodes.n_boundary
     mu = spec.mu
     fb = mesh.boundary_facets
     # with mu == 0 only inflow facets carry a term: store nothing elsewhere
-    f = classification.inflow_mask if mu == 0.0 else slice(None)
+    f = inflow if mu == 0.0 else slice(None)
     facets = {k: fb[k][f] for k in ("v0", "v1", "normal", "length")}
     cb, e = fb["cell"][f], fb["edge"][f]
     w, bn, ((N, D),) = _facet_traces(mesh, spec, facets, (cb, e, GAUSS2))
@@ -298,8 +297,8 @@ def assemble_B(mesh, nodes, spec, classification=None):
     # the form with -beta.n, [u] = ubar and no trial gradient
     cols = np.stack([e, (e + 1) % 4], axis=1)
     ubar = np.take_along_axis(N, cols[:, None, :], axis=2)
-    inflow = classification.inflow_mask[f][:, None, None]
-    local = _facet_form(w, -bn, N, D, ubar, 0.0, ubar * inflow, mu,
+    local = _facet_form(w, -bn, N, D, ubar, 0.0,
+                        ubar * inflow[f][:, None, None], mu,
                         spec.c_ip * mu / facets["length"])
     coo = _Coo()
     coo.add(_node_ids(cb)[:, :, None],
@@ -319,14 +318,12 @@ class BoundaryTrace:
     dirichlet: np.ndarray
 
 
-def dirichlet_boundary_nodes(mesh, nodes, spec, classification=None):
-    """Boundary nodes carrying Dirichlet data: all for mu>0, inflow otherwise."""
+def dirichlet_boundary_nodes(mesh, nodes, spec, inflow):
+    """Boundary nodes carrying Dirichlet data: all for mu>0, otherwise those
+    on the facets of the inflow mask ``inflow``."""
     if spec.mu > 0.0:
         return np.ones(nodes.n_boundary, dtype=bool)
-    if classification is None:
-        classification = classify_facets(mesh, spec.beta)
     fb = mesh.boundary_facets
-    inflow = classification.inflow_mask
     # duplicates at the same inflow vertex share the (single-valued) data
     return np.isin(nodes.node_vertex[nodes.boundary_nodes],
                    np.concatenate([fb["v0"][inflow], fb["v1"][inflow]]))

@@ -218,13 +218,10 @@ class PairTopology:
             self.cand_weights = weights[take]
             self.cand_nodes = 4 * cells[take, None] + np.arange(4)[None, :]
             self.cand_a = np.repeat(self.reg_a, counts)
-            # position of each candidate among the cells at a's vertex
-            self.cand_local = np.nonzero(sb.owner)[1][take]
         else:
             self.cand_weights = np.zeros((0, 4))
             self.cand_nodes = np.zeros((0, 4), dtype=np.int64)
             self.cand_a = np.zeros(0, dtype=np.int64)
-            self.cand_local = np.zeros(0, dtype=np.int64)
 
         # boundary index of the degenerate-pair owners (must be boundary nodes)
         if len(self.dg_a):
@@ -243,8 +240,23 @@ class PairTopology:
 
     @functools.cached_property
     def slots(self):
-        """The :class:`TermSlots` of the Jacobian, built on first use."""
-        return TermSlots(self)
+        """(fixed, cand): where the entries of :func:`_term_slopes` land in
+        the node pattern S, built on first use; each entry's row is its
+        term's node.
+
+        ``fixed`` holds the slots of the entries at fixed columns: pair legs
+        at (a, b) and (a, a) of every adjacency pair, symmetric legs at
+        (reg_a, reg_a) and extrapolated legs at (dg_a, dg_a) and (dg_a,
+        dg_b).  ``cand`` (n_cand, 4) holds, per candidate cell, the slots of
+        its four nodes in the row of its pair's a; the cell lies at a's
+        vertex, so the nodes are consecutive in that row.
+        """
+        S = self.nodes.pattern()
+        pa = self.nodes.adjacency_pairs()[0]
+        fixed = np.concatenate([S.pairs, S.diag[pa], S.diag[self.reg_a],
+                                S.diag[self.dg_a], S.pairs[self.dg_pair]])
+        first = S.slots(self.cand_a, self.cand_nodes[:, 0])
+        return fixed, first[:, None] + np.arange(4, dtype=np.int32)
 
 
 def build_pair_topology(nodes):
@@ -309,9 +321,9 @@ def _term_values(topo, u, trace, params, scales, s_sym):
 
 def _term_slopes(topo, u, trace, params, scales, choice, slope):
     """slope[t] d(term t)/du for every term t, in the entry layout of
-    :class:`TermSlots`: (fixed, sym), with ``sym`` the (n_reg, 4) symmetric
-    legs at the nodes of candidate ``choice[i]`` of regular pair i and
-    ``fixed`` every other entry.  Smoothed mode only."""
+    :attr:`PairTopology.slots`: (fixed, sym), with ``sym`` the (n_reg, 4)
+    symmetric legs at the nodes of candidate ``choice[i]`` of regular pair i
+    and ``fixed`` every other entry.  Smoothed mode only."""
     n_dg = len(topo.dg_a)
     sl_pair, sl_sym, sl_dgs = np.split(
         slope, np.cumsum([len(topo.pair_w), len(topo.reg_a)]))
@@ -339,26 +351,6 @@ def _term_slopes(topo, u, trace, params, scales, choice, slope):
         w_pair, -w_pair, -w_sym.sum(axis=1) * sl_sym,
         topo.dg_w * s_a * sl_dgs, topo.dg_w * s_b * sl_dgs])
     return fixed, w_sym * sl_sym[:, None]
-
-
-class TermSlots:
-    """Where the entries of :func:`_term_slopes` land in the node pattern S
-    (:class:`~dgmono.mesh.NodePattern`); each entry's row is its term's
-    node.
-
-    ``fixed`` holds the slots of the entries at fixed columns: pair legs
-    at (b, a) of every adjacency pair, symmetric legs at reg_a and
-    extrapolated legs at (dg_a, dg_b).  ``cand`` (n_cand, 4) holds, per
-    candidate cell of a regular pair, the slots of its four nodes; the
-    symmetric legs take the rows of the chosen candidates.
-    """
-
-    def __init__(self, topo):
-        S = topo.nodes.pattern()
-        pa = topo.nodes.adjacency_pairs()[0]
-        self.fixed = np.concatenate([S.pairs, S.diag[pa], S.diag[topo.reg_a],
-                                     S.diag[topo.dg_a], S.pairs[topo.dg_pair]])
-        self.cand = S.cell_slots(topo.cand_a, topo.cand_local)
 
 
 class _SmoothedBranch(NamedTuple):
@@ -489,9 +481,9 @@ class DetectorPass:
                               choice)
         fixed, sym = _term_slopes(topo, self.u, self.trace, params, scales,
                                   choice, slope)
-        S, slots = self.nodes.pattern(), topo.slots
-        data = np.bincount(slots.fixed, weights=fixed, minlength=S.nnz)
-        data += np.bincount(slots.cand[choice].ravel(), weights=sym.ravel(),
+        S, (fixed_slots, cand_slots) = self.nodes.pattern(), topo.slots
+        data = np.bincount(fixed_slots, weights=fixed, minlength=S.nnz)
+        data += np.bincount(cand_slots[choice].ravel(), weights=sym.ravel(),
                             minlength=S.nnz)
         return S.matrix(data)
 

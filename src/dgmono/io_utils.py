@@ -55,7 +55,14 @@ def read_field_csv(path):
             cells.append(int(row["cell"]))
             locals_.append(int(row["local"]))
             vals.append(float(row["value"]))
-    ids = 4 * np.asarray(cells, dtype=np.int64) + np.asarray(locals_)
+    cells = np.asarray(cells, dtype=np.int64)
+    locals_ = np.asarray(locals_, dtype=np.int64)
+    bad = (cells < 0) | (locals_ < 0) | (locals_ > 3)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"{path}: no dG node (cell {cells[i]}, local "
+                         f"{locals_[i]}); cell must be >= 0 and local 0..3")
+    ids = 4 * cells + locals_
     if not np.array_equal(np.sort(ids), np.arange(len(ids))):
         raise ValueError(f"{path} does not list each node id "
                          f"0..{len(ids) - 1} exactly once")

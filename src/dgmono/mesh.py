@@ -166,24 +166,14 @@ def build_structured_quad(nx, ny, domain=((0.0, 1.0), (0.0, 1.0))):
     return Mesh(vertices, cells)
 
 
-@dataclass
-class FacetClassification:
-    """Boundary facet split by the sign of beta . n at facet Gauss points."""
-
-    inflow_mask: np.ndarray  # over mesh.boundary_facets
-
-    @property
-    def outflow_mask(self):
-        return ~self.inflow_mask
-
-
 # 2-point Gauss rule on [-1, 1]
 GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 GAUSS2_W = np.array([1.0, 1.0])
 
 
 def classify_facets(mesh, velocity):
-    """Split boundary facets into inflow (beta.n < 0) and outflow sets.
+    """The inflow mask over ``mesh.boundary_facets``: True where beta.n < 0
+    on the facet, False on outflow facets.
 
     Raises MeshError when beta.n changes sign within a single facet, i.e.
     the mesh is not conforming with the inflow/outflow boundaries.
@@ -201,7 +191,7 @@ def classify_facets(mesh, velocity):
         raise MeshError(
             f"{mixed.sum()} boundary facet(s) with mixed beta.n sign; "
             "mesh not conforming with the inflow/outflow boundaries")
-    return FacetClassification(inflow_mask=neg.all(axis=1))
+    return neg.all(axis=1)
 
 
 class DgNodeSet:
@@ -270,8 +260,8 @@ class DgNodeSet:
         """
         if self._pairs is None:
             S = self.pattern()
-            rows = np.repeat(np.arange(self.n_nodes), np.diff(S.indptr))
-            self._pairs = rows[S.pairs], S.indices[S.pairs].astype(np.int64)
+            self._pairs = (S.rows[S.pairs].astype(np.int64),
+                           S.indices[S.pairs].astype(np.int64))
         return self._pairs
 
     def pair_topology(self):
@@ -295,9 +285,10 @@ class NodePattern:
     included, in ascending order: S is the structure of N (V V^T) N^T, with
     N the node-vertex and V the vertex-cell incidence, built by one sparse
     product.  ``indptr`` and ``indices`` are int32, canonical and shared by
-    every matrix stored in S (:meth:`matrix`).  The slot maps, int32, are
-    ``pairs`` for the off-diagonal entries in CSR order, which is the order
-    of :meth:`DgNodeSet.adjacency_pairs`, and ``diag`` for the diagonal.
+    every matrix stored in S (:meth:`matrix`); ``rows``, int32, is the row
+    of each slot.  The slot maps, int32, are ``pairs`` for the off-diagonal entries
+    in CSR order, which is the order of :meth:`DgNodeSet.adjacency_pairs`,
+    and ``diag`` for the diagonal; :meth:`slots` finds any other entry.
     """
 
     def __init__(self, nodes: DgNodeSet):
@@ -316,39 +307,26 @@ class NodePattern:
         self.indices = S.indices.astype(np.int32)
         # shared by every matrix in S: an in-place edit of one must fail
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        on_diag = np.repeat(np.arange(n), np.diff(self.indptr)) == self.indices
+        self.rows = np.repeat(np.arange(n, dtype=np.int32),
+                              np.diff(self.indptr))
+        on_diag = self.rows == self.indices
         self.pairs = np.flatnonzero(~on_diag).astype(np.int32)
         self.diag = np.flatnonzero(on_diag).astype(np.int32)
-        self._nodes = nodes
 
-    def transpose(self, slots):
-        """The slots of (b, a) for the slots of entries (a, b)."""
-        t = sp.csr_matrix((np.arange(self.nnz, dtype=np.int32), self.indices,
-                           self.indptr), shape=self.shape).tocsc().data
-        return t[slots]
-
-    def cell_slots(self, a, local):
-        """(len(a), 4) slots in S of (a[i], the four nodes of the cell at
-        position local[i] among the cells at the vertex of a[i])."""
-        nodes, n = self._nodes, self.shape[0]
-        # per (vertex v, cell j at v): the ranks of the cell's four nodes in
-        # the row of its own node at v, which has v's columns; row-major
-        # keys of S ascend, so one search finds them
-        vc = nodes.vertex_cells_padded
-        v_of, j_of = np.nonzero(vc >= 0)
-        own = nodes.vn_ids[nodes.vn_ptr[v_of] + j_of]
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        found = np.searchsorted(rows * n + self.indices,
-                                (own * n + 4 * vc[v_of, j_of])[:, None]
-                                + np.arange(4))
-        cell_rank = np.zeros((vc.size, 4), dtype=np.int32)
-        cell_rank[v_of * vc.shape[1] + j_of] = (found
-                                                - self.indptr[own][:, None])
-
-        slots = cell_rank.take(nodes.node_vertex[a] * vc.shape[1] + local,
-                               axis=0)
-        slots += self.indptr[a][:, None]
-        return slots
+    def slots(self, rows, cols):
+        """The slots in S of the entries (rows[i], cols[i]); ValueError for
+        an entry outside S.  scipy's row-local search reads them off the
+        matrix of slot numbers + 1, where 0 means "not in S"."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if rows.size == 0:  # scipy returns a sparse matrix for no entries
+            return np.zeros(0, dtype=np.int32)
+        number = self.matrix(np.arange(1, self.nnz + 1, dtype=np.int32))
+        found = np.asarray(number[rows, cols]).ravel() - 1
+        if found.min() < 0:
+            i = np.argmin(found)
+            raise ValueError(f"entry ({rows[i]}, {cols[i]}) is not in the "
+                             "node pattern")
+        return found
 
     def matrix(self, data):
         """The CSR matrix with values ``data`` (one per slot) in S."""

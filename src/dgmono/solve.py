@@ -36,6 +36,12 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if not (0.0 < self.omega <= 1.0):
             raise ValueError("omega must be in (0, 1]")
+        if not (0.0 < self.rho < 1.0):
+            raise ValueError("rho must be in (0, 1)")
+        if not (0.0 < self.c1 < 0.5):
+            raise ValueError("c1 must be in (0, 0.5)")
+        if self.max_backtracks < 1 or self.stall_window < 0:
+            raise ValueError("need max_backtracks >= 1 and stall_window >= 0")
 
 
 @dataclass

@@ -44,14 +44,13 @@ class PairTables:
     ``pair_a`` < ``pair_b`` are the unordered adjacent node pairs in the
     CSR order of S, and ``ab`` and ``ba`` the slots of (pair_a, pair_b) and
     (pair_b, pair_a) in S.  ``bpair_a`` and ``bpair_col`` are the (row,
-    boundary column) pairs: every a in N(bn) for each boundary node bn, bn
-    itself included.  K_tilde, M_tilde and the Picard matrix are stored in S
-    with one data array each: ``K`` and ``M`` (on first use, so steady
-    problems skip it) are the data of K and M in S.  B_tilde is stored in
-    the union of B's pattern and the boundary pairs (``b_indptr``,
-    ``b_indices``), with ``B`` the data of B there and ``b_slots`` the slots
-    of the boundary pairs.  ``K_ab``, ``K_ba`` and ``B_ab`` are read off
-    that data.
+    boundary column) pairs: S's entries in the columns of boundary nodes, in
+    S's CSR order, which is also B_tilde's (``b_indptr``, ``bpair_col``)
+    because boundary_index ascends with node id.  K_tilde, M_tilde and the
+    Picard matrix are stored in S with one data array each: ``K`` and ``M``
+    (on first use, so steady problems skip it) are the data of K and M in
+    S, and ``B`` is the data of B per boundary pair.  ``K_ab`` and ``K_ba``
+    are read off K's data.  Every stored entry of K, B and M must lie in S.
     """
 
     def __init__(self, nodes, K, B, M):
@@ -61,47 +60,32 @@ class PairTables:
         self.pair_a = pa[keep]
         self.pair_b = pb[keep]
         self.ab = S.pairs[keep]
-        self.ba = S.transpose(self.ab)
+        self.ba = S.slots(self.pair_b, self.pair_a)
         self.K = self._in_pattern(K)
         self.K_ab = self.K[self.ab]
         self.K_ba = self.K[self.ba]
         self._M = M
 
-        on_b = nodes.boundary_index[pa] >= 0
-        self.bpair_a = np.concatenate([pb[on_b], nodes.boundary_nodes])
-        self.bpair_col = np.concatenate(
-            [nodes.boundary_index[pa[on_b]],
-             nodes.boundary_index[nodes.boundary_nodes]])
-        # B: few entries (boundary rows and columns), so keys are enough
-        Bc = B.tocoo()
-        nb = B.shape[1]
-        b_key = self.bpair_a * nb + self.bpair_col
-        key = np.union1d(Bc.row * nb + Bc.col, b_key)
+        bk = np.flatnonzero(nodes.boundary_mask[S.indices])
+        self.bpair_a = S.rows[bk]
+        self.bpair_col = nodes.boundary_index[S.indices[bk]].astype(np.int32)
         self.b_shape = B.shape
         self.b_indptr = np.searchsorted(
-            key, np.arange(B.shape[0] + 1) * nb).astype(np.int32)
-        self.b_indices = (key % nb).astype(np.int32)
-        self.B = np.zeros(len(key))
-        self.B[np.searchsorted(key, Bc.row * nb + Bc.col)] = Bc.data
-        self.b_slots = np.searchsorted(key, b_key).astype(np.int32)
-        self.B_ab = self.B[self.b_slots]
+            self.bpair_a, np.arange(B.shape[0] + 1)).astype(np.int32)
+        Bc = B.tocoo()
+        self.B = np.zeros(len(bk))
+        self.B[np.searchsorted(bk, S.slots(
+            Bc.row, nodes.boundary_nodes[Bc.col]))] = Bc.data
 
     @cached_property
     def M(self):
         return self._in_pattern(self._M)
 
     def _in_pattern(self, A):
-        """The data of A in S.  Reading S's slot numbers through A's
-        nonzero pattern (one elementwise product, canonical CSR both) gives
-        the slot of each nonzero of A in A's order."""
-        A = A.tocsr(copy=True)
-        A.sum_duplicates()
-        slot = self.S.matrix(np.arange(1, self.S.nnz + 1)).multiply(A != 0)
-        nz = A.data[A.data != 0.0]
-        if slot.nnz != len(nz):  # assembly may store zeros outside S
-            raise ValueError("operator entry outside the node pattern")
+        """The data of A in S, by the slots of A's stored entries."""
+        A = A.tocoo()
         data = np.zeros(self.S.nnz)
-        data[slot.data - 1] = nz
+        data[self.S.slots(A.row, A.col)] = A.data
         return data
 
 
@@ -113,7 +97,7 @@ def build_viscosity(tables: PairTables, alpha, params, scales, n_nodes):
     xa = alpha[tables.pair_a] * tables.K_ab
     xb = alpha[tables.pair_b] * tables.K_ba
     nu = np.maximum(np.maximum(xa, 0.0), xb)
-    xd = -alpha[tables.bpair_a] * tables.B_ab
+    xd = -alpha[tables.bpair_a] * tables.B
     nu_b = np.maximum(xd, 0.0)
     if not params.enabled:
         nu, nu_b = np.zeros_like(nu), np.zeros_like(nu_b)
@@ -141,8 +125,8 @@ def viscosity_slopes(tables: PairTables, alpha, scales):
     inner = ssgn(xa - xb, s)
     d_a = outer * 0.5 * (1.0 + inner) * tables.K_ab
     d_b = outer * 0.5 * (1.0 - inner) * tables.K_ba
-    xd = -alpha[tables.bpair_a] * tables.B_ab
-    d_bd = -0.5 * (1.0 + ssgn(xd, s)) * tables.B_ab
+    xd = -alpha[tables.bpair_a] * tables.B
+    d_bd = -0.5 * (1.0 + ssgn(xd, s)) * tables.B
     return d_a, d_b, d_bd
 
 
@@ -156,10 +140,8 @@ def build_stabilized(tables: PairTables, visc: GraphViscosity):
     kt[t.ab] -= visc.nu
     kt[t.ba] -= visc.nu
     kt[t.S.diag] += visc.diag
-    bt = t.B.copy()
-    bt[t.b_slots] += visc.nu_boundary
-    Bt = sp.csr_matrix((bt, t.b_indices.copy(), t.b_indptr.copy()),
-                       shape=t.b_shape)
+    Bt = sp.csr_matrix((t.B + visc.nu_boundary, t.bpair_col.copy(),
+                        t.b_indptr.copy()), shape=t.b_shape)
     Bt.eliminate_zeros()
     return t.S.matrix(kt), Bt
 
@@ -357,16 +339,16 @@ class StabilizedProblem:
         self.nodes = nodes
         self.spec = spec
         self.params = params
-        self.classification = classify_facets(mesh, spec.beta)
-        self.K = assemble_K(mesh, nodes, spec, self.classification)
-        self.B = assemble_B(mesh, nodes, spec, self.classification)
+        inflow = classify_facets(mesh, spec.beta)
+        self.K = assemble_K(mesh, nodes, spec, inflow)
+        self.B = assemble_B(mesh, nodes, spec, inflow)
         self.M = assemble_M(mesh, nodes)
         self.G = assemble_G(mesh, nodes, spec.g)
         self.beta_norm = spec.beta_max(mesh)
         self.scales = params.derived(mesh.h, self.beta_norm)
         self.tables = PairTables(nodes, self.K, self.B, self.M)
-        self.dirichlet_mask = dirichlet_boundary_nodes(
-            mesh, nodes, spec, self.classification)
+        self.dirichlet_mask = dirichlet_boundary_nodes(mesh, nodes, spec,
+                                                       inflow)
         self.trace = None
         if spec.ubar is not None:
             self.trace = interpolate_boundary(nodes, spec.ubar,

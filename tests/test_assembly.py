@@ -93,7 +93,8 @@ class TestStiffness:
         # plus the known volume entries recovered by subtracting them.
         mesh, nodes = unit_cell()
         spec = ProblemSpec(beta=lambda x, y: (0.0, 0.0), mu=1.0)
-        K = assemble_K(mesh, nodes, spec).toarray()
+        inflow = classify_facets(mesh, spec.beta)
+        K = assemble_K(mesh, nodes, spec, inflow).toarray()
         assert np.allclose(K, K.T, atol=1e-14)
         # constants lie in the kernel of the volume+consistency part but are
         # seen by the penalty: K @ 1 equals the penalty row sums
@@ -108,7 +109,8 @@ class TestStiffness:
         # subtracting the remaining consistency terms via known kernel action
         mesh, nodes = unit_cell()
         spec = ProblemSpec(beta=lambda x, y: (0.0, 0.0), mu=1.0, c_ip=1e-14)
-        K = assemble_K(mesh, nodes, spec).toarray()
+        inflow = classify_facets(mesh, spec.beta)
+        K = assemble_K(mesh, nodes, spec, inflow).toarray()
         stiff = np.array([[4, -1, -2, -1], [-1, 4, -1, -2],
                           [-2, -1, 4, -1], [-1, -2, -1, 4]]) / 6.0
         # remaining parts: stiffness minus the two boundary consistency terms
@@ -127,9 +129,25 @@ class TestStiffness:
         beta = (np.cos(0.3), np.sin(0.3))
         spec0 = ProblemSpec(beta=lambda x, y: beta, mu=0.0)
         spec1 = ProblemSpec(beta=lambda x, y: beta, mu=0.0, c_ip=1e6)
-        K0 = assemble_K(mesh, nodes, spec0)
-        K1 = assemble_K(mesh, nodes, spec1)
+        inflow = classify_facets(mesh, spec0.beta)
+        K0 = assemble_K(mesh, nodes, spec0, inflow)
+        K1 = assemble_K(mesh, nodes, spec1, inflow)
         assert (K0 - K1).nnz == 0  # c_ip irrelevant when mu = 0
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3])
+    def test_operators_store_only_nonzeros(self, mu):
+        # the off-edge nodes of the two cells of an interior facet meet in
+        # exact zeros of K, more of them with mu = 0; none is stored
+        mesh = perturbed_mesh(4, 4, scale=0.2, seed=2)
+        nodes = build_dg_nodes(mesh)
+        spec = ProblemSpec(beta=rotation, mu=mu)
+        inflow = classify_facets(mesh, spec.beta)
+        for A in (assemble_K(mesh, nodes, spec, inflow),
+                  assemble_B(mesh, nodes, spec, inflow),
+                  assemble_M(mesh, nodes)):
+            assert A.has_canonical_format
+            assert np.all(A.data != 0.0)
+            assert A.nnz == np.count_nonzero(A.toarray())
 
     def test_row_sum_identity_unstabilized(self):
         # T(const) = 0: K c = B (c on the boundary) for constant states.
@@ -145,9 +163,9 @@ class TestStiffness:
             for mu in (0.0, 1e-3, 1.0):
                 nodes = build_dg_nodes(mesh)
                 spec = ProblemSpec(beta=beta, mu=mu)
-                cls = classify_facets(mesh, spec.beta)
-                K = assemble_K(mesh, nodes, spec, cls)
-                B = assemble_B(mesh, nodes, spec, cls)
+                inflow = classify_facets(mesh, spec.beta)
+                K = assemble_K(mesh, nodes, spec, inflow)
+                B = assemble_B(mesh, nodes, spec, inflow)
                 resid = K @ np.ones(nodes.n_nodes) \
                     - B @ np.ones(nodes.n_boundary)
                 scale = np.abs(K.toarray()).sum(axis=1).max()
@@ -166,8 +184,9 @@ class TestArbitraryMeshOracle:
     def operators(mesh, beta, mu):
         nodes = build_dg_nodes(mesh)
         spec = ProblemSpec(beta=beta, mu=mu)
-        return (assemble_K(mesh, nodes, spec).toarray(),
-                assemble_B(mesh, nodes, spec).toarray(),
+        inflow = classify_facets(mesh, spec.beta)
+        return (assemble_K(mesh, nodes, spec, inflow).toarray(),
+                assemble_B(mesh, nodes, spec, inflow).toarray(),
                 *interior_penalty_operators(mesh, nodes, spec))
 
     @pytest.mark.parametrize("mu", [0.0, 1e-3])
@@ -211,7 +230,7 @@ class TestBoundaryOperator:
         mesh = build_structured_quad(4, 4)
         nodes = build_dg_nodes(mesh)
         spec = ProblemSpec(beta=lambda x, y: (1.0, 0.0), mu=0.0)
-        B = assemble_B(mesh, nodes, spec)
+        B = assemble_B(mesh, nodes, spec, classify_facets(mesh, spec.beta))
         assert B.shape == (nodes.n_nodes, nodes.n_boundary)
         # inflow is x=0: columns at x>0 nodes are empty
         col_x = nodes.coords[nodes.boundary_nodes, 0]
@@ -223,7 +242,8 @@ class TestBoundaryOperator:
         # B_ab = -int_F beta.n phi_a phi_b = + mass of the 1D edge
         mesh, nodes = unit_cell()
         spec = ProblemSpec(beta=lambda x, y: (1.0, 0.0), mu=0.0)
-        B = assemble_B(mesh, nodes, spec).toarray()
+        inflow = classify_facets(mesh, spec.beta)
+        B = assemble_B(mesh, nodes, spec, inflow).toarray()
         edge_mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
         bidx = nodes.boundary_index
         cols = [bidx[3], bidx[0]]  # edge 3 runs corner 3 -> corner 0
@@ -235,8 +255,9 @@ class TestBoundaryOperator:
         nodes = build_dg_nodes(mesh)
         visc = ProblemSpec(beta=lambda x, y: (1.0, 0.0), mu=1e-4)
         pure = ProblemSpec(beta=lambda x, y: (1.0, 0.0), mu=0.0)
-        assert dirichlet_boundary_nodes(mesh, nodes, visc).all()
-        mask = dirichlet_boundary_nodes(mesh, nodes, pure)
+        inflow = classify_facets(mesh, pure.beta)
+        assert dirichlet_boundary_nodes(mesh, nodes, visc, inflow).all()
+        mask = dirichlet_boundary_nodes(mesh, nodes, pure, inflow)
         xs = nodes.coords[nodes.boundary_nodes, 0]
         assert np.array_equal(mask, xs < 1e-12)
 

@@ -36,6 +36,22 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match="exactly once"):
             io_utils.read_field_csv(path)
 
+    @pytest.mark.parametrize("cell, local", [(0, 4), (1, -1), (-1, 4),
+                                             (-1, 7)])
+    def test_node_must_exist(self, tmp_path, cell, local):
+        # the row of node 4 cell + local names a node that does not exist,
+        # while the ids 4 cell + local still list each node once
+        nodes = build_dg_nodes(build_structured_quad(2, 1))
+        path = tmp_path / "field.csv"
+        io_utils.write_field_csv(nodes, np.arange(8.0), path)
+        lines = path.read_text().splitlines()
+        row = 1 + 4 * cell + local
+        x, y, _, _, value = lines[row].split(",")
+        lines[row] = ",".join([x, y, str(cell), str(local), value])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="no dG node"):
+            io_utils.read_field_csv(path)
+
 
 class TestOperatorIO:
     def test_round_trip(self, tmp_path):

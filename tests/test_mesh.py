@@ -168,13 +168,13 @@ class TestFacets:
 class TestClassifyFacets:
     def test_rotation_inflow_sides(self):
         mesh = build_structured_quad(4, 4)
-        cls = classify_facets(mesh, lambda x, y: (y, -x))
+        inflow = classify_facets(mesh, lambda x, y: (y, -x))
         fb = mesh.boundary_facets
         mid = 0.5 * (mesh.vertices[fb["v0"]] + mesh.vertices[fb["v1"]])
         # beta=(y,-x): inflow at x=0 and y=1, outflow at x=1 and y=0
-        assert np.array_equal(cls.inflow_mask,
+        assert inflow.dtype == bool
+        assert np.array_equal(inflow,
                               (mid[:, 0] < 1e-12) | (mid[:, 1] > 1 - 1e-12))
-        assert np.array_equal(cls.outflow_mask, ~cls.inflow_mask)
 
     def test_mixed_sign_facet_rejected(self):
         mesh = build_structured_quad(2, 2)
@@ -267,16 +267,52 @@ class TestNodePattern:
         assert np.array_equal(S.indices[S.pairs], pb)
         assert np.array_equal(rows[S.diag], np.arange(n))
         assert np.array_equal(S.indices[S.diag], np.arange(n))
-        t = S.transpose(np.arange(S.nnz))
-        assert np.array_equal(rows[t], S.indices)
-        assert np.array_equal(S.indices[t], rows)
-        # the four nodes of every cell at a node's vertex
+        assert np.array_equal(S.rows, rows)
+
+    @pytest.mark.parametrize("mesh", PATTERN_MESHES,
+                             ids=["uniform", "jittered", "valence3"])
+    def test_slots_match_dict_oracle(self, mesh):
+        nodes = build_dg_nodes(mesh)
+        S = nodes.pattern()
+        rows = np.repeat(np.arange(nodes.n_nodes), np.diff(S.indptr))
+        oracle = {(int(r), int(c)): k
+                  for k, (r, c) in enumerate(zip(rows, S.indices))}
+        assert np.array_equal(S.slots(rows, S.indices), np.arange(S.nnz))
+        # S is symmetric: every transposed entry is in it too
+        assert np.array_equal(S.slots(S.indices, rows),
+                              [oracle[int(c), int(r)]
+                               for r, c in zip(rows, S.indices)])
+        # the four nodes of every cell at a node's vertex are consecutive
+        # in the node's row (the detector's candidate slots rely on it)
         vc = nodes.vertex_cells_padded[nodes.node_vertex]
         a, local = np.nonzero(vc >= 0)
-        slots = S.cell_slots(a, local)
-        assert np.array_equal(rows[slots], np.repeat(a[:, None], 4, axis=1))
-        assert np.array_equal(S.indices[slots],
-                              4 * vc[a, local, None] + np.arange(4))
+        cell_nodes = 4 * vc[a, local, None] + np.arange(4)
+        first = S.slots(a, cell_nodes[:, 0])
+        assert np.array_equal(first[:, None] + np.arange(4),
+                              [[oracle[int(r), int(c)] for c in cn]
+                               for r, cn in zip(a, cell_nodes)])
+
+    @pytest.mark.parametrize("mesh", PATTERN_MESHES,
+                             ids=["uniform", "jittered", "valence3"])
+    def test_slots_outside_pattern_raise(self, mesh):
+        nodes = build_dg_nodes(mesh)
+        S = nodes.pattern()
+        r, c = np.argwhere(S.matrix(np.ones(S.nnz)).toarray() == 0)[-1]
+        with pytest.raises(ValueError, match="not in the node pattern"):
+            S.slots([r], [c])
+        # one entry outside S among entries inside it
+        with pytest.raises(ValueError, match=f"entry \\({r}, {c}\\)"):
+            S.slots([0, r, 0], [0, c, 1])
+
+    @pytest.mark.parametrize("mesh", PATTERN_MESHES,
+                             ids=["uniform", "jittered", "valence3"])
+    def test_slots_of_no_entries(self, mesh):
+        S = build_dg_nodes(mesh).pattern()
+        for empty in ([], np.zeros(0, dtype=np.int64)):
+            got = S.slots(empty, empty)
+            assert isinstance(got, np.ndarray)
+            assert got.shape == (0,)
+            assert np.issubdtype(got.dtype, np.integer)
 
     @pytest.mark.parametrize("mesh", PATTERN_MESHES,
                              ids=["uniform", "jittered", "valence3"])

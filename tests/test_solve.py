@@ -26,6 +26,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(omega=0.0)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("rho", 0.0, "rho"), ("rho", 1.0, "rho"), ("rho", -0.5, "rho"),
+        ("c1", 0.0, "c1"), ("c1", 0.5, "c1"), ("c1", -1e-4, "c1"),
+        ("max_backtracks", 0, "max_backtracks"),
+        ("stall_window", -1, "stall_window")])
+    def test_line_search_validation(self, field, value, match):
+        # rho = 0 makes the second trial lambda = 0, accepted with no
+        # progress; max_backtracks = 0 makes every Newton step a fallback
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**{field: value})
+
+    def test_line_search_limits_accepted(self):
+        cfg = SolverConfig(rho=0.99, c1=0.49, max_backtracks=1,
+                           stall_window=0)
+        assert (cfg.rho, cfg.c1, cfg.max_backtracks, cfg.stall_window) == \
+            (0.99, 0.49, 1, 0)
+
     def test_loop_validation(self):
         with pytest.raises(ValueError):
             TimeLoopConfig(theta=1.5)

@@ -9,8 +9,9 @@ from dgmono import (Mesh, ProblemSpec, StabilizationParams, audit_dmp,
                     cfl_bound, solve)
 from dgmono.assembly import interpolate_boundary
 from dgmono.detector import _branch_slope, _first_attaining, _term_slopes
-from dgmono.stabilization import (StabilizedProblem, mass_blend,
-                                  viscosity_slopes)
+from dgmono.stabilization import (GraphViscosity, PairTables,
+                                  StabilizedProblem, build_stabilized,
+                                  mass_blend, viscosity_slopes)
 
 from .oracles import lumped_mass_apply
 from .test_mesh import VALENCE3_CELLS, VALENCE3_VERTICES, perturbed_mesh
@@ -58,7 +59,33 @@ class TestPairTables:
         assert set(zip(t.bpair_a.tolist(), t.bpair_col.tolist())) == ref
         B = prob.B
         for i, (a, col) in enumerate(zip(t.bpair_a, t.bpair_col)):
-            assert t.B_ab[i] == B[a, col]
+            assert t.B[i] == B[a, col]
+        # exactly S's entries in boundary columns, in S's CSR order
+        S = nodes.pattern()
+        rows = np.repeat(np.arange(nodes.n_nodes), np.diff(S.indptr))
+        k = nodes.boundary_index[S.indices] >= 0
+        assert np.array_equal(t.bpair_a, rows[k])
+        assert np.array_equal(t.bpair_col, nodes.boundary_index[S.indices[k]])
+        # B_tilde at nu = 0 stores B's nonzeros in that order
+        zero = GraphViscosity(np.zeros(len(t.pair_a)),
+                              np.zeros(len(t.bpair_a)),
+                              np.zeros(nodes.n_nodes))
+        Bt = build_stabilized(t, zero)[1].tocoo()
+        nz = t.B != 0.0
+        assert nz.any()
+        assert np.array_equal(Bt.row, t.bpair_a[nz])
+        assert np.array_equal(Bt.col, t.bpair_col[nz])
+        assert np.array_equal(Bt.data, t.B[nz])
+
+
+    def test_operator_entry_outside_pattern_raises(self, prob):
+        nodes = prob.nodes
+        S = nodes.pattern()
+        r, c = np.argwhere(S.matrix(np.ones(S.nnz)).toarray() == 0)[0]
+        K = prob.K.tolil()
+        K[r, c] = 1.0
+        with pytest.raises(ValueError, match="not in the node pattern"):
+            PairTables(nodes, K.tocsr(), prob.B, prob.M)
 
 
 class TestViscosity:
@@ -73,7 +100,7 @@ class TestViscosity:
                                     np.zeros(len(t.pair_a)),
                                     al[t.pair_b] * t.K_ba])
         assert np.array_equal(visc.nu, nu_ref)
-        nub_ref = np.maximum(-al[t.bpair_a] * t.B_ab, 0.0)
+        nub_ref = np.maximum(-al[t.bpair_a] * t.B, 0.0)
         assert np.array_equal(visc.nu_boundary, nub_ref)
 
     def test_smoothed_dominates_raw(self):
