@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import GAUSS2, GAUSS2_W, REF_CORNERS
+from .mesh import GAUSS2, GAUSS2_W, REF_CORNERS, beta_at
 
 
 @dataclass
@@ -34,8 +34,6 @@ class ProblemSpec:
 
     ``beta`` must be divergence-free and evaluable on coordinate arrays;
     ``ubar`` takes (x, y) arrays.  ``c_ip`` is the interior-penalty constant.
-    The stabilization scalings take their characteristic length from
-    ``StabilizationParams.L``.
     """
 
     beta: Callable
@@ -53,11 +51,8 @@ class ProblemSpec:
 
     def beta_max(self, mesh):
         """L-infinity norm of |beta| over the cell quadrature points."""
-        pts = cell_quad_points(mesh)
-        bx, by = self.beta(pts[..., 0], pts[..., 1])
-        bx, by = np.broadcast_arrays(np.asarray(bx, dtype=float),
-                                     np.asarray(by, dtype=float))
-        return float(np.sqrt(bx**2 + by**2).max()) if bx.size else 0.0
+        bx, by = beta_at(self.beta, cell_quad_points(mesh))
+        return float(np.sqrt(bx**2 + by**2).max())
 
 
 # -- reference element --------------------------------------------------------
@@ -77,14 +72,19 @@ def basis_at_ref(xi):
     return N, grad
 
 
-_g = 1.0 / np.sqrt(3.0)
-CELL_QP = np.array([[-_g, -_g], [_g, -_g], [_g, _g], [-_g, _g]])
-CELL_QW = np.ones(4)
+_g, _r = 1.0 / np.sqrt(3.0), np.sqrt(0.6)
+# tensor Gauss rules on the reference square by order: (points, weights)
+CELL_RULES = {
+    2: (np.array([[-_g, -_g], [_g, -_g], [_g, _g], [-_g, _g]]), np.ones(4)),
+    3: (np.array([[x, y] for y in (-_r, 0.0, _r) for x in (-_r, 0.0, _r)]),
+        np.outer([5 / 9, 8 / 9, 5 / 9], [5 / 9, 8 / 9, 5 / 9]).ravel()),
+}
 
-CELL_QP3 = np.array([[x, y]
-                     for y in (-np.sqrt(0.6), 0.0, np.sqrt(0.6))
-                     for x in (-np.sqrt(0.6), 0.0, np.sqrt(0.6))])
-CELL_QW3 = np.outer([5 / 9, 8 / 9, 5 / 9], [5 / 9, 8 / 9, 5 / 9]).ravel()
+
+def _cell_rule(order):
+    if order not in CELL_RULES:
+        raise ValueError(f"unsupported quadrature order {order!r}")
+    return CELL_RULES[order]
 
 
 def _det_inv_2x2(J):
@@ -98,29 +98,21 @@ def _det_inv_2x2(J):
     return det, Jinv
 
 
-def _cell_geometry(mesh, ref_pts, ref_w):
-    """Physical gradients and weighted Jacobians at cell quadrature points."""
+def cell_quadrature(mesh, order=2):
+    """Shape values N, physical gradients gradN and weighted Jacobians w_det
+    at the points of the 2x2 (order=2) or 3x3 (order=3) Gauss rule."""
+    ref_pts, ref_w = _cell_rule(order)
     N, gradref = basis_at_ref(ref_pts)       # (nq,4), (nq,4,2)
     verts = mesh.vertices[mesh.cells]        # (nc,4,2)
     # J[c,q,i,j] = d x_i / d xi_j
     det, Jinv = _det_inv_2x2(np.einsum("ckd,qke->cqde", verts, gradref))
     gradN = np.einsum("qke,cqed->cqkd", gradref, Jinv)
-    w_det = ref_w[None, :] * det
-    return N, gradN, w_det
-
-
-def cell_quadrature(mesh, order=2):
-    """(N, gradN, w_det) for the 2x2 (order=2) or 3x3 (order=3) Gauss rule."""
-    if order == 2:
-        return _cell_geometry(mesh, CELL_QP, CELL_QW)
-    if order == 3:
-        return _cell_geometry(mesh, CELL_QP3, CELL_QW3)
-    raise ValueError("unsupported quadrature order")
+    return N, gradN, ref_w[None, :] * det
 
 
 def cell_quad_points(mesh, order=2):
-    ref = CELL_QP if order == 2 else CELL_QP3
-    N, _ = basis_at_ref(ref)
+    """Physical points (nc, nq, 2) of the Gauss rule of that order."""
+    N, _ = basis_at_ref(_cell_rule(order)[0])
     return np.einsum("qk,ckd->cqd", N, mesh.vertices[mesh.cells])
 
 
@@ -151,8 +143,8 @@ def _facet_traces(mesh, spec, facets, *sides):
         verts = mesh.vertices[mesh.cells[cells]]          # (nf,4,2)
         _, Jinv = _det_inv_2x2(np.einsum("fkd,fqke->fqde", verts, gradref))
         traces.append((N, np.einsum("fqke,fqed,fd->fqk", gradref, Jinv, nrm)))
-    bx, by = _beta_at(spec, mesh.facet_points(facets["v0"], facets["v1"],
-                                              GAUSS2))
+    bx, by = beta_at(spec.beta, mesh.facet_points(facets["v0"], facets["v1"],
+                                                  GAUSS2))
     w = 0.5 * facets["length"][:, None] * GAUSS2_W
     return w, bx * nrm[:, None, 0] + by * nrm[:, None, 1], traces
 
@@ -168,13 +160,6 @@ def _facet_form(w, bn, v, dv, u, du, u_up, mu, pen):
     coef = bn[..., None] * u_up + pen[:, None, None] * u - mu * du
     return (np.einsum("fq,fqa,fqb->fab", w, v, coef)
             - mu * np.einsum("fq,fqa,fqb->fab", w, dv, u))
-
-
-def _beta_at(spec, pts):
-    bx, by = spec.beta(pts[..., 0], pts[..., 1])
-    bx = np.broadcast_to(np.asarray(bx, dtype=float), pts.shape[:-1])
-    by = np.broadcast_to(np.asarray(by, dtype=float), pts.shape[:-1])
-    return bx, by
 
 
 def _node_ids(cells_idx):
@@ -193,8 +178,6 @@ class _Coo:
         self.vals.append(v.ravel())
 
     def build(self, shape):
-        if not self.rows:
-            return sp.csr_matrix(shape)
         mat = sp.coo_matrix(
             (np.concatenate(self.vals),
              (np.concatenate(self.rows), np.concatenate(self.cols))),
@@ -239,8 +222,7 @@ def assemble_K(mesh, nodes, spec, inflow):
 
     # volume terms
     N, gradN, w_det = cell_quadrature(mesh)
-    pts = cell_quad_points(mesh)
-    bx, by = _beta_at(spec, pts)
+    bx, by = beta_at(spec.beta, cell_quad_points(mesh))
     beta_dot_grad_a = bx[..., None] * gradN[..., 0] + by[..., None] * gradN[..., 1]
     local = -np.einsum("cq,qb,cqa->cab", w_det, N, beta_dot_grad_a)
     if mu > 0.0:
@@ -355,16 +337,11 @@ def inverse_map(mesh, cells_idx, points, tol=1e-13, max_iter=25):
     xi = np.zeros((len(points), 2))
     for _ in range(max_iter):
         N, gradref = basis_at_ref(xi)
-        x = np.einsum("mk,mkd->md", N, verts)
-        res = x - points
-        if np.abs(res).max() < tol * mesh.h:
+        res = np.einsum("mk,mkd->md", N, verts) - points
+        if np.abs(res).max(initial=0.0) < tol * mesh.h:
             break
-        J = np.einsum("mkd,mke->mde", verts, gradref)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        dxi0 = (J[:, 1, 1] * res[:, 0] - J[:, 0, 1] * res[:, 1]) / det
-        dxi1 = (-J[:, 1, 0] * res[:, 0] + J[:, 0, 0] * res[:, 1]) / det
-        xi[:, 0] -= dxi0
-        xi[:, 1] -= dxi1
+        _, Jinv = _det_inv_2x2(np.einsum("mkd,mke->mde", verts, gradref))
+        xi -= np.einsum("mde,me->md", Jinv, res)
     return xi
 
 

@@ -6,18 +6,8 @@ import argparse
 import sys
 
 from . import io_utils
-from .harness import EXPERIMENTS, coerce, run_experiment
+from .harness import EXPERIMENTS, parse_options, run_experiment
 from .stabilization import audit_dmp
-
-
-def _parse_overrides(pairs):
-    options = {}
-    for item in pairs:
-        if "=" not in item:
-            raise SystemExit(f"override must be key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        options[key.strip()] = coerce(value)
-    return options
 
 
 def main(argv=None):
@@ -60,7 +50,7 @@ def main(argv=None):
 
     try:
         report = run_experiment(args.experiment,
-                                overrides=_parse_overrides(args.overrides),
+                                overrides=parse_options(args.overrides),
                                 config_path=args.config, outdir=args.outdir)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

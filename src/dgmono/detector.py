@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import eval_in_cells
 from .mesh import DgNodeSet, symmetric_points_batch
 
 RATIO_SNAP = 1e-12  # raw ratios at or below this are treated as exact zeros
@@ -38,7 +39,8 @@ class StabilizationParams:
     the mesh-dependent values are produced by :meth:`derived`.  ``sigma_h``,
     ``tau_h``, ``gamma_h``, when given, bypass the mesh scaling and are used
     verbatim (the benchmark literature quotes such values directly).  ``Q``
-    is the mass-lumping exponent (``inf`` means: lump only where alpha == 1).
+    is the mass-lumping exponent; with alpha in [0, 1], ``inf`` lumps only
+    where alpha == 1, as the plain power alpha**inf does.
     """
 
     mode: str = "smoothed"
@@ -50,7 +52,6 @@ class StabilizationParams:
     sigma_h: Optional[float] = None
     tau_h: Optional[float] = None
     gamma_h: Optional[float] = None
-    L: float = 1.0
     enabled: bool = True
     boundary_extrapolation: bool = True
 
@@ -82,22 +83,19 @@ class StabilizationParams:
             val = getattr(self, name)
             if val is not None and val < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.L <= 0.0:
-            raise ValueError("characteristic length must be positive")
 
     def derived(self, h, beta_norm):
         """sigma_h, tau_h, gamma_h for mesh size h and velocity scale |beta|.
 
         Direct ``*_h`` overrides, when set, take precedence over the
         dimensionless inputs and their mesh scaling."""
-        L = self.L
         return DerivedScales(
             sigma_h=(self.sigma_h if self.sigma_h is not None
-                     else self.sigma * beta_norm**2 * L**-2 * h**4),
+                     else self.sigma * beta_norm**2 * h**4),
             tau_h=(self.tau_h if self.tau_h is not None
-                   else self.tau * h**2 * L**-4),
+                   else self.tau * h**2),
             gamma_h=(self.gamma_h if self.gamma_h is not None
-                     else self.gamma / L),
+                     else self.gamma),
         )
 
 
@@ -208,35 +206,26 @@ class PairTopology:
         if np.any(counts == 0):
             raise RuntimeError("symmetric point with no owning cell")
         self.cand_ptr = np.concatenate([[0], np.cumsum(counts)])
-        if counts.sum():
-            from .assembly import eval_in_cells
-            cells = sb.cells[sb.owner]
-            pts = np.repeat(sb.point, v_counts, axis=0)
-            weights = np.clip(eval_in_cells(nodes.mesh, cells, pts), 0.0, 1.0)
-            take = (np.repeat(v_ptr[v_reg] - self.cand_ptr[:-1], counts)
-                    + np.arange(self.cand_ptr[-1]))
-            self.cand_weights = weights[take]
-            self.cand_nodes = 4 * cells[take, None] + np.arange(4)[None, :]
-            self.cand_a = np.repeat(self.reg_a, counts)
-        else:
-            self.cand_weights = np.zeros((0, 4))
-            self.cand_nodes = np.zeros((0, 4), dtype=np.int64)
-            self.cand_a = np.zeros(0, dtype=np.int64)
+        cells = sb.cells[sb.owner]
+        pts = np.repeat(sb.point, v_counts, axis=0)
+        weights = np.clip(eval_in_cells(nodes.mesh, cells, pts), 0.0, 1.0)
+        take = (np.repeat(v_ptr[v_reg] - self.cand_ptr[:-1], counts)
+                + np.arange(self.cand_ptr[-1]))
+        self.cand_weights = weights[take]
+        self.cand_nodes = 4 * cells[take, None] + np.arange(4)[None, :]
+        self.cand_a = np.repeat(self.reg_a, counts)
 
         # boundary index of the degenerate-pair owners (must be boundary nodes)
-        if len(self.dg_a):
-            self.dg_bidx = nodes.boundary_index[self.dg_a]
-            if np.any(self.dg_bidx < 0):
-                raise RuntimeError("degenerate pair at a non-boundary node")
-        else:
-            self.dg_bidx = np.zeros(0, dtype=np.int64)
+        self.dg_bidx = nodes.boundary_index[self.dg_a]
+        if np.any(self.dg_bidx < 0):
+            raise RuntimeError("degenerate pair at a non-boundary node")
 
         # fixed flat layout: [pair legs, symmetric legs, extrapolated legs]
         self.term_idx = np.concatenate([pa, self.reg_a, self.dg_a])
 
         # largest term weight; scales the rounding-noise floor of the detector
-        self.w_max = max((float(w.max()) for w in (self.pair_w, self.reg_ws)
-                          if len(w)), default=0.0)
+        self.w_max = float(max(self.pair_w.max(),
+                               self.reg_ws.max(initial=0.0)))
 
     @functools.cached_property
     def slots(self):
@@ -273,8 +262,6 @@ def _candidate_values(topo, u):
 
 def _symmetric_candidates(topo, cand):
     """Per regular pair: extreme candidate values over the owning cells."""
-    if len(topo.reg_a) == 0:
-        return np.zeros(0), np.zeros(0)
     s_hi = np.maximum.reduceat(cand, topo.cand_ptr[:-1])
     s_lo = np.minimum.reduceat(cand, topo.cand_ptr[:-1])
     return s_hi, s_lo
@@ -291,7 +278,7 @@ def _first_attaining(topo, cand, s):
 def _boundary_value(topo, u, trace):
     """ubar_a per degenerate pair; nodes without Dirichlet data use u_a."""
     uba = u[topo.dg_a].copy()
-    if trace is not None and len(topo.dg_a):
+    if trace is not None:
         has = trace.dirichlet[topo.dg_bidx]
         uba[has] = trace.values[topo.dg_bidx[has]]
     return uba
@@ -335,7 +322,7 @@ def _term_slopes(topo, u, trace, params, scales, choice, slope):
     d0 = _boundary_value(topo, u, trace) - ua
     db = u[topo.dg_b] - ua
     dd0 = np.zeros(n_dg)
-    if trace is not None and n_dg:
+    if trace is not None:
         dd0[trace.dirichlet[topo.dg_bidx]] = -1.0
     if params.boundary_extrapolation:
         x = d0 * db
@@ -402,10 +389,7 @@ def _raw_alpha(topo, vals, params, n, noise):
     # cancellation leaves rounding noise proportional to |u|, not to the
     # local variation; treat sums below that floor as exact zeros
     ratio[np.abs(num) <= noise] = 0.0
-    ratio = np.clip(ratio, 0.0, 1.0)
-    if np.isinf(params.q):
-        return (ratio >= 1.0).astype(float)
-    return ratio**params.q
+    return np.clip(ratio, 0.0, 1.0)**params.q
 
 
 class DetectorPass:
@@ -436,8 +420,9 @@ class DetectorPass:
         self.sides = [s_hi] if np.array_equal(s_hi, s_lo) else [s_hi, s_lo]
         if params.mode == "raw":
             u_scale = float(np.abs(u).max(initial=0.0))
-            if trace is not None and len(trace.values):
-                u_scale = max(u_scale, float(np.abs(trace.values).max()))
+            if trace is not None:
+                u_scale = max(u_scale,
+                              float(np.abs(trace.values).max(initial=0.0)))
             noise = 64.0 * np.finfo(float).eps * topo.w_max * u_scale
             alphas = [_raw_alpha(topo, self._terms(s), params, n, noise)
                       for s in self.sides]

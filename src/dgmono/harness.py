@@ -1,7 +1,8 @@
 """Experiment drivers reproducing the benchmark studies, plus configuration.
 
 Option precedence: command-line overrides > config file > case defaults.
-Config files are plain ``key = value`` lines; ``#`` starts a comment.
+Config files are plain ``key = value`` lines; ``#`` starts a comment.  Both
+are read by :func:`parse_options`.
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ import numpy as np
 
 from . import io_utils
 from .assembly import evaluate
-from .detector import StabilizationParams
 from .mesh import build_structured_quad, build_dg_nodes
 from .metrics import eoc_fit, eoc_pairs, l2_error, osc
 from .problems import get_case
-from .solve import SolverConfig, TimeLoopConfig, hybrid_newton, picard, run_transient
+from .solve import SolverConfig, TimeLoopConfig, run_transient, solver
 from .stabilization import StabilizedProblem
 
 PARAM_KEYS = ("mode", "q", "Q", "sigma", "tau", "gamma",
-              "sigma_h", "tau_h", "gamma_h", "L", "enabled",
+              "sigma_h", "tau_h", "gamma_h", "enabled",
               "boundary_extrapolation")
 SOLVER_KEYS = ("tol", "max_iter", "switch_tol", "omega", "rho", "c1",
                "max_backtracks")
@@ -42,18 +42,25 @@ def coerce(text):
     return s
 
 
-def load_config(path):
+def parse_options(lines):
+    """Options from ``key = value`` items, config-file lines or command-line
+    overrides alike: ``#`` starts a comment, blank items are skipped and
+    values are coerced; ValueError for an item without ``=``."""
     options = {}
-    with open(path) as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line (expected key=value): {line!r}")
-            key, value = line.split("=", 1)
-            options[key.strip()] = coerce(value)
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        options[key.strip()] = coerce(value)
     return options
+
+
+def load_config(path):
+    with open(path) as f:
+        return parse_options(f)
 
 
 def resolve_options(defaults, file_options=None, overrides=None):
@@ -77,12 +84,8 @@ def _split_options(options, keys):
 
 
 def _solve_steady(problem, solver_kw, method, bounds):
-    cfg = SolverConfig(**solver_kw)
-    if method == "hybrid":
-        return hybrid_newton(problem, cfg=cfg, bounds=bounds)
-    if method == "picard":
-        return picard(problem, cfg=cfg, bounds=bounds)
-    raise ValueError(f"unknown solver {method!r}")
+    return solver(method)(problem, cfg=SolverConfig(**solver_kw),
+                          bounds=bounds)
 
 
 def _problem(case, n):

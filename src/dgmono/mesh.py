@@ -171,6 +171,13 @@ GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 GAUSS2_W = np.array([1.0, 1.0])
 
 
+def beta_at(beta, pts):
+    """(beta_x, beta_y) of the velocity ``beta`` at points (..., 2), each
+    broadcast to pts.shape[:-1]: a component may be a constant."""
+    return tuple(np.broadcast_to(np.asarray(c, dtype=float), pts.shape[:-1])
+                 for c in beta(pts[..., 0], pts[..., 1]))
+
+
 def classify_facets(mesh, velocity):
     """The inflow mask over ``mesh.boundary_facets``: True where beta.n < 0
     on the facet, False on outflow facets.
@@ -180,8 +187,8 @@ def classify_facets(mesh, velocity):
     """
     bf = mesh.boundary_facets
     pts = mesh.facet_points(bf["v0"], bf["v1"], GAUSS2)  # (nbf, 2, 2)
-    beta = np.asarray(velocity(pts[..., 0], pts[..., 1]))
-    bn = beta[0] * bf["normal"][:, None, 0] + beta[1] * bf["normal"][:, None, 1]
+    bx, by = beta_at(velocity, pts)
+    bn = bx * bf["normal"][:, None, 0] + by * bf["normal"][:, None, 1]
     scale = max(np.abs(bn).max(), 1.0)
     tol = 1e-12 * scale
     neg = bn < -tol
@@ -211,19 +218,17 @@ class DgNodeSet:
         self.node_vertex = mesh.cells.ravel().copy()
         self.coords = mesh.vertices[self.node_vertex]
 
-        # vertex -> nodes at that vertex, CSR (ids ascending per vertex); the
-        # cells containing vertex v are node_cell[vn_ids[vn_ptr[v]:vn_ptr[v + 1]]]
+        # the cells at each vertex, in ascending node order: (n_vertices, k)
+        # support cells, -1 pads
         nv = mesh.n_vertices
-        self.vn_ids = np.argsort(self.node_vertex, kind="stable")
-        self.vn_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(self.node_vertex, minlength=nv))])
-        # the same table padded: (n_vertices, k) support cells, -1 pads
-        counts = np.diff(self.vn_ptr)
+        vn_ids = np.argsort(self.node_vertex, kind="stable")
+        counts = np.bincount(self.node_vertex, minlength=nv)
         self.vertex_cells_padded = np.full((nv, int(counts.max())), -1,
                                            dtype=np.int64)
-        col = np.arange(self.n_nodes) - np.repeat(self.vn_ptr[:-1], counts)
-        self.vertex_cells_padded[self.node_vertex[self.vn_ids], col] = \
-            self.node_cell[self.vn_ids]
+        col = np.arange(self.n_nodes) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+        self.vertex_cells_padded[self.node_vertex[vn_ids], col] = \
+            self.node_cell[vn_ids]
 
         self.boundary_mask = mesh.boundary_vertex_mask[self.node_vertex]
         self.boundary_nodes = np.flatnonzero(self.boundary_mask)

@@ -24,7 +24,6 @@ class ProblemCase:
     n_steps: Optional[int] = None
     theta: float = 0.5
     bounds: Optional[tuple] = None
-    notes: str = ""
 
 
 def tuning_inflow_profile(y):
@@ -51,8 +50,8 @@ def case_tuning_rotation(**params_kw):
     case = ProblemCase(
         name="tuning", spec=spec, mesh_n=100,
         params=StabilizationParams(**params_kw),
-        bounds=(0.0, 1.0),
-        notes="exact outflow profile: u(x, 0) = inflow profile evaluated at x")
+        bounds=(0.0, 1.0))
+    # exact outflow profile: u(x, 0) is the inflow profile evaluated at x
     case.outflow_exact = tuning_inflow_profile
     return case
 
@@ -74,8 +73,7 @@ def case_smooth(mu=1.0, theta_angle=np.pi / 3, **params_kw):
     spec = ProblemSpec(beta=lambda x, y: (bx, by), mu=mu,
                        g=g if mu > 0.0 else None, ubar=exact)
     return ProblemCase(name="smooth", spec=spec, exact=exact, mesh_n=16,
-                       params=StabilizationParams(**params_kw),
-                       notes=f"theta={theta_angle:g}, mu={mu:g}")
+                       params=StabilizationParams(**params_kw))
 
 
 def sharp_layer_data(x, y):

@@ -44,6 +44,14 @@ class SolverConfig:
             raise ValueError("need max_backtracks >= 1 and stall_window >= 0")
 
 
+def check_step(theta, dt):
+    """ValueError unless theta is in [0, 1] and dt > 0."""
+    if not (0.0 <= theta <= 1.0):
+        raise ValueError(f"theta must be in [0, 1], got {theta!r}")
+    if not dt > 0.0:
+        raise ValueError(f"time step dt must be > 0, got {dt!r}")
+
+
 @dataclass
 class TimeLoopConfig:
     theta: float = 0.5
@@ -54,10 +62,9 @@ class TimeLoopConfig:
     method: str = "picard"
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= 1.0):
-            raise ValueError("theta must be in [0, 1]")
-        if self.dt <= 0.0 or self.n_steps < 1:
-            raise ValueError("need dt > 0 and n_steps >= 1")
+        check_step(self.theta, self.dt)
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
 
 
 @dataclass
@@ -72,12 +79,13 @@ class SolveTrace:
     def iterations(self):
         return len(self.residuals)
 
-    def record(self, residual, osc=None, alpha_active=None, step=None):
+    def record(self, residual, osc, alpha_active, step):
+        """One iterate: its residual norm, OSC (None: no bounds), number of
+        nodes with alpha = 1 and step length."""
         self.residuals.append(float(residual))
         self.osc.append(float(osc) if osc is not None else np.nan)
-        self.alpha_active.append(int(alpha_active)
-                                 if alpha_active is not None else -1)
-        self.step_lengths.append(float(step) if step is not None else np.nan)
+        self.alpha_active.append(int(alpha_active))
+        self.step_lengths.append(float(step))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -144,39 +152,31 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
     system gives the residual A u - rhs, the tolerance reference ||rhs||,
     the active-alpha count of the record and the next iterate.  A positive
     ``stall_window`` stops early (unconverged) when the residual has not
-    improved for that many iterations, e.g. on a limit cycle.  When
-    ``max_iter`` runs out, the last iterate is linearized once more for
-    its record.
+    improved for that many iterations, e.g. on a limit cycle.  At most
+    ``max_iter`` updates are made, so the last of the ``max_iter + 1``
+    records is that of the final iterate.
     """
     cfg = cfg or SolverConfig()
     u = _initial_guess(problem, u0)
     trace = SolveTrace()
     best_norm, since_best = np.inf, 0
-    for _ in range(cfg.max_iter):
+    for it in range(cfg.max_iter + 1):
         state = problem.linearize(u, dt, u_old, theta)
         res_norm = float(np.linalg.norm(state.residual))
         ref = float(np.linalg.norm(state.system[1]))
         trace.record(res_norm, _osc(u, bounds),
                      np.count_nonzero(state.alpha >= 1.0), cfg.omega)
-        if res_norm <= cfg.tol * max(ref, 1e-300):
-            trace.converged = True
-            return u, trace
+        trace.converged = res_norm <= cfg.tol * max(ref, 1e-300)
         if res_norm < 0.99 * best_norm:
             best_norm, since_best = res_norm, 0
         else:
             since_best += 1
-            if stall_window and since_best >= stall_window:
-                return u, trace
+        stalled = stall_window and since_best >= stall_window
+        if trace.converged or stalled or it == cfg.max_iter:
+            return u, trace
         u = _picard_update(state, cfg.omega)
         # free this state and its detector pass before the next one is built
         del state
-
-    state = problem.linearize(u, dt, u_old, theta)
-    res_norm = float(np.linalg.norm(state.residual))
-    trace.record(res_norm, _osc(u, bounds), None, cfg.omega)
-    trace.converged = res_norm <= cfg.tol * max(
-        float(np.linalg.norm(state.system[1])), 1e-300)
-    return u, trace
 
 
 # -- finite-difference Jacobian with graph coloring ---------------------------
@@ -296,24 +296,32 @@ def hybrid_newton(problem: StabilizedProblem, u0=None,
     return u, trace
 
 
+def solver(method):
+    """The nonlinear solver named ``method``: ``"picard"`` for
+    :func:`picard`, ``"hybrid"`` for :func:`hybrid_newton`.  Both are
+    looked up when called, so a replacement of either module name is seen.
+    """
+    solvers = {"picard": picard, "hybrid": hybrid_newton}
+    if method not in solvers:
+        raise ValueError(f"unknown nonlinear method {method!r}; "
+                         f"available: {sorted(solvers)}")
+    return solvers[method]
+
+
 # -- time stepping ------------------------------------------------------------
 
 def theta_step(problem, u_old, dt, theta, cfg=None, method="picard",
                bounds=None, enforce_cfl=False):
-    """One theta-method step; returns (u_new, trace)."""
-    cfg = cfg or SolverConfig()
+    """One theta-method step; returns (u_new, trace).  ValueError unless
+    theta is in [0, 1] and dt > 0 (:func:`check_step`)."""
+    check_step(theta, dt)
     if enforce_cfl and theta < 1.0:
         limit = problem.cfl_bound(u_old, theta)
         if dt > limit:
             raise ValueError(
                 f"time step {dt:g} exceeds the CFL bound {limit:g}")
-    if method == "picard":
-        return picard(problem, u_old, cfg, bounds, dt=dt, u_old=u_old,
-                      theta=theta)
-    if method == "hybrid":
-        return hybrid_newton(problem, u_old, cfg, bounds, dt=dt, u_old=u_old,
-                             theta=theta)
-    raise ValueError(f"unknown nonlinear method {method!r}")
+    return solver(method)(problem, u_old, cfg, bounds, dt=dt, u_old=u_old,
+                          theta=theta)
 
 
 def run_transient(problem, u0, loop: TimeLoopConfig, bounds=None):

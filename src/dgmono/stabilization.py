@@ -147,9 +147,8 @@ def build_stabilized(tables: PairTables, visc: GraphViscosity):
 
 
 def mass_blend(alpha, Q):
-    """Lumping weight a^Q; Q = inf lumps only where alpha == 1."""
-    if np.isinf(Q):
-        return (alpha >= 1.0).astype(float)
+    """Lumping weight a^Q; for alpha in [0, 1], Q = inf lumps only where
+    alpha == 1 (1**inf = 1 and a**inf = 0 for a < 1)."""
     return alpha**Q
 
 
@@ -168,9 +167,8 @@ def cfl_bound(m, Ktilde_diag, theta):
     if theta >= 1.0:
         return np.inf
     pos = Ktilde_diag > 0.0
-    if not pos.any():
-        return np.inf
-    return float(np.min(m[pos] / ((1.0 - theta) * Ktilde_diag[pos])))
+    return float(np.min(m[pos] / ((1.0 - theta) * Ktilde_diag[pos]),
+                        initial=np.inf))
 
 
 def audit_dmp(Ktilde, Btilde, alpha, rel_tol=1e-12):

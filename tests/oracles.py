@@ -24,8 +24,7 @@ from dgmono.stabilization import mass_blend
 
 def support(nodes, a):
     """Cells whose closure contains x_a."""
-    v = nodes.node_vertex[a]
-    at_v = nodes.vn_ids[nodes.vn_ptr[v]:nodes.vn_ptr[v + 1]]
+    at_v = np.flatnonzero(nodes.node_vertex == nodes.node_vertex[a])
     return nodes.node_cell[at_v].tolist()
 
 

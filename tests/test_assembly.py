@@ -314,8 +314,8 @@ class TestProblemSpec:
         spec = ProblemSpec(beta=lambda x, y: (3.0, 4.0))
         assert spec.beta_max(mesh) == pytest.approx(5.0)
 
-    def test_length_scale_is_a_stabilization_parameter(self):
-        # the stabilization scalings read StabilizationParams.L; ProblemSpec
-        # has no length of its own that could be set and silently ignored
+    def test_no_length_scale(self):
+        # neither the problem nor the stabilization scalings have a length
+        # scale; ProblemSpec accepts none that could be silently ignored
         with pytest.raises(TypeError):
             ProblemSpec(beta=lambda x, y: (1.0, 0.0), L=2.0)

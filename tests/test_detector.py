@@ -71,15 +71,13 @@ class TestParams:
             StabilizationParams(q=0.0)
         with pytest.raises(ValueError):
             StabilizationParams(tau=-1.0)
-        with pytest.raises(ValueError):
-            StabilizationParams(L=0.0)
 
     def test_derived_scaling(self):
-        p = StabilizationParams(sigma=1e-2, tau=1e-4, gamma=1e-2, L=2.0)
+        p = StabilizationParams(sigma=1e-2, tau=1e-4, gamma=1e-2)
         s = p.derived(h=0.1, beta_norm=3.0)
-        assert s.sigma_h == pytest.approx(1e-2 * 9.0 * 2.0**-2 * 0.1**4)
-        assert s.tau_h == pytest.approx(1e-4 * 0.1**2 * 2.0**-4)
-        assert s.gamma_h == pytest.approx(0.5e-2)
+        assert s.sigma_h == pytest.approx(1e-2 * 9.0 * 0.1**4)
+        assert s.tau_h == pytest.approx(1e-4 * 0.1**2)
+        assert s.gamma_h == pytest.approx(1e-2)
 
     def test_direct_overrides_win(self):
         p = StabilizationParams(sigma_h=0.25, tau_h=0.5, gamma_h=0.75)

@@ -121,9 +121,9 @@ class TestConfig:
 class TestTraceHelpers:
     def test_osc_from_trace(self):
         tr = SolveTrace()
-        tr.record(1.0, osc=0.5)
-        tr.record(0.1, osc=0.25)
-        tr.record(0.01, osc=None)
+        tr.record(1.0, 0.5, 4, 1.0)
+        tr.record(0.1, 0.25, 2, 1.0)
+        tr.record(0.01, None, 0, 1.0)
         assert osc_from_trace(tr) == 0.25
 
 
@@ -212,9 +212,10 @@ class TestCli:
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
 
-    def test_bad_override(self):
-        with pytest.raises(SystemExit):
-            cli_main(["run", "smooth", "badoption"])
+    def test_bad_override(self, capsys):
+        rc = cli_main(["run", "smooth", "badoption"])
+        assert rc == 1
+        assert "error: expected key=value" in capsys.readouterr().err
 
     def test_audit_round_trip(self, tmp_path, capsys):
         from dgmono.stabilization import StabilizedProblem

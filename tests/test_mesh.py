@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from dgmono import (Mesh, MeshError, build_dg_nodes, build_structured_quad,
-                    classify_facets, load_mesh, save_mesh)
+from dgmono import (Mesh, MeshError, ProblemSpec, StabilizationParams,
+                    build_dg_nodes, build_structured_quad, classify_facets,
+                    load_mesh, save_mesh)
 from dgmono.mesh import symmetric_points_batch
+from dgmono.stabilization import StabilizedProblem
 
 from .oracles import (cell_polygon, support, support_nodes, support_vertices,
                       symmetric_point)
@@ -176,6 +178,21 @@ class TestClassifyFacets:
         assert np.array_equal(inflow,
                               (mid[:, 0] < 1e-12) | (mid[:, 1] > 1 - 1e-12))
 
+    def test_constant_velocity_component(self):
+        # beta = (1, x/2): the constant component is broadcast as in the
+        # assembly; inflow on x = 0 and on y = 0, where beta.n = -x/2 < 0
+        mesh = build_structured_quad(3, 3)
+        beta = lambda x, y: (1.0, 0.5 * x)  # noqa: E731
+        inflow = classify_facets(mesh, beta)
+        fb = mesh.boundary_facets
+        mid = 0.5 * (mesh.vertices[fb["v0"]] + mesh.vertices[fb["v1"]])
+        assert np.array_equal(inflow,
+                              (mid[:, 0] < 1e-12) | (mid[:, 1] < 1e-12))
+        prob = StabilizedProblem(mesh, build_dg_nodes(mesh),
+                                 ProblemSpec(beta=beta, ubar=lambda x, y: x),
+                                 StabilizationParams())
+        assert 1.0 < prob.beta_norm < np.hypot(1.0, 0.5)
+
     def test_mixed_sign_facet_rejected(self):
         mesh = build_structured_quad(2, 2)
         with pytest.raises(MeshError, match="mixed"):
@@ -222,8 +239,9 @@ class TestDgNodeSet:
         a = interior[0]
         assert len(support_vertices(nodes, a)) == 9
         # 4 corner vertices x 4 dupes + 4 edge vertices x ... counted directly
-        counts = np.diff(nodes.vn_ptr)[support_vertices(nodes, a)]
-        assert len(nodes.neighbors(a)) == counts.sum()
+        counts = [len(np.flatnonzero(nodes.node_vertex == v))
+                  for v in support_vertices(nodes, a)]
+        assert len(nodes.neighbors(a)) == sum(counts)
 
 
     @pytest.mark.parametrize("mesh", [

@@ -149,6 +149,20 @@ class TestPicard:
         with pytest.raises(ValueError, match="u has 1 non-finite entries"):
             picard(prob, u0)
 
+    def test_unconverged_last_record_counts_active_alpha(self):
+        # the record of the final iterate, after max_iter updates, holds
+        # the same quantities as every other record
+        prob = make_problem(4, mode="raw")
+        cfg = SolverConfig(tol=1e-12, max_iter=3)
+        u, trace = picard(prob, cfg=cfg)
+        assert not trace.converged
+        assert trace.iterations == cfg.max_iter + 1
+        active = np.count_nonzero(prob.alpha(u) >= 1.0)
+        assert active > 0
+        assert trace.alpha_active[-1] == active
+        assert trace.residuals[-1] == np.linalg.norm(
+            prob.residual_steady(u))
+
     def test_trace_csv(self, tmp_path):
         prob = make_problem(3)
         _, trace = picard(prob, cfg=SolverConfig(tol=1e-6, max_iter=50),
@@ -402,6 +416,19 @@ class TestThetaStep:
         with pytest.raises(ValueError,
                            match="u_old has 2 non-finite entries"):
             theta_step(prob, u_old, 0.1, 0.5)
+
+    @pytest.mark.parametrize("theta, dt, value", [
+        (1.5, 1e-3, "1.5"), (-0.5, 1e-3, "-0.5"), (1.0, -1e-3, "-0.001"),
+        (1.0, 0.0, "0.0")])
+    def test_invalid_step_raises(self, theta, dt, value):
+        case = get_case("three-body", sigma=1e-2, tau=1e-4)
+        mesh = build_structured_quad(4, 4)
+        nodes = build_dg_nodes(mesh)
+        prob = StabilizedProblem(mesh, nodes, case.spec, case.params)
+        u0 = case.spec.u0(nodes.coords[:, 0], nodes.coords[:, 1])
+        with pytest.raises(ValueError, match=f"got {value}$"):
+            theta_step(prob, u0, dt=dt, theta=theta,
+                       cfg=SolverConfig(tol=1e-6, max_iter=5))
 
     def test_unknown_method(self):
         prob = make_problem(3)
