@@ -164,68 +164,85 @@ class PairTopology:
     pair is regular, with candidate interpolation stencils at its symmetric
     point, or boundary-degenerate (the symmetric point collapses onto x_a),
     with an extrapolated leg instead.
+
+    The symmetric leg u(x_sym) - u_a depends only on a and on b's vertex,
+    not on which of the coincident nodes there b is.  So the regular pairs
+    are grouped by (a, vertex of b): ``reg_group`` is each regular pair's
+    group, and the candidates are stored once per group, group ``g`` owning
+    ``cand_ptr[g]:cand_ptr[g + 1]``, with ``grp_a`` its node, ``grp_ws``
+    the weight 1/|x_sym - x_a| of its symmetric leg and ``cand_group`` the
+    group of each candidate.
     """
 
     def __init__(self, nodes: DgNodeSet):
         self.nodes = nodes
         pa, pb = nodes.adjacency_pairs()
         h_own = nodes.mesh.h_cell[nodes.node_cell]
+        vertex, nv = nodes.node_vertex, nodes.mesh.n_vertices
 
-        coinc = nodes.node_vertex[pb] == nodes.node_vertex[pa]
+        coinc = vertex[pb] == vertex[pa]
         self.pair_w = 2.0 / (h_own[pa] + h_own[pb])
-
-        # the symmetric point, its owning cells and their Q1 weights depend
-        # only on the vertices of a and b: compute them once per vertex pair
-        # (one representative node pair each) and expand by the inverse index
         other = np.flatnonzero(~coinc)
         ra, rb = pa[other], pb[other]
-        vkey = (nodes.node_vertex[ra] * nodes.mesh.n_vertices
-                + nodes.node_vertex[rb])
-        _, rep, inv = np.unique(vkey, return_index=True, return_inverse=True)
-        sb = symmetric_points_batch(nodes, ra[rep], rb[rep])
         r = nodes.coords[rb] - nodes.coords[ra]
         self.pair_w[other] = 1.0 / np.hypot(r[:, 0], r[:, 1])
 
+        # group the non-coincident pairs by (a, vertex of b), with one
+        # representative pair each; the symmetric point, its owning cells and
+        # their Q1 weights depend only on the vertices of a and b, so they
+        # are computed once per vertex pair of the groups
+        _, first, grp = np.unique(ra * nv + vertex[rb], return_index=True,
+                                  return_inverse=True)
+        ga, gb = ra[first], rb[first]
+        _, rep, inv = np.unique(vertex[ga] * nv + vertex[gb],
+                                return_index=True, return_inverse=True)
+        sb = symmetric_points_batch(nodes, ga[rep], gb[rep])
+
         # positions of the degenerate pairs among the adjacency pairs
-        deg = sb.degenerate[inv]
+        g_deg = sb.degenerate[inv]
+        deg = g_deg[grp]
         self.dg_pair = other[deg]
         self.dg_a = pa[self.dg_pair]
         self.dg_b = pb[self.dg_pair]
         self.dg_w = self.pair_w[self.dg_pair]
 
-        reg = ~deg
-        v_reg = inv[reg]
-        self.reg_a = ra[reg]
-        self.reg_ws = 1.0 / sb.distance[v_reg]
+        # regular pairs and their groups, the groups numbered in key order
+        self.reg_a = ra[~deg]
+        self.reg_group = (np.cumsum(~g_deg) - 1)[grp[~deg]]
+        v_grp = inv[~g_deg]
+        self.grp_a = ga[~g_deg]
+        self.grp_ws = 1.0 / sb.distance[v_grp]
 
         # candidates of each vertex pair (degenerate ones own no cell), then
-        # gathered per regular node pair in the same (pair, cell) order
+        # gathered per group in the same (vertex pair, cell) order
         v_counts = sb.owner.sum(axis=1)
         v_ptr = np.cumsum(v_counts) - v_counts
-        counts = v_counts[v_reg]
+        counts = v_counts[v_grp]
         if np.any(counts == 0):
             raise RuntimeError("symmetric point with no owning cell")
         self.cand_ptr = np.concatenate([[0], np.cumsum(counts)])
         cells = sb.cells[sb.owner]
         pts = np.repeat(sb.point, v_counts, axis=0)
         weights = np.clip(eval_in_cells(nodes.mesh, cells, pts), 0.0, 1.0)
-        take = (np.repeat(v_ptr[v_reg] - self.cand_ptr[:-1], counts)
+        take = (np.repeat(v_ptr[v_grp] - self.cand_ptr[:-1], counts)
                 + np.arange(self.cand_ptr[-1]))
         self.cand_weights = weights[take]
         self.cand_nodes = 4 * cells[take, None] + np.arange(4)[None, :]
-        self.cand_a = np.repeat(self.reg_a, counts)
+        self.cand_group = np.repeat(np.arange(len(counts)), counts)
+        self.cand_a = self.grp_a[self.cand_group]
 
         # boundary index of the degenerate-pair owners (must be boundary nodes)
         self.dg_bidx = nodes.boundary_index[self.dg_a]
         if np.any(self.dg_bidx < 0):
             raise RuntimeError("degenerate pair at a non-boundary node")
 
-        # fixed flat layout: [pair legs, symmetric legs, extrapolated legs]
+        # fixed flat layout: [pair legs, symmetric legs, extrapolated legs],
+        # one symmetric leg per regular pair
         self.term_idx = np.concatenate([pa, self.reg_a, self.dg_a])
 
         # largest term weight; scales the rounding-noise floor of the detector
         self.w_max = float(max(self.pair_w.max(),
-                               self.reg_ws.max(initial=0.0)))
+                               self.grp_ws.max(initial=0.0)))
 
     @functools.cached_property
     def slots(self):
@@ -236,9 +253,9 @@ class PairTopology:
         ``fixed`` holds the slots of the entries at fixed columns: pair legs
         at (a, b) and (a, a) of every adjacency pair, symmetric legs at
         (reg_a, reg_a) and extrapolated legs at (dg_a, dg_a) and (dg_a,
-        dg_b).  ``cand`` (n_cand, 4) holds, per candidate cell, the slots of
-        its four nodes in the row of its pair's a; the cell lies at a's
-        vertex, so the nodes are consecutive in that row.
+        dg_b).  ``cand`` (n_cand, 4) holds, per candidate cell of a group,
+        the slots of its four nodes in the row of the group's a; the cell
+        lies at a's vertex, so the nodes are consecutive in that row.
         """
         S = self.nodes.pattern()
         pa = self.nodes.adjacency_pairs()[0]
@@ -255,22 +272,23 @@ def build_pair_topology(nodes):
 # -- detector evaluation ------------------------------------------------------
 
 def _candidate_values(topo, u):
-    """Per candidate cell of a regular pair: u(x_sym) - u_a."""
+    """Per candidate cell of a group: u(x_sym) - u_a, for a = the group's
+    node and x_sym its symmetric point (shared by the group's pairs)."""
     diffs = u[topo.cand_nodes] - u[topo.cand_a][:, None]
     return np.einsum("ck,ck->c", topo.cand_weights, diffs)
 
 
 def _symmetric_candidates(topo, cand):
-    """Per regular pair: extreme candidate values over the owning cells."""
+    """Per group: extreme candidate values over the owning cells."""
     s_hi = np.maximum.reduceat(cand, topo.cand_ptr[:-1])
     s_lo = np.minimum.reduceat(cand, topo.cand_ptr[:-1])
     return s_hi, s_lo
 
 
 def _first_attaining(topo, cand, s):
-    """Per regular pair: index of the first candidate whose value is s."""
+    """Per group: index of the first candidate whose value is s."""
     n = len(cand)
-    hit = cand == np.repeat(s, np.diff(topo.cand_ptr))
+    hit = cand == s[topo.cand_group]
     return np.minimum.reduceat(np.where(hit, np.arange(n), n),
                                topo.cand_ptr[:-1])
 
@@ -284,10 +302,11 @@ def _boundary_value(topo, u, trace):
     return uba
 
 
-def _term_values(topo, u, trace, params, scales, s_sym):
+def _fixed_legs(topo, u, trace, params, scales):
+    """(pair legs, extrapolated legs): the terms that do not depend on the
+    candidate assignment."""
     pa, pb = topo.nodes.adjacency_pairs()
     t_pair = topo.pair_w * (u[pb] - u[pa])
-    t_sym = topo.reg_ws * s_sym
     uba = _boundary_value(topo, u, trace)
     d0 = uba - u[topo.dg_a]
     db = u[topo.dg_b] - u[topo.dg_a]
@@ -303,18 +322,20 @@ def _term_values(topo, u, trace, params, scales, s_sym):
         t_dgs = topo.dg_w * (d0 + db * sg)
     else:
         t_dgs = topo.dg_w * d0
-    return np.concatenate([t_pair, t_sym, t_dgs])
+    return t_pair, t_dgs
 
 
 def _term_slopes(topo, u, trace, params, scales, choice, slope):
     """slope[t] d(term t)/du for every term t, in the entry layout of
     :attr:`PairTopology.slots`: (fixed, sym), with ``sym`` the (n_reg, 4)
-    symmetric legs at the nodes of candidate ``choice[i]`` of regular pair i
-    and ``fixed`` every other entry.  Smoothed mode only."""
+    symmetric legs of the regular pairs, each at the nodes of candidate
+    ``choice[g]`` of its group g, and ``fixed`` every other entry.
+    Smoothed mode only."""
     n_dg = len(topo.dg_a)
     sl_pair, sl_sym, sl_dgs = np.split(
         slope, np.cumsum([len(topo.pair_w), len(topo.reg_a)]))
-    w_sym = topo.reg_ws[:, None] * topo.cand_weights[choice]
+    w_grp = topo.grp_ws[:, None] * topo.cand_weights[choice]
+    w_sym = w_grp[topo.reg_group]
 
     # degenerate extrapolated leg: d0 = ubar_a - u_a depends on u_a only
     # where the boundary value is Dirichlet data (else ubar_a is u_a itself)
@@ -335,7 +356,7 @@ def _term_slopes(topo, u, trace, params, scales, choice, slope):
 
     w_pair = topo.pair_w * sl_pair
     fixed = np.concatenate([
-        w_pair, -w_pair, -w_sym.sum(axis=1) * sl_sym,
+        w_pair, -w_pair, -w_grp.sum(axis=1)[topo.reg_group] * sl_sym,
         topo.dg_w * s_a * sl_dgs, topo.dg_w * s_b * sl_dgs])
     return fixed, w_sym * sl_sym[:, None]
 
@@ -353,11 +374,11 @@ class _SmoothedBranch(NamedTuple):
     alpha: np.ndarray
 
 
-def _smoothed_branch(topo, vals, params, scales, n):
+def _smoothed_branch(topo, vals, mags, params, scales, n):
+    """The branch of term values ``vals``, with ``mags`` their abs_lower."""
     tau_h = scales.tau_h
     num = np.bincount(topo.term_idx, weights=vals, minlength=n)
-    den = np.bincount(topo.term_idx, weights=abs_lower(vals, tau_h),
-                      minlength=n)
+    den = np.bincount(topo.term_idx, weights=mags, minlength=n)
     num_s = abs_upper(num, tau_h) + scales.gamma_h
     den_s = den + scales.gamma_h
     zeta = np.divide(num_s, den_s, out=np.zeros(n), where=den_s > 0.0)
@@ -381,9 +402,10 @@ def _branch_slope(topo, br, params, scales, n):
                    - br.zeta[i] * _abs_lower_slope(br.vals, tau_h))
 
 
-def _raw_alpha(topo, vals, params, n, noise):
+def _raw_alpha(topo, vals, mags, params, n, noise):
+    """Raw alpha of term values ``vals``, with ``mags`` their magnitudes."""
     num = np.bincount(topo.term_idx, weights=vals, minlength=n)
-    den = np.bincount(topo.term_idx, weights=np.abs(vals), minlength=n)
+    den = np.bincount(topo.term_idx, weights=mags, minlength=n)
     ratio = np.divide(np.abs(num), den, out=np.zeros(n), where=den > 0.0)
     ratio[ratio <= RATIO_SNAP] = 0.0
     # cancellation leaves rounding noise proportional to |u|, not to the
@@ -397,9 +419,9 @@ class DetectorPass:
 
     ``alpha`` is the maximum over admissible symmetric-point values,
     evaluated at the all-max and all-min candidate assignments (one
-    assignment when they coincide).  The pass keeps its candidate values,
-    the assignments and, in smoothed mode, each assignment's term values
-    and ratios, so :meth:`jacobian` derives d alpha/du from them without
+    assignment when they coincide).  The pass keeps its candidate values
+    and the assignments, per group of :class:`PairTopology`, and, in
+    smoothed mode, each assignment's term values and ratios, so :meth:`jacobian` derives d alpha/du from them without
     evaluating the detector again.
     """
 
@@ -418,33 +440,43 @@ class DetectorPass:
         self.cand = _candidate_values(topo, u)
         s_hi, s_lo = _symmetric_candidates(topo, self.cand)
         self.sides = [s_hi] if np.array_equal(s_hi, s_lo) else [s_hi, s_lo]
-        if params.mode == "raw":
+        raw = params.mode == "raw"
+        mag = np.abs if raw else functools.partial(abs_lower,
+                                                   tau_h=scales.tau_h)
+        # the pair and extrapolated legs are shared by both assignments; a
+        # symmetric leg is shared by the pairs of its group
+        t_pair, t_dgs = _fixed_legs(topo, u, trace, params, scales)
+        m_pair, m_dgs = mag(t_pair), mag(t_dgs)
+
+        def terms(s):
+            t_sym = topo.grp_ws * s
+            g = topo.reg_group
+            return (np.concatenate([t_pair, t_sym[g], t_dgs]),
+                    np.concatenate([m_pair, mag(t_sym)[g], m_dgs]))
+
+        if raw:
             u_scale = float(np.abs(u).max(initial=0.0))
             if trace is not None:
                 u_scale = max(u_scale,
                               float(np.abs(trace.values).max(initial=0.0)))
             noise = 64.0 * np.finfo(float).eps * topo.w_max * u_scale
-            alphas = [_raw_alpha(topo, self._terms(s), params, n, noise)
+            alphas = [_raw_alpha(topo, *terms(s), params, n, noise)
                       for s in self.sides]
         else:
-            self.branches = [_smoothed_branch(topo, self._terms(s), params,
+            self.branches = [_smoothed_branch(topo, *terms(s), params,
                                               scales, n) for s in self.sides]
             alphas = [br.alpha for br in self.branches]
         self.alpha = functools.reduce(np.maximum, alphas)
-
-    def _terms(self, s_sym):
-        return _term_values(self.nodes.pair_topology(), self.u, self.trace,
-                            self.params, self.scales, s_sym)
 
     def jacobian(self):
         """d alpha/du as a CSR matrix in the node pattern S; smoothed mode
         only.
 
         Where the detector is not smooth, the derivative is that of the
-        active branch: at each regular pair, the first candidate cell
-        attaining the max (all-max assignment) or the min (all-min); at each
-        node, the assignment np.maximum(a_hi, a_lo) keeps (all-max on ties);
-        and zero where the ramp saturates (zeta >= 1) or the clip to [0, 1]
+        active branch: at each group, the first candidate cell attaining
+        the max (all-max assignment) or the min (all-min); at each node,
+        the assignment np.maximum(a_hi, a_lo) keeps (all-max on ties); and
+        zero where the ramp saturates (zeta >= 1) or the clip to [0, 1]
         binds.
         """
         n, params = self.nodes.n_nodes, self.params
@@ -461,15 +493,15 @@ class DetectorPass:
             slope = np.where(on_lo[topo.term_idx],
                              _branch_slope(topo, lo[0], params, scales, n),
                              slope)
-            choice = np.where(on_lo[topo.reg_a],
+            choice = np.where(on_lo[topo.grp_a],
                               _first_attaining(topo, self.cand, self.sides[1]),
                               choice)
         fixed, sym = _term_slopes(topo, self.u, self.trace, params, scales,
                                   choice, slope)
         S, (fixed_slots, cand_slots) = self.nodes.pattern(), topo.slots
         data = np.bincount(fixed_slots, weights=fixed, minlength=S.nnz)
-        data += np.bincount(cand_slots[choice].ravel(), weights=sym.ravel(),
-                            minlength=S.nnz)
+        data += np.bincount(cand_slots[choice[topo.reg_group]].ravel(),
+                            weights=sym.ravel(), minlength=S.nnz)
         return S.matrix(data)
 
 

@@ -23,7 +23,7 @@ PARAM_KEYS = ("mode", "q", "Q", "sigma", "tau", "gamma",
               "sigma_h", "tau_h", "gamma_h", "enabled",
               "boundary_extrapolation")
 SOLVER_KEYS = ("tol", "max_iter", "switch_tol", "omega", "rho", "c1",
-               "max_backtracks")
+               "max_backtracks", "stall_window")
 
 
 def coerce(text):

@@ -396,9 +396,14 @@ def symmetric_points_batch(nodes: DgNodeSet, pa, pb) -> SymmetricPointBatch:
     r_sym = point - xa
     distance = np.hypot(r_sym[:, 0], r_sym[:, 1])
 
-    in_tol = 1e-10 * mesh.h
+    # a cell owns the point when it contains it to within geo_tol; the
+    # Q1 weights of a cell the point lies outside of are clipped, which
+    # moves the point and breaks the detector's silence on affine states.
+    # The cell the ray leaves through contains its exit point by
+    # construction, so it owns it whatever the rounding.
     side_pt = np.einsum("pkqe,pkqe->pkq", point[:, None, None, :] - v0, n_out)
-    owner = (side_pt <= in_tol).all(axis=2) & valid
+    owner = (side_pt <= geo_tol).all(axis=2) & valid
+    owner[np.arange(len(pa)), np.argmax(t_cell, axis=1)] = True
     owner[degenerate] = False
     return SymmetricPointBatch(point=point, distance=distance,
                                degenerate=degenerate, cells=cells, owner=owner)

@@ -288,8 +288,8 @@ def hybrid_newton(problem: StabilizedProblem, u0=None,
     cfg = cfg or SolverConfig()
     if problem.params.enabled and problem.params.mode != "smoothed":
         raise ValueError("hybrid Newton requires the smoothed stabilization")
-    pre_cfg = replace(cfg, tol=cfg.switch_tol,
-                      switch_tol=min(1.0, 10 * cfg.switch_tol))
+    # the Picard phase stops at switch_tol and never reads its own switch_tol
+    pre_cfg = replace(cfg, tol=cfg.switch_tol, switch_tol=np.inf)
     u, trace = picard(problem, u0, pre_cfg, bounds, dt, u_old, theta,
                       stall_window=cfg.stall_window)
     u = _newton(problem.linearize(u, dt, u_old, theta), cfg, trace, bounds)

@@ -10,15 +10,24 @@
   (:func:`dgmono.solve.fd_jacobian`) is restricted to;
 - the interior-penalty operators K and B on any convex quadrilateral mesh,
   built with plain loops over cells, facets and Gauss points: the oracle for
-  :func:`dgmono.assemble_K` and :func:`dgmono.assemble_B`.
+  :func:`dgmono.assemble_K` and :func:`dgmono.assemble_B`;
+- the detector with one candidate set per regular node pair, the layout
+  that :class:`dgmono.detector.PairTopology` groups by (a, vertex of b): the
+  oracle for :class:`dgmono.detector.DetectorPass`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from dgmono.assembly import eval_in_cells
+from dgmono.detector import (RATIO_SNAP, _abs_lower_slope, _ssgn_slope,
+                             _z_ramp_slope, abs_lower, abs_upper, ssgn,
+                             z_ramp)
+from dgmono.mesh import symmetric_points_batch
 from dgmono.stabilization import mass_blend
 
 
@@ -107,18 +116,20 @@ def symmetric_point(nodes, a, b) -> SymmetricPoint:
 
     mesh = nodes.mesh
     geo_tol = 1e-12 * mesh.h
-    t_max = 0.0
+    t_max, exit_cell = 0.0, None
     for c in support(nodes, a):
         t = _ray_exit_convex(xa, d, cell_polygon(mesh, c), geo_tol)
-        if np.isfinite(t):
-            t_max = max(t_max, t)
+        if np.isfinite(t) and (exit_cell is None or t > t_max):
+            t_max, exit_cell = t, c
 
     if t_max <= geo_tol:
         return SymmetricPoint(point=xa.copy(), r_sym=np.zeros(2), degenerate=True)
 
+    # the cells containing the point to within geo_tol, and the exit cell
     point = xa + t_max * d
     owners = [c for c in support(nodes, a)
-              if point_in_convex(point, cell_polygon(mesh, c), 1e-10 * mesh.h)]
+              if c == exit_cell
+              or point_in_convex(point, cell_polygon(mesh, c), geo_tol)]
     return SymmetricPoint(point=point, r_sym=point - xa, cells=owners)
 
 
@@ -244,3 +255,174 @@ def interior_penalty_operators(mesh, nodes, spec, n_gauss=2):
             for col, hat in zip(cols, (1 - t, t)):
                 B[ids, col] += w * hat * (-min(bn, 0.0) * N - mu * D + pen * N)
     return K, B
+
+
+# -- the per-node-pair detector -----------------------------------------------
+
+def reference_topology(nodes):
+    """Pair topology from symmetric points and Q1 weights computed for every
+    non-coincident node pair on its own (no sharing between node pairs that
+    join the same two vertices)."""
+    pa, pb = nodes.adjacency_pairs()
+    coinc = nodes.node_vertex[pa] == nodes.node_vertex[pb]
+    ra, rb = pa[~coinc], pb[~coinc]
+    sb = symmetric_points_batch(nodes, ra, rb)
+    r = nodes.coords[rb] - nodes.coords[ra]
+    r_ab = np.hypot(r[:, 0], r[:, 1])
+    h_own = nodes.mesh.h_cell[nodes.node_cell]
+    pair_w = 2.0 / (h_own[pa] + h_own[pb])
+    pair_w[~coinc] = 1.0 / r_ab
+    reg = ~sb.degenerate
+    owner = sb.owner[reg]
+    counts = owner.sum(axis=1)
+    cells = sb.cells[reg][owner]
+    weights = eval_in_cells(nodes.mesh, cells,
+                            np.repeat(sb.point[reg], counts, axis=0))
+    dg_a = ra[sb.degenerate]
+    return {
+        "pair_w": pair_w,
+        "dg_pair": np.flatnonzero(~coinc)[sb.degenerate],
+        "dg_a": dg_a, "dg_b": rb[sb.degenerate],
+        "dg_w": 1.0 / r_ab[sb.degenerate],
+        "reg_a": ra[reg],
+        "reg_ws": 1.0 / sb.distance[reg],
+        "cand_ptr": np.concatenate([[0], np.cumsum(counts)]),
+        "cand_weights": np.clip(weights, 0.0, 1.0),
+        "cand_nodes": 4 * cells[:, None] + np.arange(4)[None, :],
+        "cand_a": np.repeat(ra[reg], counts),
+        "dg_bidx": nodes.boundary_index[dg_a],
+    }
+
+
+class PairDetector:
+    """The detector pass at state u, with the candidates of every regular
+    node pair interpolated and reduced on their own.
+
+    The flat term layout [pair legs, symmetric legs, extrapolated legs] and
+    the order of every sum are those of :class:`dgmono.detector.DetectorPass`,
+    so ``alpha`` and :meth:`jacobian` are bitwise the package's.
+    """
+
+    def __init__(self, nodes, u, trace, params, scales):
+        self.nodes, self.u, self.params = nodes, u, params
+        t = self.topo = reference_topology(nodes)
+        pa, pb = nodes.adjacency_pairs()
+        n, tau_h = nodes.n_nodes, scales.tau_h
+        self.tau_h = tau_h
+        self.term_idx = np.concatenate([pa, t["reg_a"], t["dg_a"]])
+        ptr = t["cand_ptr"][:-1]
+        diffs = u[t["cand_nodes"]] - u[t["cand_a"]][:, None]
+        self.cand = np.einsum("ck,ck->c", t["cand_weights"], diffs)
+        s_hi = np.maximum.reduceat(self.cand, ptr)
+        s_lo = np.minimum.reduceat(self.cand, ptr)
+        self.sides = [s_hi] if np.array_equal(s_hi, s_lo) else [s_hi, s_lo]
+
+        # extrapolated legs: ubar_a + (u_b - u_a) sgn(d0 db) for u_sym
+        ua = u[t["dg_a"]]
+        ubar = ua.copy()
+        self.dd0 = np.zeros(len(ua))
+        if trace is not None:
+            has = trace.dirichlet[t["dg_bidx"]]
+            ubar[has] = trace.values[t["dg_bidx"][has]]
+            self.dd0[has] = -1.0
+        self.d0, self.db = ubar - ua, u[t["dg_b"]] - ua
+        x = self.d0 * self.db
+        if not params.boundary_extrapolation:
+            t_dgs = t["dg_w"] * self.d0
+        elif params.mode == "raw":
+            t_dgs = t["dg_w"] * (self.d0 + self.db * np.where(x > 0.0, 1.0,
+                                                                -1.0))
+        else:
+            t_dgs = t["dg_w"] * (self.d0 + self.db * ssgn(x, tau_h))
+        t_pair = t["pair_w"] * (u[pb] - u[pa])
+
+        def bincount(w):
+            return np.bincount(self.term_idx, weights=w, minlength=n)
+
+        self.branches = []
+        for s in self.sides:
+            vals = np.concatenate([t_pair, t["reg_ws"] * s, t_dgs])
+            num = bincount(vals)
+            if params.mode == "raw":
+                den = bincount(np.abs(vals))
+                ratio = np.divide(np.abs(num), den, out=np.zeros(n),
+                                  where=den > 0.0)
+                ratio[ratio <= RATIO_SNAP] = 0.0
+                u_scale = float(np.abs(u).max(initial=0.0))
+                if trace is not None:
+                    u_scale = max(u_scale, float(np.abs(trace.values).max(
+                        initial=0.0)))
+                w_max = max(t["pair_w"].max(), t["reg_ws"].max(initial=0.0))
+                noise = 64.0 * np.finfo(float).eps * w_max * u_scale
+                ratio[np.abs(num) <= noise] = 0.0
+                self.branches.append(
+                    {"alpha": np.clip(ratio, 0.0, 1.0)**params.q})
+                continue
+            den_s = bincount(abs_lower(vals, tau_h)) + scales.gamma_h
+            zeta = np.divide(abs_upper(num, tau_h) + scales.gamma_h, den_s,
+                             out=np.zeros(n), where=den_s > 0.0)
+            z = z_ramp(zeta)
+            self.branches.append({
+                "vals": vals, "num": num, "den_s": den_s, "zeta": zeta,
+                "z": z, "alpha": np.clip(z**params.q, 0.0, 1.0)})
+        self.alpha = functools.reduce(
+            np.maximum, [br["alpha"] for br in self.branches])
+
+    def _slope(self, br):
+        """d alpha_a / d t for every term t of node a (smoothed mode)."""
+        q, i = self.params.q, self.term_idx
+        zq = br["z"]**q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_z = q * br["z"]**(q - 1.0) * _z_ramp_slope(br["zeta"])
+        d_z[~np.isfinite(d_z) | (zq < 0.0) | (zq > 1.0)] = 0.0
+        c = np.divide(d_z, br["den_s"], out=np.zeros_like(d_z),
+                      where=br["den_s"] > 0.0)
+        return c[i] * (ssgn(br["num"], self.tau_h)[i] - br["zeta"][i]
+                       * _abs_lower_slope(br["vals"], self.tau_h))
+
+    def _first_attaining(self, s):
+        """Per regular pair: index of the first candidate whose value is s."""
+        ptr, n = self.topo["cand_ptr"], len(self.cand)
+        hit = self.cand == np.repeat(s, np.diff(ptr))
+        return np.minimum.reduceat(np.where(hit, np.arange(n), n), ptr[:-1])
+
+    def jacobian(self):
+        """d alpha/du in the node pattern S (smoothed mode)."""
+        t, u, tau_h = self.topo, self.u, self.tau_h
+        S = self.nodes.pattern()
+        pa, pb = self.nodes.adjacency_pairs()
+        hi, *lo = self.branches
+        slope = self._slope(hi)
+        choice = self._first_attaining(self.sides[0])
+        if lo:
+            on_lo = lo[0]["alpha"] > hi["alpha"]
+            slope = np.where(on_lo[self.term_idx], self._slope(lo[0]), slope)
+            choice = np.where(on_lo[t["reg_a"]],
+                              self._first_attaining(self.sides[1]), choice)
+        sl_pair, sl_sym, sl_dgs = np.split(
+            slope, np.cumsum([len(pa), len(t["reg_a"])]))
+        w_sym = t["reg_ws"][:, None] * t["cand_weights"][choice]
+
+        d0, db, dd0 = self.d0, self.db, self.dd0
+        if self.params.boundary_extrapolation:
+            x = d0 * db
+            sg, sg_x = ssgn(x, tau_h), _ssgn_slope(x, tau_h)
+            s_a = dd0 - sg + db * sg_x * (db * dd0 - d0)
+            s_b = sg + db * sg_x * d0
+        else:
+            s_a, s_b = dd0, np.zeros(len(dd0))
+
+        # (row, column, value) of every entry, bincount into S's slots
+        dg_a, dg_b, reg_a = t["dg_a"], t["dg_b"], t["reg_a"]
+        w_pair = t["pair_w"] * sl_pair
+        rows = np.concatenate([pa, pa, reg_a, dg_a, dg_a])
+        cols = np.concatenate([pb, pa, reg_a, dg_a, dg_b])
+        vals = np.concatenate([
+            w_pair, -w_pair, -w_sym.sum(axis=1) * sl_sym,
+            t["dg_w"] * s_a * sl_dgs, t["dg_w"] * s_b * sl_dgs])
+        data = np.bincount(S.slots(rows, cols), weights=vals,
+                           minlength=S.nnz)
+        data += np.bincount(
+            S.slots(np.repeat(reg_a, 4), t["cand_nodes"][choice].ravel()),
+            weights=(w_sym * sl_sym[:, None]).ravel(), minlength=S.nnz)
+        return S.matrix(data)

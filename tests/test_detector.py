@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from dgmono import Mesh, StabilizationParams, alpha_all, build_dg_nodes, \
     build_structured_quad
-from dgmono.assembly import BoundaryTrace, eval_in_cells, interpolate_boundary
-from dgmono.detector import (DerivedScales, DetectorPass, _candidate_values,
-                             _symmetric_candidates, _term_values, abs_lower,
-                             abs_upper, smax, ssgn, z_ramp)
-
+from dgmono.assembly import BoundaryTrace, interpolate_boundary
+from dgmono.detector import (DerivedScales, DetectorPass, _fixed_legs,
+                             abs_lower, abs_upper, smax, ssgn, z_ramp)
 from dgmono.mesh import symmetric_points_batch
 
-from .oracles import support_nodes
+from .oracles import PairDetector, reference_topology, support_nodes
 from .test_mesh import VALENCE3_CELLS, VALENCE3_VERTICES, perturbed_mesh
 
 
@@ -133,6 +133,21 @@ class TestDetector:
             al = alpha_all(self.nodes, u, tr, self.raw, self.sc_raw)
             assert np.all(al == 0.0)
 
+    def test_affine_states_inactive_raw_nearly_uniform_mesh(self):
+        # interior vertices moved by 1e-10 h: a symmetric point near a vertex
+        # lies just outside one of the cells there, whose clipped Q1 weights
+        # would move it; that cell must not own it
+        for seed in range(5):
+            mesh = perturbed_mesh(2, 2, scale=1e-10, seed=seed)
+            nodes = build_dg_nodes(mesh)
+            c0, cx, cy = np.random.default_rng(seed).standard_normal(3)
+            x, y = nodes.coords.T
+            tr = interpolate_boundary(
+                nodes, lambda x, y: c0 + cx * x + cy * y)
+            al = alpha_all(nodes, c0 + cx * x + cy * y, tr, self.raw,
+                           self.raw.derived(mesh.h, 1.0))
+            assert np.all(al == 0.0)
+
     def test_non_finite_state_raises(self):
         u = np.zeros(self.nodes.n_nodes)
         u[3], u[7] = np.nan, np.inf
@@ -214,10 +229,9 @@ class TestDetector:
         assert topo.pair_w[k[0]] == pytest.approx(1.0 / h_ab, rel=1e-13)
         # pair legs lead the detector's flat term layout; this one is
         # w (u_b - u_a), and in raw mode its magnitude enters the mean
-        s_hi, _ = _symmetric_candidates(topo, _candidate_values(topo, u))
-        terms = _term_values(topo, u, None, StabilizationParams(mode="raw"),
-                             DerivedScales(), s_hi)
-        assert terms[k[0]] == pytest.approx(1.0 / h_ab, rel=1e-13)
+        t_pair, _ = _fixed_legs(topo, u, None, StabilizationParams(mode="raw"),
+                                DerivedScales())
+        assert t_pair[k[0]] == pytest.approx(1.0 / h_ab, rel=1e-13)
 
     def test_perturbed_mesh_extrema(self):
         mesh = perturbed_mesh(5, 5, seed=9)
@@ -230,60 +244,85 @@ class TestDetector:
             assert alpha_all(nodes, u, tr, p, s)[a] == 1.0
 
 
-def reference_topology(nodes):
-    """Pair topology from symmetric points and Q1 weights computed for every
-    non-coincident node pair on its own (no sharing between node pairs that
-    join the same two vertices)."""
-    pa, pb = nodes.adjacency_pairs()
-    coinc = nodes.node_vertex[pa] == nodes.node_vertex[pb]
-    ra, rb = pa[~coinc], pb[~coinc]
-    sb = symmetric_points_batch(nodes, ra, rb)
-    r = nodes.coords[rb] - nodes.coords[ra]
-    r_ab = np.hypot(r[:, 0], r[:, 1])
-    h_own = nodes.mesh.h_cell[nodes.node_cell]
-    pair_w = 2.0 / (h_own[pa] + h_own[pb])
-    pair_w[~coinc] = 1.0 / r_ab
-    reg = ~sb.degenerate
-    owner = sb.owner[reg]
-    counts = owner.sum(axis=1)
-    cells = sb.cells[reg][owner]
-    weights = eval_in_cells(nodes.mesh, cells,
-                            np.repeat(sb.point[reg], counts, axis=0))
-    dg_a = ra[sb.degenerate]
-    return {
-        "pair_w": pair_w,
-        "dg_pair": np.flatnonzero(~coinc)[sb.degenerate],
-        "dg_a": dg_a, "dg_b": rb[sb.degenerate],
-        "dg_w": 1.0 / r_ab[sb.degenerate],
-        "reg_a": ra[reg],
-        "reg_ws": 1.0 / sb.distance[reg],
-        "cand_ptr": np.concatenate([[0], np.cumsum(counts)]),
-        "cand_weights": np.clip(weights, 0.0, 1.0),
-        "cand_nodes": 4 * cells[:, None] + np.arange(4)[None, :],
-        "cand_a": np.repeat(ra[reg], counts),
-        "dg_bidx": nodes.boundary_index[dg_a],
-    }
+def expand_per_pair(topo):
+    """The grouped candidate arrays of ``topo`` expanded, through
+    ``reg_group``, to one candidate set per regular node pair."""
+    g = topo.reg_group
+    counts = np.diff(topo.cand_ptr)[g]
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    take = (np.repeat(topo.cand_ptr[:-1][g] - ptr[:-1], counts)
+            + np.arange(ptr[-1]))
+    return {"reg_ws": topo.grp_ws[g], "cand_ptr": ptr,
+            "cand_weights": topo.cand_weights[take],
+            "cand_nodes": topo.cand_nodes[take],
+            "cand_a": topo.cand_a[take]}
+
+
+ORACLE_MESHES = pytest.mark.parametrize("mesh", [
+    build_structured_quad(5, 4),
+    perturbed_mesh(6, 6, scale=0.2, seed=5),
+    Mesh(VALENCE3_VERTICES, VALENCE3_CELLS)],
+    ids=["uniform", "jittered", "valence3"])
 
 
 class TestPairTopology:
-    @pytest.mark.parametrize("mesh", [
-        build_structured_quad(5, 4),
-        perturbed_mesh(6, 6, scale=0.2, seed=5),
-        Mesh(VALENCE3_VERTICES, VALENCE3_CELLS)],
-        ids=["uniform", "jittered", "valence3"])
+    @ORACLE_MESHES
     def test_matches_per_node_pair_reference(self, mesh):
         nodes = build_dg_nodes(mesh)
         topo = nodes.pair_topology()
         ref = reference_topology(nodes)
         assert len(ref["reg_a"]) and len(ref["dg_a"])
+        grouped = expand_per_pair(topo)
         for name, want in ref.items():
-            got = getattr(topo, name)
+            got = grouped[name] if name in grouped else getattr(topo, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
         pa = nodes.adjacency_pairs()[0]
         assert np.array_equal(topo.term_idx, np.concatenate(
             [pa, ref["reg_a"], ref["dg_a"]]))
         assert topo.w_max == max(ref["pair_w"].max(), ref["reg_ws"].max())
+
+    @ORACLE_MESHES
+    def test_groups_are_node_and_neighbour_vertex(self, mesh):
+        nodes = build_dg_nodes(mesh)
+        topo = nodes.pair_topology()
+        pa, pb = nodes.adjacency_pairs()
+        regular = nodes.node_vertex[pa] != nodes.node_vertex[pb]
+        regular[topo.dg_pair] = False
+        key = pa[regular] * mesh.n_vertices + nodes.node_vertex[pb[regular]]
+        # one group per distinct (a, vertex of b), numbered in key order
+        assert np.array_equal(np.unique(key, return_inverse=True)[1],
+                              topo.reg_group)
+        assert np.array_equal(topo.grp_a[topo.reg_group], topo.reg_a)
+        assert np.array_equal(topo.cand_group, np.repeat(
+            np.arange(len(topo.grp_a)), np.diff(topo.cand_ptr)))
+        assert len(topo.grp_a) < len(topo.reg_a)
+
+    @ORACLE_MESHES
+    @pytest.mark.parametrize("mode", ["raw", "smoothed"])
+    @pytest.mark.parametrize("extrapolation", [True, False],
+                             ids=["extrapolated", "plain"])
+    def test_pass_matches_per_node_pair_oracle(self, mesh, mode,
+                                               extrapolation):
+        nodes = build_dg_nodes(mesh)
+        n = nodes.n_nodes
+        p = StabilizationParams(mode=mode,
+                                boundary_extrapolation=extrapolation)
+        s = p.derived(mesh.h, 1.0)
+        rng = np.random.default_rng(11)
+        x, y = nodes.coords.T
+        tr = interpolate_boundary(nodes, lambda x, y: np.sin(3 * x) * y)
+        # a generic state, one with ties among candidate values, a smooth one
+        states = [rng.standard_normal(n), np.round(rng.standard_normal(n), 1),
+                  np.sin(4 * x) + y]
+        for u in states:
+            for trace in (None, tr):
+                got = DetectorPass(nodes, u, trace, p, s)
+                want = PairDetector(nodes, u, trace, p, s)
+                assert np.array_equal(got.alpha, want.alpha)
+                if mode == "smoothed":
+                    assert np.array_equal(got.jacobian().data,
+                                          want.jacobian().data)
 
     def test_valence3_support_width(self):
         nodes = build_dg_nodes(Mesh(VALENCE3_VERTICES, VALENCE3_CELLS))
@@ -292,3 +331,46 @@ class TestPairTopology:
         assert nodes.vertex_cells_padded.shape == (7, 3)
         assert np.array_equal(np.sort(nodes.vertex_cells_padded[6]), [0, 1, 2])
         assert (nodes.vertex_cells_padded[:6] == -1).any(axis=1).all()
+
+
+# -- property tests on random convex meshes -----------------------------------
+
+@st.composite
+def convex_meshes(draw):
+    """A grid of 2..6 by 2..6 cells with interior vertices jittered by less
+    than h/4 (every cell stays convex), or the valence-3 mesh with its centre
+    vertex moved by up to 0.05."""
+    if draw(st.booleans()):
+        return perturbed_mesh(draw(st.integers(2, 6)), draw(st.integers(2, 6)),
+                              scale=draw(st.floats(0.0, 0.24)),
+                              seed=draw(st.integers(0, 2**16)))
+    verts = np.array(VALENCE3_VERTICES, dtype=float)
+    verts[6] += [draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.05, 0.05))]
+    return Mesh(verts, VALENCE3_CELLS)
+
+
+class TestDetectorProperties:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(mesh=convex_meshes(), seed=st.integers(0, 2**16))
+    def test_random_convex_mesh(self, mesh, seed):
+        nodes = build_dg_nodes(mesh)
+        pa, pb = nodes.adjacency_pairs()
+        other = nodes.node_vertex[pa] != nodes.node_vertex[pb]
+        sb = symmetric_points_batch(nodes, pa[other], pb[other])
+        # every symmetric point off the boundary has an owning cell
+        assert sb.owner[~sb.degenerate].any(axis=1).all()
+        nodes.pair_topology()
+
+        rng = np.random.default_rng(seed)
+        raw = StabilizationParams(mode="raw")
+        smooth = StabilizationParams()
+        modes = [(p, p.derived(mesh.h, 1.0)) for p in (raw, smooth)]
+        c0, cx, cy = rng.standard_normal(3)
+        x, y = nodes.coords.T
+        tr = interpolate_boundary(nodes, lambda x, y: c0 + cx * x + cy * y)
+        assert np.all(alpha_all(nodes, c0 + cx * x + cy * y, tr,
+                                *modes[0]) == 0.0)
+        for lo in (False, True):
+            u, a, tr = forced_extremum(nodes, rng, lo=lo)
+            for p, s in modes:
+                assert alpha_all(nodes, u, tr, p, s)[a] == 1.0

@@ -212,6 +212,22 @@ class TestCli:
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_solver_options(self, tmp_path, monkeypatch):
+        """Every SolverConfig field is a CLI option, and any valid
+        switch_tol runs the hybrid solver."""
+        cfgs, real_solver = [], harness.solver
+
+        def solver(method):
+            def run(problem, cfg, **kw):
+                cfgs.append(cfg)
+                return real_solver(method)(problem, cfg=cfg, **kw)
+            return run
+        monkeypatch.setattr(harness, "solver", solver)
+        rc = cli_main(["run", "sharp-layer", "n=4", "switch_tol=1.0",
+                       "stall_window=5", "-o", str(tmp_path)])
+        assert rc == 0
+        assert [(c.switch_tol, c.stall_window) for c in cfgs] == [(1.0, 5)]
+
     def test_bad_override(self, capsys):
         rc = cli_main(["run", "smooth", "badoption"])
         assert rc == 1

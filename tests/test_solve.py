@@ -315,6 +315,23 @@ class TestHybridNewton:
         with pytest.raises(ValueError):
             hybrid_newton(prob)
 
+    # every valid SolverConfig runs: the Picard phase's own config stops at
+    # switch_tol, which may be 1 or more
+    @pytest.mark.parametrize("tol, switch_tol", [(1e-6, 1.0), (0.5, 5.0)])
+    def test_any_valid_switch_tol(self, monkeypatch, tol, switch_tol):
+        prob = make_problem(4)
+        picard_cfgs = []
+
+        def picard_phase(problem, u0, cfg, *args, _picard=solve.picard,
+                         **kw):
+            picard_cfgs.append(cfg)
+            return _picard(problem, u0, cfg, *args, **kw)
+        monkeypatch.setattr(solve, "picard", picard_phase)
+        cfg = SolverConfig(tol=tol, switch_tol=switch_tol, max_iter=50)
+        u, trace = hybrid_newton(prob, cfg=cfg)
+        assert [c.tol for c in picard_cfgs] == [switch_tol]
+        assert trace.converged and np.all(np.isfinite(u))
+
     def test_converges_quadratically_near_solution(self):
         prob = make_problem(6, mu=1e-4)
         cfg = SolverConfig(tol=1e-10, max_iter=100)

@@ -385,7 +385,7 @@ def coo_dalpha(state):
         on_lo = lo[0].alpha > hi.alpha
         slope = np.where(on_lo[topo.term_idx],
                          _branch_slope(topo, lo[0], params, scales, n), slope)
-        choice = np.where(on_lo[topo.reg_a],
+        choice = np.where(on_lo[topo.grp_a],
                           _first_attaining(topo, det.cand, det.sides[1]),
                           choice)
     pa, pb = prob.nodes.adjacency_pairs()
@@ -395,7 +395,9 @@ def coo_dalpha(state):
     r_dgs = n_pair + n_reg + np.arange(len(topo.dg_a))
     rows = np.concatenate([r_pair, r_pair, np.repeat(r_sym, 4), r_sym,
                            r_dgs, r_dgs])
-    cols = np.concatenate([pb, pa, topo.cand_nodes[choice].ravel(),
+    # each regular pair takes the candidate chosen for its group
+    cols = np.concatenate([pb, pa,
+                           topo.cand_nodes[choice[topo.reg_group]].ravel(),
                            topo.reg_a, topo.dg_a, topo.dg_b])
     fixed, sym = _term_slopes(topo, det.u, det.trace, params, scales, choice,
                               slope)
