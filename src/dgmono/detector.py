@@ -169,9 +169,9 @@ class PairTopology:
     not on which of the coincident nodes there b is.  So the regular pairs
     are grouped by (a, vertex of b): ``reg_group`` is each regular pair's
     group, and the candidates are stored once per group, group ``g`` owning
-    ``cand_ptr[g]:cand_ptr[g + 1]``, with ``grp_a`` its node, ``grp_ws``
-    the weight 1/|x_sym - x_a| of its symmetric leg and ``cand_group`` the
-    group of each candidate.
+    ``cand_ptr[g]:cand_ptr[g + 1]``, with ``grp_a`` its node, ``grp_pairs``
+    its number of regular pairs, ``grp_ws`` the weight 1/|x_sym - x_a| of
+    its symmetric leg and ``cand_group`` the group of each candidate.
     """
 
     def __init__(self, nodes: DgNodeSet):
@@ -211,6 +211,8 @@ class PairTopology:
         self.reg_group = (np.cumsum(~g_deg) - 1)[grp[~deg]]
         v_grp = inv[~g_deg]
         self.grp_a = ga[~g_deg]
+        self.grp_pairs = np.bincount(self.reg_group,
+                                     minlength=len(self.grp_a))
         self.grp_ws = 1.0 / sb.distance[v_grp]
 
         # candidates of each vertex pair (degenerate ones own no cell), then
@@ -251,15 +253,16 @@ class PairTopology:
         term's node.
 
         ``fixed`` holds the slots of the entries at fixed columns: pair legs
-        at (a, b) and (a, a) of every adjacency pair, symmetric legs at
-        (reg_a, reg_a) and extrapolated legs at (dg_a, dg_a) and (dg_a,
-        dg_b).  ``cand`` (n_cand, 4) holds, per candidate cell of a group,
-        the slots of its four nodes in the row of the group's a; the cell
-        lies at a's vertex, so the nodes are consecutive in that row.
+        at (a, b) and (a, a) of every adjacency pair, the symmetric legs of
+        each group at (grp_a, grp_a) and extrapolated legs at (dg_a, dg_a)
+        and (dg_a, dg_b).  ``cand`` (n_cand, 4) holds, per candidate cell
+        of a group, the slots of its four nodes in the row of the group's
+        a; the cell lies at a's vertex, so the nodes are consecutive in that
+        row.
         """
         S = self.nodes.pattern()
         pa = self.nodes.adjacency_pairs()[0]
-        fixed = np.concatenate([S.pairs, S.diag[pa], S.diag[self.reg_a],
+        fixed = np.concatenate([S.pairs, S.diag[pa], S.diag[self.grp_a],
                                 S.diag[self.dg_a], S.pairs[self.dg_pair]])
         first = S.slots(self.cand_a, self.cand_nodes[:, 0])
         return fixed, first[:, None] + np.arange(4, dtype=np.int32)
@@ -325,17 +328,17 @@ def _fixed_legs(topo, u, trace, params, scales):
     return t_pair, t_dgs
 
 
-def _term_slopes(topo, u, trace, params, scales, choice, slope):
-    """slope[t] d(term t)/du for every term t, in the entry layout of
-    :attr:`PairTopology.slots`: (fixed, sym), with ``sym`` the (n_reg, 4)
-    symmetric legs of the regular pairs, each at the nodes of candidate
-    ``choice[g]`` of its group g, and ``fixed`` every other entry.
-    Smoothed mode only."""
+def _term_slopes(topo, u, trace, params, scales, choice, sl_pair, sl_grp,
+                 sl_dgs):
+    """The entries of d alpha/du in the layout of
+    :attr:`PairTopology.slots`, from the slopes d alpha_a/d t of the pair
+    legs ``sl_pair``, of the symmetric legs summed per group ``sl_grp``
+    and of the extrapolated legs ``sl_dgs``: (fixed, sym), with ``sym`` the
+    (n_groups, 4) symmetric-leg entries at the nodes of each group's
+    candidate ``choice[g]`` and ``fixed`` every other entry.  Smoothed mode
+    only."""
     n_dg = len(topo.dg_a)
-    sl_pair, sl_sym, sl_dgs = np.split(
-        slope, np.cumsum([len(topo.pair_w), len(topo.reg_a)]))
     w_grp = topo.grp_ws[:, None] * topo.cand_weights[choice]
-    w_sym = w_grp[topo.reg_group]
 
     # degenerate extrapolated leg: d0 = ubar_a - u_a depends on u_a only
     # where the boundary value is Dirichlet data (else ubar_a is u_a itself)
@@ -356,17 +359,18 @@ def _term_slopes(topo, u, trace, params, scales, choice, slope):
 
     w_pair = topo.pair_w * sl_pair
     fixed = np.concatenate([
-        w_pair, -w_pair, -w_grp.sum(axis=1)[topo.reg_group] * sl_sym,
+        w_pair, -w_pair, -w_grp.sum(axis=1) * sl_grp,
         topo.dg_w * s_a * sl_dgs, topo.dg_w * s_b * sl_dgs])
-    return fixed, w_sym * sl_sym[:, None]
+    return fixed, w_grp * sl_grp[:, None]
 
 
 class _SmoothedBranch(NamedTuple):
-    """The smoothed detector at one candidate assignment: the term values
-    and, per node, the summed terms, the smoothed denominator, the ratio
-    zeta, the ramp Z(zeta) and the clipped alpha = Z^q."""
+    """The smoothed detector at one candidate assignment: the symmetric-leg
+    values per group and, per node, the summed terms, the smoothed
+    denominator, the ratio zeta, the ramp Z(zeta) and the clipped
+    alpha = Z^q."""
 
-    vals: np.ndarray
+    t_sym: np.ndarray
     num: np.ndarray
     den_s: np.ndarray
     zeta: np.ndarray
@@ -374,8 +378,9 @@ class _SmoothedBranch(NamedTuple):
     alpha: np.ndarray
 
 
-def _smoothed_branch(topo, vals, mags, params, scales, n):
-    """The branch of term values ``vals``, with ``mags`` their abs_lower."""
+def _smoothed_branch(topo, t_sym, vals, mags, params, scales, n):
+    """The branch of term values ``vals``, with ``mags`` their abs_lower and
+    ``t_sym`` the symmetric legs per group."""
     tau_h = scales.tau_h
     num = np.bincount(topo.term_idx, weights=vals, minlength=n)
     den = np.bincount(topo.term_idx, weights=mags, minlength=n)
@@ -383,23 +388,29 @@ def _smoothed_branch(topo, vals, mags, params, scales, n):
     den_s = den + scales.gamma_h
     zeta = np.divide(num_s, den_s, out=np.zeros(n), where=den_s > 0.0)
     z = z_ramp(zeta)
-    return _SmoothedBranch(vals, num, den_s, zeta, z,
+    return _SmoothedBranch(t_sym, num, den_s, zeta, z,
                            np.clip(z**params.q, 0.0, 1.0))
 
 
-def _branch_slope(topo, br, params, scales, n):
-    """d alpha_a / d t for every term t of node a = term_idx[t]: q Z^(q-1)
-    Z'(zeta), then the quotient rule on zeta = (abs_upper(num) + gamma) /
-    (den + gamma); zero where the clip to [0, 1] binds."""
-    tau_h = scales.tau_h
+def _node_slopes(br, params, scales, n):
+    """(c, ssgn(num), zeta) per node a as rows of a (3, n) array, with
+    d alpha_a/d t = c_a (ssgn(num_a) - zeta_a d abs_lower(t)/dt) for every
+    term t of a (:func:`_leg_slopes`): c is q Z^(q-1) Z'(zeta) / den_s, by
+    the quotient rule on zeta = (abs_upper(num) + gamma) / (den + gamma),
+    and zero where the clip to [0, 1] binds."""
     zq = br.z**params.q
     with np.errstate(divide="ignore", invalid="ignore"):
         d_z = params.q * br.z**(params.q - 1.0) * _z_ramp_slope(br.zeta)
     d_z[~np.isfinite(d_z) | (zq < 0.0) | (zq > 1.0)] = 0.0
     c = np.divide(d_z, br.den_s, out=np.zeros(n), where=br.den_s > 0.0)
-    i = topo.term_idx
-    return c[i] * (ssgn(br.num, tau_h)[i]
-                   - br.zeta[i] * _abs_lower_slope(br.vals, tau_h))
+    return np.stack([c, ssgn(br.num, scales.tau_h), br.zeta])
+
+
+def _leg_slopes(coef, idx, t, tau_h):
+    """d alpha_a/d t of terms with values ``t`` at nodes a = ``idx``, from
+    the per-node rows ``coef`` of :func:`_node_slopes`."""
+    c, sg, zeta = coef[:, idx]
+    return c * (sg - zeta * _abs_lower_slope(t, tau_h))
 
 
 def _raw_alpha(topo, vals, mags, params, n, noise):
@@ -421,8 +432,9 @@ class DetectorPass:
     evaluated at the all-max and all-min candidate assignments (one
     assignment when they coincide).  The pass keeps its candidate values
     and the assignments, per group of :class:`PairTopology`, and, in
-    smoothed mode, each assignment's term values and ratios, so :meth:`jacobian` derives d alpha/du from them without
-    evaluating the detector again.
+    smoothed mode, the pair and extrapolated legs, each assignment's
+    symmetric legs and its per-node sums and ratios, so :meth:`jacobian`
+    derives d alpha/du from them without evaluating the detector again.
     """
 
     def __init__(self, nodes, u, trace, params, scales):
@@ -451,7 +463,7 @@ class DetectorPass:
         def terms(s):
             t_sym = topo.grp_ws * s
             g = topo.reg_group
-            return (np.concatenate([t_pair, t_sym[g], t_dgs]),
+            return (t_sym, np.concatenate([t_pair, t_sym[g], t_dgs]),
                     np.concatenate([m_pair, mag(t_sym)[g], m_dgs]))
 
         if raw:
@@ -460,9 +472,10 @@ class DetectorPass:
                 u_scale = max(u_scale,
                               float(np.abs(trace.values).max(initial=0.0)))
             noise = 64.0 * np.finfo(float).eps * topo.w_max * u_scale
-            alphas = [_raw_alpha(topo, *terms(s), params, n, noise)
+            alphas = [_raw_alpha(topo, *terms(s)[1:], params, n, noise)
                       for s in self.sides]
         else:
+            self.legs = t_pair, t_dgs
             self.branches = [_smoothed_branch(topo, *terms(s), params,
                                               scales, n) for s in self.sides]
             alphas = [br.alpha for br in self.branches]
@@ -486,22 +499,33 @@ class DetectorPass:
             raise ValueError("the detector Jacobian needs the smoothed mode")
         topo, scales = self.nodes.pair_topology(), self.scales
         hi, *lo = self.branches
-        slope = _branch_slope(topo, hi, params, scales, n)
+        coef = _node_slopes(hi, params, scales, n)
+        t_sym = hi.t_sym
         choice = _first_attaining(topo, self.cand, self.sides[0])
         if lo:
+            # the all-min branch differs only in the symmetric legs; its
+            # per-node factors and legs replace the all-max ones where it wins
             on_lo = lo[0].alpha > hi.alpha
-            slope = np.where(on_lo[topo.term_idx],
-                             _branch_slope(topo, lo[0], params, scales, n),
-                             slope)
-            choice = np.where(on_lo[topo.grp_a],
+            grp_lo = on_lo[topo.grp_a]
+            coef = np.where(on_lo, _node_slopes(lo[0], params, scales, n),
+                            coef)
+            t_sym = np.where(grp_lo, lo[0].t_sym, t_sym)
+            choice = np.where(grp_lo,
                               _first_attaining(topo, self.cand, self.sides[1]),
                               choice)
-        fixed, sym = _term_slopes(topo, self.u, self.trace, params, scales,
-                                  choice, slope)
+        # every regular pair of a group has the group's symmetric leg
+        t_pair, t_dgs = self.legs
+        tau_h = scales.tau_h
+        pa = self.nodes.adjacency_pairs()[0]
+        fixed, sym = _term_slopes(
+            topo, self.u, self.trace, params, scales, choice,
+            _leg_slopes(coef, pa, t_pair, tau_h),
+            topo.grp_pairs * _leg_slopes(coef, topo.grp_a, t_sym, tau_h),
+            _leg_slopes(coef, topo.dg_a, t_dgs, tau_h))
         S, (fixed_slots, cand_slots) = self.nodes.pattern(), topo.slots
         data = np.bincount(fixed_slots, weights=fixed, minlength=S.nnz)
-        data += np.bincount(cand_slots[choice[topo.reg_group]].ravel(),
-                            weights=sym.ravel(), minlength=S.nnz)
+        data += np.bincount(cand_slots[choice].ravel(), weights=sym.ravel(),
+                            minlength=S.nnz)
         return S.matrix(data)
 
 

@@ -67,12 +67,18 @@ class TimeLoopConfig:
             raise ValueError("n_steps must be >= 1")
 
 
+# a Newton record's gmres_iters when LU(J), not GMRES, gave its direction
+LU_DIRECTION = -1
+
+
 @dataclass
 class SolveTrace:
     residuals: list = field(default_factory=list)
     osc: list = field(default_factory=list)
     alpha_active: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
+    gmres_iters: list = field(default_factory=list)
+    lu_fallbacks: int = 0
     converged: bool = False
 
     @property
@@ -81,25 +87,30 @@ class SolveTrace:
 
     def record(self, residual, osc, alpha_active, step):
         """One iterate: its residual norm, OSC (None: no bounds), number of
-        nodes with alpha = 1 and step length."""
+        nodes with alpha = 1 and step length.  Its ``gmres_iters`` starts at
+        0 (no Newton direction); a Newton iterate with a direction sets it to
+        GMRES's iteration count, or to ``LU_DIRECTION`` when the LU of J
+        gave the direction.  ``lu_fallbacks`` counts the GMRES solves that
+        missed (:func:`gmres_direction`)."""
         self.residuals.append(float(residual))
         self.osc.append(float(osc) if osc is not None else np.nan)
         self.alpha_active.append(int(alpha_active))
         self.step_lengths.append(float(step))
+        self.gmres_iters.append(0)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["iteration", "residual", "osc", "alpha_active",
-                        "step_length"])
+                        "step_length", "gmres_iters"])
             for i in range(self.iterations):
                 w.writerow([i, repr(self.residuals[i]), repr(self.osc[i]),
                             self.alpha_active[i],
-                            repr(self.step_lengths[i])])
+                            repr(self.step_lengths[i]), self.gmres_iters[i]])
 
 
-def solve_linear(A, rhs):
-    """Sparse direct solve with a singularity check.
+def factor(A):
+    """SuperLU factorization of A, with a singularity check.
 
     SuperLU orders by minimum degree on the structure of A^T + A, which
     suits the structurally symmetric dG matrices; that ordering keeps its
@@ -110,13 +121,23 @@ def solve_linear(A, rhs):
     A.eliminate_zeros()
     try:
         # pivot off the diagonal only below 0.1 of the column max (less fill)
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
     except RuntimeError as exc:
         raise RuntimeError(f"linear solve failed: {exc}") from exc
+
+
+def lu_solve(lu, rhs):
+    """x = A^-1 rhs by the factorization ``lu`` of A; RuntimeError when x
+    is not finite."""
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise RuntimeError("linear solve produced non-finite values")
     return x
+
+
+def solve_linear(A, rhs):
+    """Sparse direct solve: :func:`factor`, then :func:`lu_solve`."""
+    return lu_solve(factor(A), rhs)
 
 
 def _osc(u, bounds):
@@ -138,8 +159,8 @@ def _initial_guess(problem, u0):
 
 def _picard_update(state, omega):
     """Relaxed solve of the Picard system of a :class:`Linearization`."""
-    A, rhs = state.system
-    return (1.0 - omega) * state.u + omega * solve_linear(A, rhs)
+    return (1.0 - omega) * state.u + omega * lu_solve(state.lu,
+                                                      state.system[1])
 
 
 def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = None,
@@ -181,8 +202,8 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
 
 # -- finite-difference Jacobian with graph coloring ---------------------------
 #
-# Newton uses the analytic Linearization.jacobian; these remain as the
-# independent finite-difference oracle it is checked against.
+# Newton uses the analytic Jacobian (Linearization.jacobian_terms); these
+# remain as the independent finite-difference oracle it is checked against.
 
 def color_columns(P):
     """Greedy distance-1 coloring of columns: same-color columns share no row."""
@@ -232,6 +253,42 @@ def fd_jacobian(residual, u, T0, P, colors, n_colors):
 
 # -- hybrid Newton ------------------------------------------------------------
 
+GMRES_CAP = 20      # GMRES iterations per direction: one cycle, no restart
+GMRES_RTOL = 1e-8   # relative residual of Newton's linear solve
+
+
+def gmres_direction(state):
+    """(step, iterations): GMRES on J step = -T at the
+    :class:`Linearization` ``state``, or (None, iterations) when it misses.
+
+    J is applied as A v + C (d alpha/du v) from
+    :attr:`Linearization.jacobian_terms`, three products in the node
+    pattern, and preconditioned from the right by :attr:`Linearization.lu`,
+    the LU of the Picard matrix A, which differs from J only by the
+    detector term: GMRES solves J A^-1 y = -T and step = A^-1 y, so the
+    residual it minimizes and tests is J's own.  It runs one cycle of at
+    most ``GMRES_CAP`` iterations to a relative residual of
+    ``GMRES_RTOL`` and misses when that is not met or the step is not
+    finite."""
+    A = state.system[0]
+    C, dalpha = state.jacobian_terms
+    lu = state.lu
+
+    def jm(y):
+        v = lu.solve(y)
+        return A @ v + C @ (dalpha @ v)
+    n = A.shape[0]
+    residuals = []
+    y, info = spla.gmres(spla.LinearOperator((n, n), matvec=jm, dtype=float),
+                         -state.residual, rtol=GMRES_RTOL, atol=0.0,
+                         restart=GMRES_CAP, maxiter=1,
+                         callback=residuals.append, callback_type="pr_norm")
+    if info != 0:
+        return None, len(residuals)
+    step = lu.solve(y)
+    return (step if np.all(np.isfinite(step)) else None), len(residuals)
+
+
 def _newton(state, cfg, trace, bounds):
     """Damped Newton with Armijo backtracking on 1/2 ||T||^2 from the
     :class:`Linearization` ``state``; falls back to one Picard step when the
@@ -242,14 +299,19 @@ def _newton(state, cfg, trace, bounds):
     count of the record and the Jacobian.  The residual is A u - rhs of the
     iterate's Picard system, the same T that :func:`picard` records, so
     each trial builds that system, and a fallback solves the one it
-    built.  The Jacobian is exact for the smoothed residual
+    built, by the LU the iterate keeps (:attr:`Linearization.lu`, GMRES's
+    preconditioner).  The Jacobian is exact for the smoothed residual
     (:attr:`Linearization.jacobian`).  Where the smoothed detector is not
     differentiable it is the derivative of the active branch: the first
     candidate cell attaining the max (min) at a symmetric point, the
     all-max or all-min assignment np.maximum keeps per node, and zero where
-    the ramp Z saturates or the clip to [0, 1] binds.  Convergence is
-    ||T|| <= tol * ||rhs||, with rhs the Picard system's at the start."""
+    the ramp Z saturates or the clip to [0, 1] binds.  The direction comes
+    from :func:`gmres_direction`; once GMRES misses, that iterate and every
+    later one of this solve take it from the LU of the assembled J
+    instead.  Convergence is ||T|| <= tol * ||rhs||, with rhs the Picard
+    system's at the start."""
     target = cfg.tol * max(float(np.linalg.norm(state.system[1])), 1e-300)
+    lu_only = False
     while trace.iterations < cfg.max_iter:
         norm = float(np.linalg.norm(state.residual))
         trace.record(norm, _osc(state.u, bounds),
@@ -257,7 +319,15 @@ def _newton(state, cfg, trace, bounds):
         if norm <= target:
             trace.converged = True
             return state.u
-        step = solve_linear(state.jacobian, -state.residual)
+        if not lu_only:
+            step, trace.gmres_iters[-1] = gmres_direction(state)
+            if step is None:
+                trace.lu_fallbacks += 1
+                lu_only = True
+                del state.lu  # not held while J is factored
+        if lu_only:
+            step = solve_linear(state.jacobian, -state.residual)
+            trace.gmres_iters[-1] = LU_DIRECTION
         phi0 = 0.5 * norm**2
         lam = 1.0
         for _ in range(cfg.max_backtracks):
@@ -283,8 +353,8 @@ def hybrid_newton(problem: StabilizedProblem, u0=None,
     Newton starts from one linearization of the Picard result, which gives
     its first residual and its tolerance reference, ||rhs|| of the Picard
     system there; it uses the analytic Jacobian of the smoothed residual,
-    assembled once per iterate (see :func:`_newton` for its non-smooth
-    branches)."""
+    applied by GMRES or, after GMRES misses once, assembled and factored
+    (see :func:`_newton` for its non-smooth branches)."""
     cfg = cfg or SolverConfig()
     if problem.params.enabled and problem.params.mode != "smoothed":
         raise ValueError("hybrid Newton requires the smoothed stabilization")

@@ -220,9 +220,9 @@ class Linearization:
     construction, as a :class:`DetectorPass`; everything else derives from
     it on first use and is kept: the viscosity nu(s), the operators
     (K_tilde, B_tilde), the selectively lumped mass M_tilde, the
-    lagged-coefficient Picard system (A, rhs), the residual T(u) = A u - rhs
-    and its exact Jacobian dT/du.  A non-finite u or u_old raises
-    ValueError.
+    lagged-coefficient Picard system (A, rhs) and the LU of A, the residual
+    T(u) = A u - rhs and its exact Jacobian dT/du, as its two terms in the
+    node pattern or assembled.  A non-finite u or u_old raises ValueError.
     """
 
     def __init__(self, problem, u, dt=None, u_old=None, theta=1.0):
@@ -263,7 +263,8 @@ class Linearization:
     @cached_property
     def system(self):
         """(A, rhs): the linear system with the coefficients frozen at s.
-        A is in the node pattern (:func:`solve_linear` drops its zeros)."""
+        A is in the node pattern (:func:`dgmono.solve.factor` drops its
+        zeros)."""
         p = self.problem
         Kt, Bt = self.operators
         if self.dt is None:
@@ -282,28 +283,32 @@ class Linearization:
         return A @ self.u - rhs
 
     @cached_property
-    def jacobian(self):
-        """dT/du of :attr:`residual` as a CSR matrix.
+    def lu(self):
+        """SuperLU factorization of the Picard matrix A of :attr:`system`,
+        by :func:`dgmono.solve.factor`, the routine of every direct solve."""
+        from .solve import factor  # dgmono.solve imports this module
+        return factor(self.system[0])
+
+    @cached_property
+    def jacobian_terms(self):
+        """(C, d alpha/du), both CSR in the node pattern S, with
+        dT/du = A + C d alpha/du and A the Picard matrix of :attr:`system`.
 
         A u - rhs differentiates to A where the coefficients are frozen; the
-        rest flows through alpha.  With A the Picard matrix of
-        :attr:`system` and C the viscosity
-        slope, which holds (s_a - s_b) d nu_ab/d alpha over the pairs and
-        (s_a - ubar) d nu_b/d alpha over the boundary pairs:
+        rest flows through alpha.  With C0 the viscosity slope, which holds
+        (s_a - s_b) d nu_ab/d alpha over the pairs and (s_a - ubar)
+        d nu_b/d alpha over the boundary pairs:
 
-        - steady: J = A + C d alpha/du, with A = K_tilde;
-        - theta-step: J = A + theta (C + diag((m w - M w) Q alpha^(Q-1)
-          / dt)) d alpha/du, with A = M_tilde/dt + theta K_tilde and
-          w = u - u_old.
+        - steady: C = C0, with A = K_tilde;
+        - theta-step: C = theta (C0 + diag((m w - M w) Q alpha^(Q-1) / dt)),
+          with A = M_tilde/dt + theta K_tilde and w = u - u_old.
 
-        C is filled into the node pattern and d alpha/du comes from the
-        construction's detector pass (:meth:`DetectorPass.jacobian`), so the
-        smoothed mode is required; with the stabilization disabled
-        d alpha/du is 0 and J is A.
+        d alpha/du comes from the construction's detector pass
+        (:meth:`DetectorPass.jacobian`), so the smoothed mode is required;
+        with the stabilization disabled d alpha/du is 0.
         """
         p, s, t = self.problem, self.s, self.problem.tables
         dalpha = self.detector.jacobian()
-        A = self.system[0]
         S = t.S
         n = p.nodes.n_nodes
         d_a, d_b, d_bd = viscosity_slopes(t, self.alpha, p.scales)
@@ -317,14 +322,22 @@ class Linearization:
                   + np.bincount(t.bpair_a, weights=dsb * d_bd, minlength=n))
         if self.dt is None:
             c[S.diag] = c_diag
-            return A + S.matrix(c) @ dalpha
+            return S.matrix(c), dalpha
         Q = p.params.Q
         w = self.u - self.u_old
         with np.errstate(divide="ignore", invalid="ignore"):
             d_blend = Q * self.alpha**(Q - 1.0)
         d_blend[~np.isfinite(d_blend)] = 0.0
         c[S.diag] = c_diag + (p.nodes.m * w - p.M @ w) * d_blend / self.dt
-        return A + self.theta * (S.matrix(c) @ dalpha)
+        return S.matrix(self.theta * c), dalpha
+
+    @cached_property
+    def jacobian(self):
+        """dT/du of :attr:`residual` as a CSR matrix: A + C d alpha/du from
+        :attr:`jacobian_terms`, which it replaces in this state's cache."""
+        C, dalpha = self.jacobian_terms
+        del self.jacobian_terms
+        return self.system[0] + C @ dalpha
 
 
 class StabilizedProblem:

@@ -300,7 +300,9 @@ class PairDetector:
 
     The flat term layout [pair legs, symmetric legs, extrapolated legs] and
     the order of every sum are those of :class:`dgmono.detector.DetectorPass`,
-    so ``alpha`` and :meth:`jacobian` are bitwise the package's.
+    so ``alpha`` is bitwise the package's.  :meth:`jacobian` sums one entry
+    per node pair and agrees with the package's, which sums the symmetric
+    legs of a group first, to rounding.
     """
 
     def __init__(self, nodes, u, trace, params, scales):
@@ -386,10 +388,10 @@ class PairDetector:
         hit = self.cand == np.repeat(s, np.diff(ptr))
         return np.minimum.reduceat(np.where(hit, np.arange(n), n), ptr[:-1])
 
-    def jacobian(self):
-        """d alpha/du in the node pattern S (smoothed mode)."""
+    def entries(self):
+        """(rows, cols, vals) of d alpha/du, one entry per term and u-entry
+        (smoothed mode); entries at the same (row, column) add up."""
         t, u, tau_h = self.topo, self.u, self.tau_h
-        S = self.nodes.pattern()
         pa, pb = self.nodes.adjacency_pairs()
         hi, *lo = self.branches
         slope = self._slope(hi)
@@ -412,17 +414,22 @@ class PairDetector:
         else:
             s_a, s_b = dd0, np.zeros(len(dd0))
 
-        # (row, column, value) of every entry, bincount into S's slots
         dg_a, dg_b, reg_a = t["dg_a"], t["dg_b"], t["reg_a"]
         w_pair = t["pair_w"] * sl_pair
-        rows = np.concatenate([pa, pa, reg_a, dg_a, dg_a])
-        cols = np.concatenate([pb, pa, reg_a, dg_a, dg_b])
+        rows = np.concatenate([pa, pa, reg_a, dg_a, dg_a,
+                               np.repeat(reg_a, 4)])
+        cols = np.concatenate([pb, pa, reg_a, dg_a, dg_b,
+                               t["cand_nodes"][choice].ravel()])
         vals = np.concatenate([
             w_pair, -w_pair, -w_sym.sum(axis=1) * sl_sym,
-            t["dg_w"] * s_a * sl_dgs, t["dg_w"] * s_b * sl_dgs])
-        data = np.bincount(S.slots(rows, cols), weights=vals,
-                           minlength=S.nnz)
-        data += np.bincount(
-            S.slots(np.repeat(reg_a, 4), t["cand_nodes"][choice].ravel()),
-            weights=(w_sym * sl_sym[:, None]).ravel(), minlength=S.nnz)
-        return S.matrix(data)
+            t["dg_w"] * s_a * sl_dgs, t["dg_w"] * s_b * sl_dgs,
+            (w_sym * sl_sym[:, None]).ravel()])
+        return rows, cols, vals
+
+    def jacobian(self):
+        """d alpha/du in the node pattern S (smoothed mode): the
+        :meth:`entries` summed into S's slots."""
+        S = self.nodes.pattern()
+        rows, cols, vals = self.entries()
+        return S.matrix(np.bincount(S.slots(rows, cols), weights=vals,
+                                    minlength=S.nnz))

@@ -321,8 +321,9 @@ class TestPairTopology:
                 want = PairDetector(nodes, u, trace, p, s)
                 assert np.array_equal(got.alpha, want.alpha)
                 if mode == "smoothed":
-                    assert np.array_equal(got.jacobian().data,
-                                          want.jacobian().data)
+                    # the package sums a group's symmetric legs first
+                    g, w = got.jacobian().data, want.jacobian().data
+                    assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
 
     def test_valence3_support_width(self):
         nodes = build_dg_nodes(Mesh(VALENCE3_VERTICES, VALENCE3_CELLS))

@@ -13,6 +13,7 @@ from dgmono.solve import SolveTrace, color_columns, fd_jacobian
 from dgmono.stabilization import StabilizedProblem
 
 from .oracles import jacobian_pattern
+from .test_mesh import perturbed_mesh
 
 from .test_stabilization import make_problem
 
@@ -170,8 +171,23 @@ class TestPicard:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,residual,osc,alpha_active,step_length"
+        assert lines[0] == ("iteration,residual,osc,alpha_active,"
+                            "step_length,gmres_iters")
         assert len(lines) == trace.iterations + 1
+
+    @pytest.mark.parametrize("omega", [1.0, 0.7])
+    def test_shared_lu_is_bitwise_a_fresh_factorization(self, omega):
+        # each iterate's update reads the LU its Linearization keeps; it
+        # must be the solve of a fresh factorization of the same A
+        prob = make_problem(5)
+        cfg = SolverConfig(tol=1e-8, max_iter=12, omega=omega)
+        u, trace = picard(prob, cfg=cfg)
+        v = solve._initial_guess(prob, None)
+        for _ in range(trace.iterations - 1):
+            A, rhs = prob.linearize(v).system
+            v = (1.0 - omega) * v + omega * solve_linear(A, rhs)
+        assert trace.iterations > 3
+        assert np.array_equal(u, v)
 
 
 class TestJacobian:
@@ -341,6 +357,102 @@ class TestHybridNewton:
         assert np.linalg.norm(prob.residual_steady(u)) <= 1e-10 * ref
 
 
+def newton_start(prob):
+    """The iterate the hybrid solver hands to Newton: Picard to 1e-2."""
+    cfg = SolverConfig(tol=1e-2, switch_tol=1.0, max_iter=50)
+    return picard(prob, cfg=cfg, stall_window=10)[0]
+
+
+def three_body_be_step(n=4):
+    """(problem, u0) of a three-body backward-Euler step on n x n cells."""
+    case = get_case("three-body", sigma=1e-2, tau=1e-4)
+    mesh = build_structured_quad(n, n)
+    nodes = build_dg_nodes(mesh)
+    prob = StabilizedProblem(mesh, nodes, case.spec, case.params)
+    return prob, case.spec.u0(nodes.coords[:, 0], nodes.coords[:, 1])
+
+
+def sharp_layer(n=10):
+    case = get_case("sharp-layer")
+    mesh = build_structured_quad(n, n)
+    return StabilizedProblem(mesh, build_dg_nodes(mesh), case.spec,
+                             case.params)
+
+
+class TestNewtonLinearSolve:
+    """Newton's direction by GMRES on J v, preconditioned by the LU of the
+    Picard matrix, with the LU of J as the fallback once GMRES misses."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: sharp_layer(10),
+        lambda: make_problem(mu=1e-2,
+                             mesh=perturbed_mesh(8, 8, scale=0.2, seed=5))],
+        ids=["sharp-layer", "jittered"])
+    def test_gmres_matches_lu_of_jacobian(self, build):
+        prob = build()
+        state = prob.linearize(newton_start(prob))
+        step, iterations = solve.gmres_direction(state)
+        assert step is not None and 0 < iterations <= solve.GMRES_CAP
+        want = solve_linear(state.jacobian, -state.residual)
+        assert np.linalg.norm(step - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_misses_when_the_cap_is_too_small(self, monkeypatch):
+        prob = sharp_layer(10)
+        state = prob.linearize(newton_start(prob))
+        monkeypatch.setattr(solve, "GMRES_CAP", 1)
+        assert solve.gmres_direction(state) == (None, 1)
+
+    def test_fallback_latches_to_lu_of_jacobian(self, monkeypatch):
+        # GMRES misses on its second call: that iterate and every later
+        # one take their direction from LU(J), without calling GMRES again
+        prob, u0 = three_body_be_step()
+        calls = []
+
+        def second_misses(state, _gmres=solve.gmres_direction):
+            calls.append(state)
+            step, iterations = _gmres(state)
+            return (None, iterations) if len(calls) == 2 else (step,
+                                                              iterations)
+        jacobians = []
+
+        def lu_of_jacobian(A, rhs, _solve=solve.solve_linear):
+            jacobians.append(A)
+            return _solve(A, rhs)
+        monkeypatch.setattr(solve, "gmres_direction", second_misses)
+        monkeypatch.setattr(solve, "solve_linear", lu_of_jacobian)
+        _, trace = theta_step(prob, u0, dt=5e-3, theta=1.0,
+                              cfg=SolverConfig(tol=1e-8, max_iter=40),
+                              method="hybrid")
+        assert trace.converged
+        newton = [k for k in trace.gmres_iters if k != 0]
+        assert len(calls) == 2 and trace.lu_fallbacks == 1
+        assert newton[0] > 0 and len(newton) > 3
+        assert newton[1:] == [solve.LU_DIRECTION] * (len(newton) - 1)
+        assert len(jacobians) == len(newton) - 1
+
+    def test_trace_records_the_linear_solves(self, tmp_path):
+        # three-body 4^2 BE: GMRES gives two directions, then misses; the
+        # sharp layer on 10^2 needs no fallback
+        prob, u0 = three_body_be_step()
+        _, trace = theta_step(prob, u0, dt=5e-3, theta=1.0,
+                              cfg=SolverConfig(tol=1e-8, max_iter=40),
+                              method="hybrid")
+        assert trace.converged and trace.lu_fallbacks == 1
+        newton = [k for k in trace.gmres_iters if k != 0]
+        assert all(0 < k <= solve.GMRES_CAP for k in newton[:2])
+        assert newton[2:] == [solve.LU_DIRECTION] * (len(newton) - 2)
+        assert trace.gmres_iters[-1] == 0
+
+        _, trace = hybrid_newton(sharp_layer(10), cfg=SolverConfig())
+        assert trace.converged and trace.lu_fallbacks == 0
+        assert all(k >= 0 for k in trace.gmres_iters)
+        assert any(k > 0 for k in trace.gmres_iters)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        rows = path.read_text().strip().splitlines()[1:]
+        assert [int(r.split(",")[-1]) for r in rows] == trace.gmres_iters
+
+
 class TestThetaStep:
     def test_zero_velocity_zero_source_is_identity(self):
         mesh = build_structured_quad(4, 4)
@@ -472,11 +584,7 @@ class TestDetectorPasses:
     # backtracks at most it falls back to Picard steps and limit-cycles
     @pytest.mark.parametrize("max_backtracks", [30, 2])
     def test_hybrid_backward_euler_step(self, monkeypatch, max_backtracks):
-        case = get_case("three-body", sigma=1e-2, tau=1e-4)
-        mesh = build_structured_quad(4, 4)
-        nodes = build_dg_nodes(mesh)
-        prob = StabilizedProblem(mesh, nodes, case.spec, case.params)
-        u0 = case.spec.u0(nodes.coords[:, 0], nodes.coords[:, 1])
+        prob, u0 = three_body_be_step()
         cfg = SolverConfig(tol=1e-8, max_iter=40,
                            max_backtracks=max_backtracks)
         picard_iters = []

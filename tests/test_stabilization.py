@@ -8,12 +8,11 @@ from dgmono import (Mesh, ProblemSpec, StabilizationParams, audit_dmp,
                     build_dg_nodes, build_structured_quad, build_viscosity,
                     cfl_bound, solve)
 from dgmono.assembly import interpolate_boundary
-from dgmono.detector import _branch_slope, _first_attaining, _term_slopes
 from dgmono.stabilization import (GraphViscosity, PairTables,
                                   StabilizedProblem, build_stabilized,
                                   mass_blend, viscosity_slopes)
 
-from .oracles import lumped_mass_apply
+from .oracles import PairDetector, lumped_mass_apply
 from .test_mesh import VALENCE3_CELLS, VALENCE3_VERTICES, perturbed_mesh
 
 
@@ -372,40 +371,15 @@ def coo_system(state):
 
 
 def coo_dalpha(state):
-    """d alpha/du from (term, column, value) triplets and COO -> CSR."""
-    det, prob = state.detector, state.problem
-    n, params, scales = prob.nodes.n_nodes, prob.params, prob.scales
+    """d alpha/du from the per-node-pair oracle's (term, column, value)
+    triplets and COO -> CSR."""
+    prob = state.problem
+    n, params = prob.nodes.n_nodes, prob.params
     if not params.enabled:
         return sp.csr_matrix((n, n))
-    topo = prob.nodes.pair_topology()
-    hi, *lo = det.branches
-    slope = _branch_slope(topo, hi, params, scales, n)
-    choice = _first_attaining(topo, det.cand, det.sides[0])
-    if lo:
-        on_lo = lo[0].alpha > hi.alpha
-        slope = np.where(on_lo[topo.term_idx],
-                         _branch_slope(topo, lo[0], params, scales, n), slope)
-        choice = np.where(on_lo[topo.grp_a],
-                          _first_attaining(topo, det.cand, det.sides[1]),
-                          choice)
-    pa, pb = prob.nodes.adjacency_pairs()
-    n_pair, n_reg = len(pa), len(topo.reg_a)
-    r_pair = np.arange(n_pair)
-    r_sym = n_pair + np.arange(n_reg)
-    r_dgs = n_pair + n_reg + np.arange(len(topo.dg_a))
-    rows = np.concatenate([r_pair, r_pair, np.repeat(r_sym, 4), r_sym,
-                           r_dgs, r_dgs])
-    # each regular pair takes the candidate chosen for its group
-    cols = np.concatenate([pb, pa,
-                           topo.cand_nodes[choice[topo.reg_group]].ravel(),
-                           topo.reg_a, topo.dg_a, topo.dg_b])
-    fixed, sym = _term_slopes(topo, det.u, det.trace, params, scales, choice,
-                              slope)
-    # back to the flat (term, column) layout of the triplets
-    k = 2 * n_pair
-    vals = np.concatenate([fixed[:k], sym.ravel(), fixed[k:]])
-    return sp.coo_matrix((vals, (topo.term_idx[rows], cols)),
-                         shape=(n, n)).tocsr()
+    rows, cols, vals = PairDetector(prob.nodes, state.s, prob.trace, params,
+                                    prob.scales).entries()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def coo_jacobian(state):
