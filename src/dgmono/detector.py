@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import eval_in_cells
 from .mesh import DgNodeSet, symmetric_points_batch
@@ -36,11 +35,12 @@ class StabilizationParams:
     """Detector and stabilization configuration.
 
     ``sigma``, ``tau``, ``gamma`` are the dimensionless smoothing inputs;
-    the mesh-dependent values are produced by :meth:`derived`.  ``sigma_h``,
-    ``tau_h``, ``gamma_h``, when given, bypass the mesh scaling and are used
-    verbatim (the benchmark literature quotes such values directly).  ``Q``
-    is the mass-lumping exponent; with alpha in [0, 1], ``inf`` lumps only
-    where alpha == 1, as the plain power alpha**inf does.
+    the mesh-dependent values are produced by :meth:`derived`.  ``sigma_h``
+    and ``tau_h``, when given, bypass the mesh scaling and are used verbatim
+    (the benchmark literature quotes such values directly); gamma is not
+    scaled.  ``Q`` is the mass-lumping exponent; with alpha in [0, 1],
+    ``inf`` lumps only where alpha == 1, as the plain power alpha**inf
+    does.
     """
 
     mode: str = "smoothed"
@@ -51,7 +51,6 @@ class StabilizationParams:
     gamma: Optional[float] = None
     sigma_h: Optional[float] = None
     tau_h: Optional[float] = None
-    gamma_h: Optional[float] = None
     enabled: bool = True
     boundary_extrapolation: bool = True
 
@@ -59,8 +58,7 @@ class StabilizationParams:
         if self.mode not in ("raw", "smoothed"):
             raise ValueError(f"unknown detector mode {self.mode!r}")
         if self.mode == "raw":
-            for name in ("sigma", "tau", "gamma",
-                         "sigma_h", "tau_h", "gamma_h"):
+            for name in ("sigma", "tau", "gamma", "sigma_h", "tau_h"):
                 val = getattr(self, name)
                 if val is None:
                     setattr(self, name, 0.0)
@@ -79,7 +77,7 @@ class StabilizationParams:
                 self.Q = 10.0
         if self.q <= 0.0 or self.Q <= 0.0:
             raise ValueError("exponents q and Q must be positive")
-        for name in ("sigma", "tau", "gamma", "sigma_h", "tau_h", "gamma_h"):
+        for name in ("sigma", "tau", "gamma", "sigma_h", "tau_h"):
             val = getattr(self, name)
             if val is not None and val < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -87,15 +85,15 @@ class StabilizationParams:
     def derived(self, h, beta_norm):
         """sigma_h, tau_h, gamma_h for mesh size h and velocity scale |beta|.
 
-        Direct ``*_h`` overrides, when set, take precedence over the
-        dimensionless inputs and their mesh scaling."""
+        Direct ``sigma_h`` and ``tau_h`` overrides, when set, take
+        precedence over the dimensionless inputs and their mesh scaling;
+        gamma_h is gamma."""
         return DerivedScales(
             sigma_h=(self.sigma_h if self.sigma_h is not None
                      else self.sigma * beta_norm**2 * h**4),
             tau_h=(self.tau_h if self.tau_h is not None
                    else self.tau * h**2),
-            gamma_h=(self.gamma_h if self.gamma_h is not None
-                     else self.gamma),
+            gamma_h=self.gamma,
         )
 
 
@@ -482,8 +480,8 @@ class DetectorPass:
         self.alpha = functools.reduce(np.maximum, alphas)
 
     def jacobian(self):
-        """d alpha/du as a CSR matrix in the node pattern S; smoothed mode
-        only.
+        """d alpha/du as a CSR matrix in the node pattern S (zeros with the
+        stabilization disabled); smoothed mode only.
 
         Where the detector is not smooth, the derivative is that of the
         active branch: at each group, the first candidate cell attaining
@@ -492,9 +490,9 @@ class DetectorPass:
         zero where the ramp saturates (zeta >= 1) or the clip to [0, 1]
         binds.
         """
-        n, params = self.nodes.n_nodes, self.params
+        n, params, S = self.nodes.n_nodes, self.params, self.nodes.pattern()
         if not params.enabled:
-            return sp.csr_matrix((n, n))
+            return S.matrix(np.zeros(S.nnz))
         if params.mode != "smoothed":
             raise ValueError("the detector Jacobian needs the smoothed mode")
         topo, scales = self.nodes.pair_topology(), self.scales
@@ -522,7 +520,7 @@ class DetectorPass:
             _leg_slopes(coef, pa, t_pair, tau_h),
             topo.grp_pairs * _leg_slopes(coef, topo.grp_a, t_sym, tau_h),
             _leg_slopes(coef, topo.dg_a, t_dgs, tau_h))
-        S, (fixed_slots, cand_slots) = self.nodes.pattern(), topo.slots
+        fixed_slots, cand_slots = topo.slots
         data = np.bincount(fixed_slots, weights=fixed, minlength=S.nnz)
         data += np.bincount(cand_slots[choice].ravel(), weights=sym.ravel(),
                             minlength=S.nnz)

@@ -20,10 +20,10 @@ from .solve import SolverConfig, TimeLoopConfig, run_transient, solver
 from .stabilization import StabilizedProblem
 
 PARAM_KEYS = ("mode", "q", "Q", "sigma", "tau", "gamma",
-              "sigma_h", "tau_h", "gamma_h", "enabled",
+              "sigma_h", "tau_h", "enabled",
               "boundary_extrapolation")
 SOLVER_KEYS = ("tol", "max_iter", "switch_tol", "omega", "rho", "c1",
-               "max_backtracks", "stall_window")
+               "max_backtracks")
 
 
 def coerce(text):

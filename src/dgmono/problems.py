@@ -91,8 +91,9 @@ def case_sharp_layer(**params_kw):
     """Convection-dominated steady problem with sharp internal layer.
 
     The reference study quotes the smoothing scales for this problem
-    directly (sigma_h = 1e-2, tau_h = 1e-4, gamma_h = 1e-2), so those are
-    the case defaults; pass sigma/tau/gamma to use the mesh scaling instead.
+    directly (sigma_h = 1e-2, tau_h = 1e-4, gamma_h = gamma = 1e-2), so
+    those are the case defaults; pass sigma/tau/gamma to use the mesh
+    scaling instead.
     """
     bx, by = np.cos(np.pi / 3), -np.sin(np.pi / 3)
     spec = ProblemSpec(beta=lambda x, y: (bx, by), mu=1e-4, g=None,
@@ -100,8 +101,8 @@ def case_sharp_layer(**params_kw):
     kw = dict(params_kw)
     if kw.get("mode", "smoothed") == "smoothed" and not any(
             kw.get(k) is not None for k in
-            ("sigma", "tau", "gamma", "sigma_h", "tau_h", "gamma_h")):
-        kw.update(sigma_h=1e-2, tau_h=1e-4, gamma_h=1e-2)
+            ("sigma", "tau", "gamma", "sigma_h", "tau_h")):
+        kw.update(sigma_h=1e-2, tau_h=1e-4)
     return ProblemCase(name="sharp-layer", spec=spec, mesh_n=100,
                        params=StabilizationParams(**kw),
                        bounds=(0.0, 1.0))

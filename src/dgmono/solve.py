@@ -27,7 +27,6 @@ class SolverConfig:
     rho: float = 0.5
     c1: float = 1e-4
     max_backtracks: int = 30
-    stall_window: int = 10
 
     def __post_init__(self):
         if not (0.0 < self.tol < self.switch_tol):
@@ -40,8 +39,8 @@ class SolverConfig:
             raise ValueError("rho must be in (0, 1)")
         if not (0.0 < self.c1 < 0.5):
             raise ValueError("c1 must be in (0, 0.5)")
-        if self.max_backtracks < 1 or self.stall_window < 0:
-            raise ValueError("need max_backtracks >= 1 and stall_window >= 0")
+        if self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be >= 1")
 
 
 def check_step(theta, dt):
@@ -67,10 +66,6 @@ class TimeLoopConfig:
             raise ValueError("n_steps must be >= 1")
 
 
-# a Newton record's gmres_iters when LU(J), not GMRES, gave its direction
-LU_DIRECTION = -1
-
-
 @dataclass
 class SolveTrace:
     residuals: list = field(default_factory=list)
@@ -78,7 +73,6 @@ class SolveTrace:
     alpha_active: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
     gmres_iters: list = field(default_factory=list)
-    lu_fallbacks: int = 0
     converged: bool = False
 
     @property
@@ -89,9 +83,7 @@ class SolveTrace:
         """One iterate: its residual norm, OSC (None: no bounds), number of
         nodes with alpha = 1 and step length.  Its ``gmres_iters`` starts at
         0 (no Newton direction); a Newton iterate with a direction sets it to
-        GMRES's iteration count, or to ``LU_DIRECTION`` when the LU of J
-        gave the direction.  ``lu_fallbacks`` counts the GMRES solves that
-        missed (:func:`gmres_direction`)."""
+        GMRES's iteration count (:func:`gmres_direction`)."""
         self.residuals.append(float(residual))
         self.osc.append(float(osc) if osc is not None else np.nan)
         self.alpha_active.append(int(alpha_active))
@@ -255,38 +247,38 @@ def fd_jacobian(residual, u, T0, P, colors, n_colors):
 
 GMRES_CAP = 20      # GMRES iterations per direction: one cycle, no restart
 GMRES_RTOL = 1e-8   # relative residual of Newton's linear solve
+STALL_WINDOW = 10   # picard's stall_window in the hybrid's Picard phase
 
 
 def gmres_direction(state):
     """(step, iterations): GMRES on J step = -T at the
-    :class:`Linearization` ``state``, or (None, iterations) when it misses.
+    :class:`Linearization` ``state``.
 
     J is applied as A v + C (d alpha/du v) from
     :attr:`Linearization.jacobian_terms`, three products in the node
-    pattern, and preconditioned from the right by :attr:`Linearization.lu`,
-    the LU of the Picard matrix A, which differs from J only by the
-    detector term: GMRES solves J A^-1 y = -T and step = A^-1 y, so the
-    residual it minimizes and tests is J's own.  It runs one cycle of at
-    most ``GMRES_CAP`` iterations to a relative residual of
-    ``GMRES_RTOL`` and misses when that is not met or the step is not
-    finite."""
+    pattern S, and preconditioned from the right by the LU of
+    P = A + C diag(d alpha/du), which keeps the detector term's dependence
+    on each node's own value and so stays in S: GMRES solves J P^-1 y = -T
+    and step = P^-1 y, so the residual it minimizes is J's own.  One cycle
+    of at most ``GMRES_CAP`` iterations to a relative residual of
+    ``GMRES_RTOL``; its iterate, which from zero never raises
+    ||T + J step||, is the step whether or not it met that.  RuntimeError
+    when the step is not finite."""
     A = state.system[0]
     C, dalpha = state.jacobian_terms
-    lu = state.lu
+    S = state.problem.tables.S
+    lu = factor(S.matrix(A.data + C.data * dalpha.data[S.diag][S.indices]))
 
     def jm(y):
         v = lu.solve(y)
         return A @ v + C @ (dalpha @ v)
     n = A.shape[0]
     residuals = []
-    y, info = spla.gmres(spla.LinearOperator((n, n), matvec=jm, dtype=float),
-                         -state.residual, rtol=GMRES_RTOL, atol=0.0,
-                         restart=GMRES_CAP, maxiter=1,
-                         callback=residuals.append, callback_type="pr_norm")
-    if info != 0:
-        return None, len(residuals)
-    step = lu.solve(y)
-    return (step if np.all(np.isfinite(step)) else None), len(residuals)
+    y, _ = spla.gmres(spla.LinearOperator((n, n), matvec=jm, dtype=float),
+                      -state.residual, rtol=GMRES_RTOL, atol=0.0,
+                      restart=GMRES_CAP, maxiter=1,
+                      callback=residuals.append, callback_type="pr_norm")
+    return lu_solve(lu, y), len(residuals)
 
 
 def _newton(state, cfg, trace, bounds):
@@ -296,22 +288,19 @@ def _newton(state, cfg, trace, bounds):
 
     Every iterate is linearized once: the accepted line-search trial (or
     the state after a fallback) supplies the residual, the active-alpha
-    count of the record and the Jacobian.  The residual is A u - rhs of the
-    iterate's Picard system, the same T that :func:`picard` records, so
-    each trial builds that system, and a fallback solves the one it
-    built, by the LU the iterate keeps (:attr:`Linearization.lu`, GMRES's
-    preconditioner).  The Jacobian is exact for the smoothed residual
-    (:attr:`Linearization.jacobian`).  Where the smoothed detector is not
-    differentiable it is the derivative of the active branch: the first
+    count of the record and the Jacobian terms.  The residual is A u - rhs
+    of the iterate's Picard system, the same T that :func:`picard` records,
+    so each trial builds that system, and a fallback solves the one it
+    built, by the LU the iterate keeps (:attr:`Linearization.lu`).  The
+    Jacobian is exact for the smoothed residual
+    (:attr:`Linearization.jacobian_terms`).  Where the smoothed detector is
+    not differentiable it is the derivative of the active branch: the first
     candidate cell attaining the max (min) at a symmetric point, the
     all-max or all-min assignment np.maximum keeps per node, and zero where
     the ramp Z saturates or the clip to [0, 1] binds.  The direction comes
-    from :func:`gmres_direction`; once GMRES misses, that iterate and every
-    later one of this solve take it from the LU of the assembled J
-    instead.  Convergence is ||T|| <= tol * ||rhs||, with rhs the Picard
-    system's at the start."""
+    from :func:`gmres_direction`.  Convergence is ||T|| <= tol * ||rhs||,
+    with rhs the Picard system's at the start."""
     target = cfg.tol * max(float(np.linalg.norm(state.system[1])), 1e-300)
-    lu_only = False
     while trace.iterations < cfg.max_iter:
         norm = float(np.linalg.norm(state.residual))
         trace.record(norm, _osc(state.u, bounds),
@@ -319,15 +308,7 @@ def _newton(state, cfg, trace, bounds):
         if norm <= target:
             trace.converged = True
             return state.u
-        if not lu_only:
-            step, trace.gmres_iters[-1] = gmres_direction(state)
-            if step is None:
-                trace.lu_fallbacks += 1
-                lu_only = True
-                del state.lu  # not held while J is factored
-        if lu_only:
-            step = solve_linear(state.jacobian, -state.residual)
-            trace.gmres_iters[-1] = LU_DIRECTION
+        step, trace.gmres_iters[-1] = gmres_direction(state)
         phi0 = 0.5 * norm**2
         lam = 1.0
         for _ in range(cfg.max_backtracks):
@@ -350,18 +331,19 @@ def hybrid_newton(problem: StabilizedProblem, u0=None,
                   dt=None, u_old=None, theta=1.0):
     """Picard to the switch tolerance, then damped Newton with line search.
 
-    Newton starts from one linearization of the Picard result, which gives
-    its first residual and its tolerance reference, ||rhs|| of the Picard
-    system there; it uses the analytic Jacobian of the smoothed residual,
-    applied by GMRES or, after GMRES misses once, assembled and factored
-    (see :func:`_newton` for its non-smooth branches)."""
+    The Picard phase also stops after ``STALL_WINDOW`` iterations without
+    improvement.  Newton starts from one linearization of the Picard
+    result, which gives its first residual and its tolerance reference,
+    ||rhs|| of the Picard system there; it applies the analytic Jacobian of
+    the smoothed residual by GMRES (see :func:`_newton` for its non-smooth
+    branches)."""
     cfg = cfg or SolverConfig()
     if problem.params.enabled and problem.params.mode != "smoothed":
         raise ValueError("hybrid Newton requires the smoothed stabilization")
     # the Picard phase stops at switch_tol and never reads its own switch_tol
     pre_cfg = replace(cfg, tol=cfg.switch_tol, switch_tol=np.inf)
     u, trace = picard(problem, u0, pre_cfg, bounds, dt, u_old, theta,
-                      stall_window=cfg.stall_window)
+                      stall_window=STALL_WINDOW)
     u = _newton(problem.linearize(u, dt, u_old, theta), cfg, trace, bounds)
     return u, trace
 

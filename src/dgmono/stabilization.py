@@ -221,8 +221,8 @@ class Linearization:
     it on first use and is kept: the viscosity nu(s), the operators
     (K_tilde, B_tilde), the selectively lumped mass M_tilde, the
     lagged-coefficient Picard system (A, rhs) and the LU of A, the residual
-    T(u) = A u - rhs and its exact Jacobian dT/du, as its two terms in the
-    node pattern or assembled.  A non-finite u or u_old raises ValueError.
+    T(u) = A u - rhs and the two terms of its exact Jacobian dT/du in the
+    node pattern.  A non-finite u or u_old raises ValueError.
     """
 
     def __init__(self, problem, u, dt=None, u_old=None, theta=1.0):
@@ -305,7 +305,7 @@ class Linearization:
 
         d alpha/du comes from the construction's detector pass
         (:meth:`DetectorPass.jacobian`), so the smoothed mode is required;
-        with the stabilization disabled d alpha/du is 0.
+        with the stabilization disabled d alpha/du is 0, stored in S.
         """
         p, s, t = self.problem, self.s, self.problem.tables
         dalpha = self.detector.jacobian()
@@ -330,14 +330,6 @@ class Linearization:
         d_blend[~np.isfinite(d_blend)] = 0.0
         c[S.diag] = c_diag + (p.nodes.m * w - p.M @ w) * d_blend / self.dt
         return S.matrix(self.theta * c), dalpha
-
-    @cached_property
-    def jacobian(self):
-        """dT/du of :attr:`residual` as a CSR matrix: A + C d alpha/du from
-        :attr:`jacobian_terms`, which it replaces in this state's cache."""
-        C, dalpha = self.jacobian_terms
-        del self.jacobian_terms
-        return self.system[0] + C @ dalpha
 
 
 class StabilizedProblem:

@@ -7,7 +7,8 @@
 - the selectively lumped mass action, the oracle for
   :func:`dgmono.stabilization.lumped_mass_matrix`;
 - the pattern S^2 that the finite-difference Jacobian oracle
-  (:func:`dgmono.solve.fd_jacobian`) is restricted to;
+  (:func:`dgmono.solve.fd_jacobian`) is restricted to, and the Jacobian
+  dT/du assembled from the two terms Newton applies;
 - the interior-penalty operators K and B on any convex quadrilateral mesh,
   built with plain loops over cells, facets and Gauss points: the oracle for
   :func:`dgmono.assemble_K` and :func:`dgmono.assemble_B`;
@@ -147,6 +148,13 @@ def jacobian_pattern(problem):
     P = (A @ A).tocsc()
     P.data[:] = 1
     return P
+
+
+def assembled_jacobian(state):
+    """dT/du at the :class:`dgmono.stabilization.Linearization` ``state`` as
+    one CSR matrix: A + C d alpha/du from its Jacobian terms."""
+    C, dalpha = state.jacobian_terms
+    return state.system[0] + C @ dalpha
 
 
 # -- scalar interior-penalty operators ----------------------------------------

@@ -80,7 +80,7 @@ class TestParams:
         assert s.gamma_h == pytest.approx(1e-2)
 
     def test_direct_overrides_win(self):
-        p = StabilizationParams(sigma_h=0.25, tau_h=0.5, gamma_h=0.75)
+        p = StabilizationParams(sigma_h=0.25, tau_h=0.5, gamma=0.75)
         s = p.derived(h=0.1, beta_norm=3.0)
         assert (s.sigma_h, s.tau_h, s.gamma_h) == (0.25, 0.5, 0.75)
 

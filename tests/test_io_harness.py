@@ -137,6 +137,14 @@ class TestHarness:
             run_experiment("smooth", overrides={"z_printed": True},
                            outdir=str(tmp_path))
 
+    # neither is an option: the Picard stall window is the hybrid solver's
+    # own constant, and gamma is used unscaled
+    @pytest.mark.parametrize("key", ["stall_window", "gamma_h"])
+    def test_removed_option_raises(self, tmp_path, key):
+        with pytest.raises(ValueError, match=key):
+            run_experiment("smooth", overrides={key: 5},
+                           outdir=str(tmp_path))
+
     def test_smooth_small(self, tmp_path):
         report = run_experiment(
             "smooth", overrides={"meshes": "4,8", "mu": 1.0, "tol": 1e-8},
@@ -224,9 +232,9 @@ class TestCli:
             return run
         monkeypatch.setattr(harness, "solver", solver)
         rc = cli_main(["run", "sharp-layer", "n=4", "switch_tol=1.0",
-                       "stall_window=5", "-o", str(tmp_path)])
+                       "max_backtracks=5", "-o", str(tmp_path)])
         assert rc == 0
-        assert [(c.switch_tol, c.stall_window) for c in cfgs] == [(1.0, 5)]
+        assert [(c.switch_tol, c.max_backtracks) for c in cfgs] == [(1.0, 5)]
 
     def test_bad_override(self, capsys):
         rc = cli_main(["run", "smooth", "badoption"])

@@ -112,7 +112,7 @@ class TestCases:
         case = get_case("sharp-layer")
         assert case.params.sigma_h == 1e-2
         assert case.params.tau_h == 1e-4
-        assert case.params.gamma_h == 1e-2
+        assert case.params.gamma == 1e-2
         # explicit dimensionless inputs switch back to the mesh scaling
         case2 = get_case("sharp-layer", sigma=1e-2)
         assert case2.params.sigma_h is None

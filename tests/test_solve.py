@@ -12,10 +12,11 @@ from dgmono.detector import DetectorPass
 from dgmono.solve import SolveTrace, color_columns, fd_jacobian
 from dgmono.stabilization import StabilizedProblem
 
-from .oracles import jacobian_pattern
+from .oracles import assembled_jacobian, jacobian_pattern
 from .test_mesh import perturbed_mesh
 
-from .test_stabilization import make_problem
+from .test_stabilization import (assert_close, coo_jacobian_terms,
+                                 coo_system, make_problem)
 
 
 class TestConfig:
@@ -30,8 +31,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value, match", [
         ("rho", 0.0, "rho"), ("rho", 1.0, "rho"), ("rho", -0.5, "rho"),
         ("c1", 0.0, "c1"), ("c1", 0.5, "c1"), ("c1", -1e-4, "c1"),
-        ("max_backtracks", 0, "max_backtracks"),
-        ("stall_window", -1, "stall_window")])
+        ("max_backtracks", 0, "max_backtracks")])
     def test_line_search_validation(self, field, value, match):
         # rho = 0 makes the second trial lambda = 0, accepted with no
         # progress; max_backtracks = 0 makes every Newton step a fallback
@@ -39,10 +39,8 @@ class TestConfig:
             SolverConfig(**{field: value})
 
     def test_line_search_limits_accepted(self):
-        cfg = SolverConfig(rho=0.99, c1=0.49, max_backtracks=1,
-                           stall_window=0)
-        assert (cfg.rho, cfg.c1, cfg.max_backtracks, cfg.stall_window) == \
-            (0.99, 0.49, 1, 0)
+        cfg = SolverConfig(rho=0.99, c1=0.49, max_backtracks=1)
+        assert (cfg.rho, cfg.c1, cfg.max_backtracks) == (0.99, 0.49, 1)
 
     def test_loop_validation(self):
         with pytest.raises(ValueError):
@@ -100,7 +98,7 @@ class TestLinearSolve:
         u_old = case.spec.u0(nodes.coords[:, 0], nodes.coords[:, 1])
         u = u_old + 0.05 * rng.standard_normal(nodes.n_nodes)
         state = prob.linearize(u, 5e-3, u_old, 0.5)
-        out.append((state.jacobian, -state.residual))
+        out.append((assembled_jacobian(state), -state.residual))
         return out
 
     def test_matches_dense_solve_on_dg_systems(self):
@@ -297,7 +295,7 @@ class TestAnalyticJacobian:
 
     def test_matches_central_differences(self, case):
         prob, u, residual, kw = case
-        J = prob.linearize(u, **kw).jacobian
+        J = assembled_jacobian(prob.linearize(u, **kw))
         rng = np.random.default_rng(3)
         eps = 1e-6 * max(1.0, float(np.abs(u).max()))
         for _ in range(10):
@@ -310,7 +308,7 @@ class TestAnalyticJacobian:
 
     def test_matches_fd_jacobian_within_pattern(self, case):
         prob, u, residual, kw = case
-        J = prob.linearize(u, **kw).jacobian.tocoo()
+        J = assembled_jacobian(prob.linearize(u, **kw)).tocoo()
         P = jacobian_pattern(prob)
         colors, n_colors = color_columns(P)
         J_fd = fd_jacobian(residual, u, residual(u), P, colors, n_colors)
@@ -322,7 +320,7 @@ class TestAnalyticJacobian:
     def test_raw_mode_rejected(self):
         prob = make_problem(3, mode="raw")
         with pytest.raises(ValueError, match="smoothed"):
-            prob.linearize(np.zeros(prob.nodes.n_nodes)).jacobian
+            assembled_jacobian(prob.linearize(np.zeros(prob.nodes.n_nodes)))
 
 
 class TestHybridNewton:
@@ -348,6 +346,17 @@ class TestHybridNewton:
         assert [c.tol for c in picard_cfgs] == [switch_tol]
         assert trace.converged and np.all(np.isfinite(u))
 
+    def test_disabled_stabilization(self):
+        # d alpha/du is 0, stored in the node pattern like every other
+        # per-iterate matrix, so Newton's preconditioner is A = J itself;
+        # with switch_tol 1e10 Newton takes the first step
+        prob = sharp_layer(6, enabled=False)
+        _, trace = hybrid_newton(prob)
+        assert trace.converged and trace.iterations == 3
+        _, trace = hybrid_newton(prob, cfg=SolverConfig(tol=1e-8,
+                                                        switch_tol=1e10))
+        assert trace.converged and trace.gmres_iters[:2] == [0, 1]
+
     def test_converges_quadratically_near_solution(self):
         prob = make_problem(6, mu=1e-4)
         cfg = SolverConfig(tol=1e-10, max_iter=100)
@@ -363,6 +372,11 @@ def newton_start(prob):
     return picard(prob, cfg=cfg, stall_window=10)[0]
 
 
+def at_newton_start(prob):
+    """The Linearization at :func:`newton_start`."""
+    return prob.linearize(newton_start(prob))
+
+
 def three_body_be_step(n=4):
     """(problem, u0) of a three-body backward-Euler step on n x n cells."""
     case = get_case("three-body", sigma=1e-2, tau=1e-4)
@@ -372,81 +386,107 @@ def three_body_be_step(n=4):
     return prob, case.spec.u0(nodes.coords[:, 0], nodes.coords[:, 1])
 
 
-def sharp_layer(n=10):
-    case = get_case("sharp-layer")
+def sharp_layer(n=10, **kw):
+    case = get_case("sharp-layer", **kw)
     mesh = build_structured_quad(n, n)
     return StabilizedProblem(mesh, build_dg_nodes(mesh), case.spec,
                              case.params)
 
 
-class TestNewtonLinearSolve:
-    """Newton's direction by GMRES on J v, preconditioned by the LU of the
-    Picard matrix, with the LU of J as the fallback once GMRES misses."""
+def three_body_be_solve(prob, u0):
+    """The three-body backward-Euler step of :func:`three_body_be_step`,
+    solved by the hybrid solver: (u, trace)."""
+    return theta_step(prob, u0, dt=5e-3, theta=1.0,
+                      cfg=SolverConfig(tol=1e-8, max_iter=40),
+                      method="hybrid")
 
-    @pytest.mark.parametrize("build", [
-        lambda: sharp_layer(10),
-        lambda: make_problem(mu=1e-2,
-                             mesh=perturbed_mesh(8, 8, scale=0.2, seed=5))],
-        ids=["sharp-layer", "jittered"])
-    def test_gmres_matches_lu_of_jacobian(self, build):
-        prob = build()
-        state = prob.linearize(newton_start(prob))
+
+def newton_states(run):
+    """The Linearizations at which ``run()`` takes a Newton direction."""
+    states = []
+
+    def recorded(state, _gmres=solve.gmres_direction):
+        states.append(state)
+        return _gmres(state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "gmres_direction", recorded)
+        run()
+    return states
+
+
+def three_body_newton_state():
+    """The third Newton iterate of the three-body 4^2 backward-Euler step,
+    where GMRES preconditioned by the Picard matrix's LU alone missed its
+    cap."""
+    return newton_states(lambda: three_body_be_solve(*three_body_be_step()))[2]
+
+
+class TestNewtonLinearSolve:
+    """Newton's direction by GMRES on J v, preconditioned by the LU of
+    P = A + C diag(d alpha/du)."""
+
+    @pytest.mark.parametrize("newton_state", [
+        lambda: at_newton_start(sharp_layer(10)),
+        lambda: at_newton_start(make_problem(
+            mu=1e-2, mesh=perturbed_mesh(8, 8, scale=0.2, seed=5))),
+        three_body_newton_state],
+        ids=["sharp-layer", "jittered", "three-body"])
+    def test_gmres_matches_lu_of_jacobian(self, newton_state):
+        state = newton_state()
         step, iterations = solve.gmres_direction(state)
-        assert step is not None and 0 < iterations <= solve.GMRES_CAP
-        want = solve_linear(state.jacobian, -state.residual)
+        assert 0 < iterations <= solve.GMRES_CAP
+        want = solve_linear(assembled_jacobian(state), -state.residual)
         assert np.linalg.norm(step - want) <= 1e-8 * np.linalg.norm(want)
 
-    def test_misses_when_the_cap_is_too_small(self, monkeypatch):
-        prob = sharp_layer(10)
-        state = prob.linearize(newton_start(prob))
+    @pytest.mark.parametrize("step", [None, (1e-2, 1.0), (1e-2, 0.5)],
+                             ids=["steady", "backward-euler",
+                                  "crank-nicolson"])
+    def test_preconditioner(self, monkeypatch, step):
+        # P = A + C diag(d alpha/du), against the COO oracle's terms
+        prob = jittered_problem(6, 1)
+        rng = np.random.default_rng(7)
+        u, u_old = rng.uniform(0.0, 1.0, (2, prob.nodes.n_nodes))
+        state = prob.linearize(u) if step is None else \
+            prob.linearize(u, step[0], u_old, step[1])
+        factored = []
+
+        def factor(P, _factor=solve.factor):
+            factored.append(P)
+            return _factor(P)
+        monkeypatch.setattr(solve, "factor", factor)
+        solve.gmres_direction(state)
+        C, dalpha = coo_jacobian_terms(state)
+        want = coo_system(state)[0] + C @ sp.diags(dalpha.diagonal())
+        assert len(factored) == 1
+        assert_close(factored[0], want)
+
+    def test_one_iteration_per_direction_still_converges(self, monkeypatch):
+        # a GMRES iterate that misses the tolerance is still the direction
         monkeypatch.setattr(solve, "GMRES_CAP", 1)
-        assert solve.gmres_direction(state) == (None, 1)
+        traces = [hybrid_newton(sharp_layer(10), cfg=SolverConfig())[1],
+                  three_body_be_solve(*three_body_be_step())[1]]
+        for trace in traces:
+            assert trace.converged
+            assert set(trace.gmres_iters) == {0, 1}
 
-    def test_fallback_latches_to_lu_of_jacobian(self, monkeypatch):
-        # GMRES misses on its second call: that iterate and every later
-        # one take their direction from LU(J), without calling GMRES again
-        prob, u0 = three_body_be_step()
-        calls = []
+    def test_trace_records_the_linear_solves(self, monkeypatch, tmp_path):
+        # every Newton record but the converged last one holds its GMRES
+        # iterations; the Picard records hold 0
+        picard_iters = []
 
-        def second_misses(state, _gmres=solve.gmres_direction):
-            calls.append(state)
-            step, iterations = _gmres(state)
-            return (None, iterations) if len(calls) == 2 else (step,
-                                                              iterations)
-        jacobians = []
-
-        def lu_of_jacobian(A, rhs, _solve=solve.solve_linear):
-            jacobians.append(A)
-            return _solve(A, rhs)
-        monkeypatch.setattr(solve, "gmres_direction", second_misses)
-        monkeypatch.setattr(solve, "solve_linear", lu_of_jacobian)
-        _, trace = theta_step(prob, u0, dt=5e-3, theta=1.0,
-                              cfg=SolverConfig(tol=1e-8, max_iter=40),
-                              method="hybrid")
-        assert trace.converged
-        newton = [k for k in trace.gmres_iters if k != 0]
-        assert len(calls) == 2 and trace.lu_fallbacks == 1
-        assert newton[0] > 0 and len(newton) > 3
-        assert newton[1:] == [solve.LU_DIRECTION] * (len(newton) - 1)
-        assert len(jacobians) == len(newton) - 1
-
-    def test_trace_records_the_linear_solves(self, tmp_path):
-        # three-body 4^2 BE: GMRES gives two directions, then misses; the
-        # sharp layer on 10^2 needs no fallback
-        prob, u0 = three_body_be_step()
-        _, trace = theta_step(prob, u0, dt=5e-3, theta=1.0,
-                              cfg=SolverConfig(tol=1e-8, max_iter=40),
-                              method="hybrid")
-        assert trace.converged and trace.lu_fallbacks == 1
-        newton = [k for k in trace.gmres_iters if k != 0]
-        assert all(0 < k <= solve.GMRES_CAP for k in newton[:2])
-        assert newton[2:] == [solve.LU_DIRECTION] * (len(newton) - 2)
-        assert trace.gmres_iters[-1] == 0
-
-        _, trace = hybrid_newton(sharp_layer(10), cfg=SolverConfig())
-        assert trace.converged and trace.lu_fallbacks == 0
-        assert all(k >= 0 for k in trace.gmres_iters)
-        assert any(k > 0 for k in trace.gmres_iters)
+        def picard_phase(*args, _picard=solve.picard, **kw):
+            u, trace = _picard(*args, **kw)
+            picard_iters.append(trace.iterations)
+            return u, trace
+        monkeypatch.setattr(solve, "picard", picard_phase)
+        traces = [three_body_be_solve(*three_body_be_step())[1],
+                  hybrid_newton(sharp_layer(10), cfg=SolverConfig())[1]]
+        for trace, k in zip(traces, picard_iters):
+            newton = trace.gmres_iters[k:-1]
+            assert trace.converged and len(newton) > 0
+            assert trace.gmres_iters[:k] == [0] * k
+            assert all(1 <= it <= solve.GMRES_CAP for it in newton)
+            assert trace.gmres_iters[-1] == 0
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         rows = path.read_text().strip().splitlines()[1:]
