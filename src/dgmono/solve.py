@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -73,6 +74,7 @@ class SolveTrace:
     alpha_active: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
     gmres_iters: list = field(default_factory=list)
+    factorizations: list = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -81,24 +83,27 @@ class SolveTrace:
 
     def record(self, residual, osc, alpha_active, step):
         """One iterate: its residual norm, OSC (None: no bounds), number of
-        nodes with alpha = 1 and step length.  Its ``gmres_iters`` starts at
-        0 (no Newton direction); a Newton iterate with a direction sets it to
-        GMRES's iteration count (:func:`gmres_direction`)."""
+        nodes with alpha = 1 and step length.  Its ``gmres_iters`` and
+        ``factorizations`` start at 0; the linear solves made from this
+        iterate (:class:`LinearSolves`: a Picard update, or a Newton
+        direction and any Picard fallback) add theirs."""
         self.residuals.append(float(residual))
         self.osc.append(float(osc) if osc is not None else np.nan)
         self.alpha_active.append(int(alpha_active))
         self.step_lengths.append(float(step))
         self.gmres_iters.append(0)
+        self.factorizations.append(0)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["iteration", "residual", "osc", "alpha_active",
-                        "step_length", "gmres_iters"])
+                        "step_length", "gmres_iters", "factorizations"])
             for i in range(self.iterations):
                 w.writerow([i, repr(self.residuals[i]), repr(self.osc[i]),
                             self.alpha_active[i],
-                            repr(self.step_lengths[i]), self.gmres_iters[i]])
+                            repr(self.step_lengths[i]), self.gmres_iters[i],
+                            self.factorizations[i]])
 
 
 def factor(A):
@@ -147,13 +152,97 @@ def _initial_guess(problem, u0):
     return u
 
 
+# -- the linear solves of one nonlinear solve ---------------------------------
+
+GMRES_CAP = 20      # GMRES iterations per solve: one cycle, no restart
+GMRES_RTOL = 1e-8   # relative residual a GMRES solve is to reach
+
+
+def _gmres(apply, lu, b):
+    """(y, iterations, met): one cycle of at most ``GMRES_CAP`` iterations
+    on M d = b, M v = ``apply(v)``, preconditioned from the right by the
+    factorization ``lu`` of some P: GMRES solves M P^-1 y = b, d = P^-1 y,
+    so the residual it minimizes is M's own and from zero never grows.
+    ``met``: that residual reached ``GMRES_RTOL`` ||b|| (d is then finite)."""
+    n = len(b)
+    residuals = []
+    y, info = spla.gmres(
+        spla.LinearOperator((n, n), matvec=lambda v: apply(lu.solve(v)),
+                            dtype=float),
+        b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_CAP, maxiter=1,
+        callback=residuals.append, callback_type="pr_norm")
+    return y, len(residuals), info == 0
+
+
+class LinearSolves:
+    """The linear solves of one nonlinear solve, which keep one factorization.
+
+    Each solve is M d = -T(u) at a :class:`Linearization`: M is the Picard
+    matrix A for a Picard update u + omega d, and the Jacobian
+    J = A + C d alpha/du (:attr:`Linearization.jacobian_terms`, three
+    products in S) for a Newton direction d.
+
+    - With a factorization kept from an earlier iterate, one :func:`_gmres`
+      cycle preconditioned by it solves, if it meets the tolerance.
+    - Otherwise the solve factors (:func:`factor`) its iterate's own matrix
+      and keeps it.  A Picard update factors A and solves directly,
+      (1 - omega) u + omega A^-1 rhs.  A Newton direction factors
+      P = A + C diag(d alpha/du), which keeps the detector term's
+      dependence on each node's own value and so stays in S, and takes the
+      iterate of one GMRES cycle preconditioned by it, met or not.
+    - The first miss latches: every later solve factors its own matrix and
+      keeps nothing.  The missed factorization is dropped before the new
+      one is built, so at most one is alive."""
+
+    def __init__(self):
+        self.lu = None          # factorization kept from an earlier iterate
+        self.latched = False    # a kept factorization's cycle has missed
+        self.last = None        # the final Linearization of a Picard phase
+
+    def __call__(self, state, trace, omega=None):
+        """The Newton direction at the Linearization ``state`` or, given
+        ``omega``, its Picard update relaxed by omega.  Its GMRES
+        iterations and factorizations are added to the last record of
+        ``trace``.  RuntimeError when the result is not finite."""
+        A = state.system[0]
+        newton = omega is None
+        if newton:
+            C, dalpha = state.jacobian_terms
+
+        def apply(v):
+            return A @ v + C @ (dalpha @ v) if newton else A @ v
+        b = -state.residual
+        if self.lu is not None:
+            y, iterations, met = _gmres(apply, self.lu, b)
+            trace.gmres_iters[-1] += iterations
+            if met:
+                d = self.lu.solve(y)
+                return d if newton else state.u + omega * d
+            self.lu, self.latched = None, True
+        if newton:
+            S = state.problem.tables.S
+            lu = factor(S.matrix(A.data
+                                 + C.data * dalpha.data[S.diag][S.indices]))
+            y, iterations, _ = _gmres(apply, lu, b)
+            trace.gmres_iters[-1] += iterations
+            x = lu_solve(lu, y)
+        else:
+            lu = factor(A)
+            x = (1.0 - omega) * state.u + omega * lu_solve(lu, state.system[1])
+        trace.factorizations[-1] += 1
+        if not self.latched:
+            self.lu = lu
+        return x
+
+
+# The LinearSolves of the running hybrid_newton call.  Its Picard phase is a
+# call of the public picard, whose arguments and (u, trace) result stay as
+# they are, so the phase finds the shared solves here, solves with them and
+# leaves its final Linearization there for Newton.
+_HYBRID_SOLVES = ContextVar("_HYBRID_SOLVES", default=None)
+
+
 # -- Picard -------------------------------------------------------------------
-
-def _picard_update(state, omega):
-    """Relaxed solve of the Picard system of a :class:`Linearization`."""
-    return (1.0 - omega) * state.u + omega * lu_solve(state.lu,
-                                                      state.system[1])
-
 
 def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = None,
            bounds=None, dt=None, u_old=None, theta=1.0, stall_window=0):
@@ -163,13 +252,15 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
     theta-method step instead.  Each iterate is linearized once
     (:meth:`StabilizedProblem.linearize`, one detector pass): its Picard
     system gives the residual A u - rhs, the tolerance reference ||rhs||,
-    the active-alpha count of the record and the next iterate.  A positive
+    the active-alpha count of the record and the next iterate, solved by
+    the call's :class:`LinearSolves` (one kept factorization).  A positive
     ``stall_window`` stops early (unconverged) when the residual has not
     improved for that many iterations, e.g. on a limit cycle.  At most
     ``max_iter`` updates are made, so the last of the ``max_iter + 1``
     records is that of the final iterate.
     """
     cfg = cfg or SolverConfig()
+    solves = _HYBRID_SOLVES.get() or LinearSolves()
     u = _initial_guess(problem, u0)
     trace = SolveTrace()
     best_norm, since_best = np.inf, 0
@@ -186,8 +277,9 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
             since_best += 1
         stalled = stall_window and since_best >= stall_window
         if trace.converged or stalled or it == cfg.max_iter:
+            solves.last = state
             return u, trace
-        u = _picard_update(state, cfg.omega)
+        u = solves(state, trace, cfg.omega)
         # free this state and its detector pass before the next one is built
         del state
 
@@ -245,43 +337,10 @@ def fd_jacobian(residual, u, T0, P, colors, n_colors):
 
 # -- hybrid Newton ------------------------------------------------------------
 
-GMRES_CAP = 20      # GMRES iterations per direction: one cycle, no restart
-GMRES_RTOL = 1e-8   # relative residual of Newton's linear solve
 STALL_WINDOW = 10   # picard's stall_window in the hybrid's Picard phase
 
 
-def gmres_direction(state):
-    """(step, iterations): GMRES on J step = -T at the
-    :class:`Linearization` ``state``.
-
-    J is applied as A v + C (d alpha/du v) from
-    :attr:`Linearization.jacobian_terms`, three products in the node
-    pattern S, and preconditioned from the right by the LU of
-    P = A + C diag(d alpha/du), which keeps the detector term's dependence
-    on each node's own value and so stays in S: GMRES solves J P^-1 y = -T
-    and step = P^-1 y, so the residual it minimizes is J's own.  One cycle
-    of at most ``GMRES_CAP`` iterations to a relative residual of
-    ``GMRES_RTOL``; its iterate, which from zero never raises
-    ||T + J step||, is the step whether or not it met that.  RuntimeError
-    when the step is not finite."""
-    A = state.system[0]
-    C, dalpha = state.jacobian_terms
-    S = state.problem.tables.S
-    lu = factor(S.matrix(A.data + C.data * dalpha.data[S.diag][S.indices]))
-
-    def jm(y):
-        v = lu.solve(y)
-        return A @ v + C @ (dalpha @ v)
-    n = A.shape[0]
-    residuals = []
-    y, _ = spla.gmres(spla.LinearOperator((n, n), matvec=jm, dtype=float),
-                      -state.residual, rtol=GMRES_RTOL, atol=0.0,
-                      restart=GMRES_CAP, maxiter=1,
-                      callback=residuals.append, callback_type="pr_norm")
-    return lu_solve(lu, y), len(residuals)
-
-
-def _newton(state, cfg, trace, bounds):
+def _newton(state, solves, cfg, trace, bounds):
     """Damped Newton with Armijo backtracking on 1/2 ||T||^2 from the
     :class:`Linearization` ``state``; falls back to one Picard step when the
     line search exhausts its backtracks.  Returns the last iterate.
@@ -291,15 +350,15 @@ def _newton(state, cfg, trace, bounds):
     count of the record and the Jacobian terms.  The residual is A u - rhs
     of the iterate's Picard system, the same T that :func:`picard` records,
     so each trial builds that system, and a fallback solves the one it
-    built, by the LU the iterate keeps (:attr:`Linearization.lu`).  The
-    Jacobian is exact for the smoothed residual
+    built.  The Jacobian is exact for the smoothed residual
     (:attr:`Linearization.jacobian_terms`).  Where the smoothed detector is
     not differentiable it is the derivative of the active branch: the first
     candidate cell attaining the max (min) at a symmetric point, the
     all-max or all-min assignment np.maximum keeps per node, and zero where
-    the ramp Z saturates or the clip to [0, 1] binds.  The direction comes
-    from :func:`gmres_direction`.  Convergence is ||T|| <= tol * ||rhs||,
-    with rhs the Picard system's at the start."""
+    the ramp Z saturates or the clip to [0, 1] binds.  Directions and
+    fallbacks are solved by ``solves`` (:class:`LinearSolves`).
+    Convergence is ||T|| <= tol * ||rhs||, with rhs the Picard system's at
+    the start."""
     target = cfg.tol * max(float(np.linalg.norm(state.system[1])), 1e-300)
     while trace.iterations < cfg.max_iter:
         norm = float(np.linalg.norm(state.residual))
@@ -308,7 +367,7 @@ def _newton(state, cfg, trace, bounds):
         if norm <= target:
             trace.converged = True
             return state.u
-        step, trace.gmres_iters[-1] = gmres_direction(state)
+        step = solves(state, trace)
         phi0 = 0.5 * norm**2
         lam = 1.0
         for _ in range(cfg.max_backtracks):
@@ -320,7 +379,7 @@ def _newton(state, cfg, trace, bounds):
                 break
             lam *= cfg.rho
         else:
-            state = state.at(_picard_update(state, cfg.omega))
+            state = state.at(solves(state, trace, cfg.omega))
             trace.step_lengths[-1] = 0.0
     trace.converged = float(np.linalg.norm(state.residual)) <= target
     return state.u
@@ -332,19 +391,26 @@ def hybrid_newton(problem: StabilizedProblem, u0=None,
     """Picard to the switch tolerance, then damped Newton with line search.
 
     The Picard phase also stops after ``STALL_WINDOW`` iterations without
-    improvement.  Newton starts from one linearization of the Picard
-    result, which gives its first residual and its tolerance reference,
-    ||rhs|| of the Picard system there; it applies the analytic Jacobian of
-    the smoothed residual by GMRES (see :func:`_newton` for its non-smooth
-    branches)."""
+    improvement.  Both phases share one :class:`LinearSolves`, so the call
+    keeps one factorization, and Newton starts from the Picard phase's last
+    :class:`Linearization`, which gives its first residual and its
+    tolerance reference, ||rhs|| of the Picard system there; it applies the
+    analytic Jacobian of the smoothed residual by GMRES (see :func:`_newton`
+    for its non-smooth branches)."""
     cfg = cfg or SolverConfig()
     if problem.params.enabled and problem.params.mode != "smoothed":
         raise ValueError("hybrid Newton requires the smoothed stabilization")
     # the Picard phase stops at switch_tol and never reads its own switch_tol
     pre_cfg = replace(cfg, tol=cfg.switch_tol, switch_tol=np.inf)
-    u, trace = picard(problem, u0, pre_cfg, bounds, dt, u_old, theta,
-                      stall_window=STALL_WINDOW)
-    u = _newton(problem.linearize(u, dt, u_old, theta), cfg, trace, bounds)
+    solves = LinearSolves()
+    token = _HYBRID_SOLVES.set(solves)
+    try:
+        u, trace = picard(problem, u0, pre_cfg, bounds, dt, u_old, theta,
+                          stall_window=STALL_WINDOW)
+    finally:
+        _HYBRID_SOLVES.reset(token)
+    state, solves.last = solves.last, None
+    u = _newton(state, solves, cfg, trace, bounds)
     return u, trace
 
 

@@ -220,9 +220,15 @@ class Linearization:
     construction, as a :class:`DetectorPass`; everything else derives from
     it on first use and is kept: the viscosity nu(s), the operators
     (K_tilde, B_tilde), the selectively lumped mass M_tilde, the
-    lagged-coefficient Picard system (A, rhs) and the LU of A, the residual
+    lagged-coefficient Picard system (A, rhs), the residual
     T(u) = A u - rhs and the two terms of its exact Jacobian dT/du in the
     node pattern.  A non-finite u or u_old raises ValueError.
+
+    A Linearization keeps no factorization.  The solvers' linear solves
+    (:class:`dgmono.solve.LinearSolves`) keep one per nonlinear solve: the
+    LU of an earlier iterate's matrix preconditions GMRES on the later
+    iterates' systems until a GMRES cycle misses its tolerance; from then
+    on each solve factors its own iterate's matrix and keeps none.
     """
 
     def __init__(self, problem, u, dt=None, u_old=None, theta=1.0):
@@ -281,13 +287,6 @@ class Linearization:
         plus M_tilde (u - u_old)/dt on a theta-step."""
         A, rhs = self.system
         return A @ self.u - rhs
-
-    @cached_property
-    def lu(self):
-        """SuperLU factorization of the Picard matrix A of :attr:`system`,
-        by :func:`dgmono.solve.factor`, the routine of every direct solve."""
-        from .solve import factor  # dgmono.solve imports this module
-        return factor(self.system[0])
 
     @cached_property
     def jacobian_terms(self):

@@ -50,8 +50,15 @@ def test_instrument_patches_and_restores():
             assert after[name] is value, (owner.__name__, name)
 
 
-@pytest.mark.parametrize("name", ["sharp-layer-picard", "sharp-layer-hybrid",
-                                  "three-body-be-hybrid"])
+# Sparse LU factorizations per operation on the warm inputs.  The sharp
+# layer keeps the first iterate's LU as GMRES's preconditioner for every
+# later solve; the three-body step misses with it at its second Picard
+# update, after which each of its 24 solves factors its own matrix.
+WARM_FACTORIZATIONS = {"sharp-layer-picard": [1], "sharp-layer-hybrid": [1],
+                       "three-body-be-hybrid": [24]}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_FACTORIZATIONS))
 def test_untraced_workload_on_warm_inputs(name):
     tracing, workloads = load_perfbench("tracing"), load_perfbench("workloads")
     w = workloads.WORKLOADS[name]
@@ -61,3 +68,5 @@ def test_untraced_workload_on_warm_inputs(name):
     for op in ops:
         assert op.trace.converged
         assert w.check(setup, op) == []
+    assert [sum(op.trace.factorizations) for op in ops] \
+        == WARM_FACTORIZATIONS[name]
