@@ -246,9 +246,9 @@ class PairTopology:
 
     @functools.cached_property
     def slots(self):
-        """(fixed, cand): where the entries of :func:`_term_slopes` land in
-        the node pattern S, built on first use; each entry's row is its
-        term's node.
+        """(fixed, cand): where the entries of :meth:`DetectorPass.jacobian`
+        land in the node pattern S, built on first use; each entry's row is
+        its term's node.
 
         ``fixed`` holds the slots of the entries at fixed columns: pair legs
         at (a, b) and (a, a) of every adjacency pair, the symmetric legs of
@@ -294,72 +294,34 @@ def _first_attaining(topo, cand, s):
                                topo.cand_ptr[:-1])
 
 
-def _boundary_value(topo, u, trace):
-    """ubar_a per degenerate pair; nodes without Dirichlet data use u_a."""
-    uba = u[topo.dg_a].copy()
+def _extrapolated_legs(topo, u, trace, params, scales):
+    """(t, t_a, t_b) per degenerate pair: its extrapolated leg t and the
+    slopes dt/du_a and dt/du_b.
+
+    The symmetric point of a degenerate boundary pair collapses onto x_a,
+    so the extrapolated value ubar_a + (u_b - u_a) sgn(d0 db), with
+    d0 = ubar_a - u_a and db = u_b - u_a, stands in for u_sym.  ubar_a is
+    the Dirichlet value where there is one and u_a itself elsewhere (d0 is
+    then 0 and does not depend on u_a).  Ties resolve toward -1 so that
+    affine states (d0 == 0) yield an exactly cancelling leg pair and the
+    detector stays silent.  The raw sign's slope is taken as 0."""
+    ua = u[topo.dg_a]
+    d0, d0_a = np.zeros(len(ua)), np.zeros(len(ua))
     if trace is not None:
         has = trace.dirichlet[topo.dg_bidx]
-        uba[has] = trace.values[topo.dg_bidx[has]]
-    return uba
-
-
-def _fixed_legs(topo, u, trace, params, scales):
-    """(pair legs, extrapolated legs): the terms that do not depend on the
-    candidate assignment."""
-    pa, pb = topo.nodes.adjacency_pairs()
-    t_pair = topo.pair_w * (u[pb] - u[pa])
-    uba = _boundary_value(topo, u, trace)
-    d0 = uba - u[topo.dg_a]
-    db = u[topo.dg_b] - u[topo.dg_a]
-    # degenerate boundary pair: the symmetric point collapses onto x_a, so the
-    # extrapolated value ubar_a + (u_b - u_a) * sgn(d0 * db) stands in for
-    # u_sym.  Ties resolve toward -1 so that affine states (d0 == 0) yield an
-    # exactly cancelling leg pair and the detector stays silent.
-    if params.boundary_extrapolation:
-        if params.mode == "raw":
-            sg = np.where(d0 * db > 0.0, 1.0, -1.0)
-        else:
-            sg = ssgn(d0 * db, scales.tau_h)
-        t_dgs = topo.dg_w * (d0 + db * sg)
-    else:
-        t_dgs = topo.dg_w * d0
-    return t_pair, t_dgs
-
-
-def _term_slopes(topo, u, trace, params, scales, choice, sl_pair, sl_grp,
-                 sl_dgs):
-    """The entries of d alpha/du in the layout of
-    :attr:`PairTopology.slots`, from the slopes d alpha_a/d t of the pair
-    legs ``sl_pair``, of the symmetric legs summed per group ``sl_grp``
-    and of the extrapolated legs ``sl_dgs``: (fixed, sym), with ``sym`` the
-    (n_groups, 4) symmetric-leg entries at the nodes of each group's
-    candidate ``choice[g]`` and ``fixed`` every other entry.  Smoothed mode
-    only."""
-    n_dg = len(topo.dg_a)
-    w_grp = topo.grp_ws[:, None] * topo.cand_weights[choice]
-
-    # degenerate extrapolated leg: d0 = ubar_a - u_a depends on u_a only
-    # where the boundary value is Dirichlet data (else ubar_a is u_a itself)
-    ua = u[topo.dg_a]
-    d0 = _boundary_value(topo, u, trace) - ua
+        d0[has] = trace.values[topo.dg_bidx[has]] - ua[has]
+        d0_a[has] = -1.0
+    w = topo.dg_w
+    if not params.boundary_extrapolation:
+        return w * d0, w * d0_a, np.zeros(len(ua))
     db = u[topo.dg_b] - ua
-    dd0 = np.zeros(n_dg)
-    if trace is not None:
-        dd0[trace.dirichlet[topo.dg_bidx]] = -1.0
-    if params.boundary_extrapolation:
-        x = d0 * db
-        sg = ssgn(x, scales.tau_h)
-        sg_x = _ssgn_slope(x, scales.tau_h)
-        s_a = dd0 - sg + db * sg_x * (db * dd0 - d0)
-        s_b = sg + db * sg_x * d0
+    x = d0 * db
+    if params.mode == "raw":
+        sg, sg_x = np.where(x > 0.0, 1.0, -1.0), 0.0
     else:
-        s_a, s_b = dd0, np.zeros(n_dg)
-
-    w_pair = topo.pair_w * sl_pair
-    fixed = np.concatenate([
-        w_pair, -w_pair, -w_grp.sum(axis=1) * sl_grp,
-        topo.dg_w * s_a * sl_dgs, topo.dg_w * s_b * sl_dgs])
-    return fixed, w_grp * sl_grp[:, None]
+        sg, sg_x = ssgn(x, scales.tau_h), _ssgn_slope(x, scales.tau_h)
+    return (w * (d0 + db * sg), w * (d0_a - sg + db * sg_x * (db * d0_a - d0)),
+            w * (sg + db * sg_x * d0))
 
 
 class _SmoothedBranch(NamedTuple):
@@ -376,15 +338,12 @@ class _SmoothedBranch(NamedTuple):
     alpha: np.ndarray
 
 
-def _smoothed_branch(topo, t_sym, vals, mags, params, scales, n):
-    """The branch of term values ``vals``, with ``mags`` their abs_lower and
-    ``t_sym`` the symmetric legs per group."""
-    tau_h = scales.tau_h
-    num = np.bincount(topo.term_idx, weights=vals, minlength=n)
-    den = np.bincount(topo.term_idx, weights=mags, minlength=n)
-    num_s = abs_upper(num, tau_h) + scales.gamma_h
+def _smoothed_branch(t_sym, num, den, params, scales):
+    """The branch of the symmetric legs ``t_sym`` per group, with ``num``
+    and ``den`` the per-node sums of its terms and of their abs_lower."""
+    num_s = abs_upper(num, scales.tau_h) + scales.gamma_h
     den_s = den + scales.gamma_h
-    zeta = np.divide(num_s, den_s, out=np.zeros(n), where=den_s > 0.0)
+    zeta = np.divide(num_s, den_s, out=np.zeros(len(num)), where=den_s > 0.0)
     z = z_ramp(zeta)
     return _SmoothedBranch(t_sym, num, den_s, zeta, z,
                            np.clip(z**params.q, 0.0, 1.0))
@@ -411,11 +370,11 @@ def _leg_slopes(coef, idx, t, tau_h):
     return c * (sg - zeta * _abs_lower_slope(t, tau_h))
 
 
-def _raw_alpha(topo, vals, mags, params, n, noise):
-    """Raw alpha of term values ``vals``, with ``mags`` their magnitudes."""
-    num = np.bincount(topo.term_idx, weights=vals, minlength=n)
-    den = np.bincount(topo.term_idx, weights=mags, minlength=n)
-    ratio = np.divide(np.abs(num), den, out=np.zeros(n), where=den > 0.0)
+def _raw_alpha(num, den, params, noise):
+    """Raw alpha from the per-node sums ``num`` of the terms and ``den`` of
+    their magnitudes."""
+    ratio = np.divide(np.abs(num), den, out=np.zeros(len(num)),
+                      where=den > 0.0)
     ratio[ratio <= RATIO_SNAP] = 0.0
     # cancellation leaves rounding noise proportional to |u|, not to the
     # local variation; treat sums below that floor as exact zeros
@@ -429,15 +388,15 @@ class DetectorPass:
     ``alpha`` is the maximum over admissible symmetric-point values,
     evaluated at the all-max and all-min candidate assignments (one
     assignment when they coincide).  The pass keeps its candidate values
-    and the assignments, per group of :class:`PairTopology`, and, in
-    smoothed mode, the pair and extrapolated legs, each assignment's
-    symmetric legs and its per-node sums and ratios, so :meth:`jacobian`
-    derives d alpha/du from them without evaluating the detector again.
+    and the assignments, per group of :class:`PairTopology`, the pair and
+    extrapolated legs (``legs``) and the extrapolated legs' slopes in u_a
+    and u_b, and, in smoothed mode, each assignment's symmetric legs and
+    its per-node sums and ratios, so :meth:`jacobian` derives d alpha/du
+    from them without evaluating the detector again.
     """
 
     def __init__(self, nodes, u, trace, params, scales):
-        self.nodes, self.trace = nodes, trace
-        self.params, self.scales = params, scales
+        self.nodes, self.params, self.scales = nodes, params, scales
         n = nodes.n_nodes
         bad = np.count_nonzero(~np.isfinite(u))
         if bad:
@@ -446,7 +405,7 @@ class DetectorPass:
             self.alpha = np.zeros(n)
             return
         topo = nodes.pair_topology()
-        self.u = u = np.asarray(u, dtype=float)
+        u = np.asarray(u, dtype=float)
         self.cand = _candidate_values(topo, u)
         s_hi, s_lo = _symmetric_candidates(topo, self.cand)
         self.sides = [s_hi] if np.array_equal(s_hi, s_lo) else [s_hi, s_lo]
@@ -455,14 +414,23 @@ class DetectorPass:
                                                    tau_h=scales.tau_h)
         # the pair and extrapolated legs are shared by both assignments; a
         # symmetric leg is shared by the pairs of its group
-        t_pair, t_dgs = _fixed_legs(topo, u, trace, params, scales)
+        pa, pb = nodes.adjacency_pairs()
+        t_pair = topo.pair_w * (u[pb] - u[pa])
+        t_dgs, *self.dgs_slopes = _extrapolated_legs(topo, u, trace, params,
+                                                     scales)
+        self.legs = t_pair, t_dgs
         m_pair, m_dgs = mag(t_pair), mag(t_dgs)
 
-        def terms(s):
+        def sums(s):
+            """The symmetric legs of the assignment s and, per node, the
+            sums of its terms and of their magnitudes."""
             t_sym = topo.grp_ws * s
             g = topo.reg_group
-            return (t_sym, np.concatenate([t_pair, t_sym[g], t_dgs]),
-                    np.concatenate([m_pair, mag(t_sym)[g], m_dgs]))
+            vals = np.concatenate([t_pair, t_sym[g], t_dgs])
+            mags = np.concatenate([m_pair, mag(t_sym)[g], m_dgs])
+            return (t_sym,
+                    np.bincount(topo.term_idx, weights=vals, minlength=n),
+                    np.bincount(topo.term_idx, weights=mags, minlength=n))
 
         if raw:
             u_scale = float(np.abs(u).max(initial=0.0))
@@ -470,12 +438,11 @@ class DetectorPass:
                 u_scale = max(u_scale,
                               float(np.abs(trace.values).max(initial=0.0)))
             noise = 64.0 * np.finfo(float).eps * topo.w_max * u_scale
-            alphas = [_raw_alpha(topo, *terms(s)[1:], params, n, noise)
+            alphas = [_raw_alpha(*sums(s)[1:], params, noise)
                       for s in self.sides]
         else:
-            self.legs = t_pair, t_dgs
-            self.branches = [_smoothed_branch(topo, *terms(s), params,
-                                              scales, n) for s in self.sides]
+            self.branches = [_smoothed_branch(*sums(s), params, scales)
+                             for s in self.sides]
             alphas = [br.alpha for br in self.branches]
         self.alpha = functools.reduce(np.maximum, alphas)
 
@@ -488,7 +455,7 @@ class DetectorPass:
         the max (all-max assignment) or the min (all-min); at each node,
         the assignment np.maximum(a_hi, a_lo) keeps (all-max on ties); and
         zero where the ramp saturates (zeta >= 1) or the clip to [0, 1]
-        binds.
+        binds.  The entries are laid out as :attr:`PairTopology.slots`.
         """
         n, params, S = self.nodes.n_nodes, self.params, self.nodes.pattern()
         if not params.enabled:
@@ -511,18 +478,24 @@ class DetectorPass:
             choice = np.where(grp_lo,
                               _first_attaining(topo, self.cand, self.sides[1]),
                               choice)
-        # every regular pair of a group has the group's symmetric leg
+        # d alpha_a/d t per leg; every regular pair of a group has the
+        # group's symmetric leg, whose slopes in u are the weights of
+        # u(x_sym) at the nodes of the chosen candidate and minus their sum
+        # at a
         t_pair, t_dgs = self.legs
         tau_h = scales.tau_h
         pa = self.nodes.adjacency_pairs()[0]
-        fixed, sym = _term_slopes(
-            topo, self.u, self.trace, params, scales, choice,
-            _leg_slopes(coef, pa, t_pair, tau_h),
-            topo.grp_pairs * _leg_slopes(coef, topo.grp_a, t_sym, tau_h),
-            _leg_slopes(coef, topo.dg_a, t_dgs, tau_h))
+        w_pair = topo.pair_w * _leg_slopes(coef, pa, t_pair, tau_h)
+        sl_grp = topo.grp_pairs * _leg_slopes(coef, topo.grp_a, t_sym, tau_h)
+        w_grp = topo.grp_ws[:, None] * topo.cand_weights[choice]
+        sl_dgs = _leg_slopes(coef, topo.dg_a, t_dgs, tau_h)
+        dgs_a, dgs_b = self.dgs_slopes
+        fixed = np.concatenate([w_pair, -w_pair, -w_grp.sum(axis=1) * sl_grp,
+                                dgs_a * sl_dgs, dgs_b * sl_dgs])
         fixed_slots, cand_slots = topo.slots
         data = np.bincount(fixed_slots, weights=fixed, minlength=S.nnz)
-        data += np.bincount(cand_slots[choice].ravel(), weights=sym.ravel(),
+        data += np.bincount(cand_slots[choice].ravel(),
+                            weights=(w_grp * sl_grp[:, None]).ravel(),
                             minlength=S.nnz)
         return S.matrix(data)
 

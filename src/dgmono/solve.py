@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -235,17 +234,11 @@ class LinearSolves:
         return x
 
 
-# The LinearSolves of the running hybrid_newton call.  Its Picard phase is a
-# call of the public picard, whose arguments and (u, trace) result stay as
-# they are, so the phase finds the shared solves here, solves with them and
-# leaves its final Linearization there for Newton.
-_HYBRID_SOLVES = ContextVar("_HYBRID_SOLVES", default=None)
-
-
 # -- Picard -------------------------------------------------------------------
 
 def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = None,
-           bounds=None, dt=None, u_old=None, theta=1.0, stall_window=0):
+           bounds=None, dt=None, u_old=None, theta=1.0, stall_window=0, *,
+           solves: Optional[LinearSolves] = None):
     """Fixed-point iteration with lagged viscosities and relaxation.
 
     Steady by default; passing (dt, u_old, theta) iterates on the
@@ -253,14 +246,15 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
     (:meth:`StabilizedProblem.linearize`, one detector pass): its Picard
     system gives the residual A u - rhs, the tolerance reference ||rhs||,
     the active-alpha count of the record and the next iterate, solved by
-    the call's :class:`LinearSolves` (one kept factorization).  A positive
+    ``solves`` (:class:`LinearSolves`, one kept factorization; a fresh one
+    by default), which is left holding the final Linearization.  A positive
     ``stall_window`` stops early (unconverged) when the residual has not
     improved for that many iterations, e.g. on a limit cycle.  At most
     ``max_iter`` updates are made, so the last of the ``max_iter + 1``
     records is that of the final iterate.
     """
     cfg = cfg or SolverConfig()
-    solves = _HYBRID_SOLVES.get() or LinearSolves()
+    solves = solves or LinearSolves()
     u = _initial_guess(problem, u0)
     trace = SolveTrace()
     best_norm, since_best = np.inf, 0
@@ -358,14 +352,18 @@ def _newton(state, solves, cfg, trace, bounds):
     the ramp Z saturates or the clip to [0, 1] binds.  Directions and
     fallbacks are solved by ``solves`` (:class:`LinearSolves`).
     Convergence is ||T|| <= tol * ||rhs||, with rhs the Picard system's at
-    the start."""
+    the start.  The start is recorded again, as Newton's first record, and
+    steps are made while the trace holds at most ``max_iter`` records, so
+    the last record is that of the returned iterate and
+    ``trace.converged`` is its test; when the Picard phase made all
+    ``max_iter`` updates, that iterate is the start."""
     target = cfg.tol * max(float(np.linalg.norm(state.system[1])), 1e-300)
-    while trace.iterations < cfg.max_iter:
+    while True:
         norm = float(np.linalg.norm(state.residual))
         trace.record(norm, _osc(state.u, bounds),
                      np.count_nonzero(state.alpha >= 1.0), np.nan)
-        if norm <= target:
-            trace.converged = True
+        trace.converged = norm <= target
+        if trace.converged or trace.iterations > cfg.max_iter:
             return state.u
         step = solves(state, trace)
         phi0 = 0.5 * norm**2
@@ -381,8 +379,6 @@ def _newton(state, solves, cfg, trace, bounds):
         else:
             state = state.at(solves(state, trace, cfg.omega))
             trace.step_lengths[-1] = 0.0
-    trace.converged = float(np.linalg.norm(state.residual)) <= target
-    return state.u
 
 
 def hybrid_newton(problem: StabilizedProblem, u0=None,
@@ -391,10 +387,11 @@ def hybrid_newton(problem: StabilizedProblem, u0=None,
     """Picard to the switch tolerance, then damped Newton with line search.
 
     The Picard phase also stops after ``STALL_WINDOW`` iterations without
-    improvement.  Both phases share one :class:`LinearSolves`, so the call
-    keeps one factorization, and Newton starts from the Picard phase's last
-    :class:`Linearization`, which gives its first residual and its
-    tolerance reference, ||rhs|| of the Picard system there; it applies the
+    improvement.  Both phases share one :class:`LinearSolves`, passed to
+    :func:`picard`, so the call keeps one factorization, and Newton starts
+    from the Picard phase's last :class:`Linearization`, which the phase
+    leaves there: it gives Newton's first residual and its tolerance
+    reference, ||rhs|| of the Picard system there.  Newton applies the
     analytic Jacobian of the smoothed residual by GMRES (see :func:`_newton`
     for its non-smooth branches)."""
     cfg = cfg or SolverConfig()
@@ -403,15 +400,10 @@ def hybrid_newton(problem: StabilizedProblem, u0=None,
     # the Picard phase stops at switch_tol and never reads its own switch_tol
     pre_cfg = replace(cfg, tol=cfg.switch_tol, switch_tol=np.inf)
     solves = LinearSolves()
-    token = _HYBRID_SOLVES.set(solves)
-    try:
-        u, trace = picard(problem, u0, pre_cfg, bounds, dt, u_old, theta,
-                          stall_window=STALL_WINDOW)
-    finally:
-        _HYBRID_SOLVES.reset(token)
+    _, trace = picard(problem, u0, pre_cfg, bounds, dt, u_old, theta,
+                      stall_window=STALL_WINDOW, solves=solves)
     state, solves.last = solves.last, None
-    u = _newton(state, solves, cfg, trace, bounds)
-    return u, trace
+    return _newton(state, solves, cfg, trace, bounds), trace
 
 
 def solver(method):

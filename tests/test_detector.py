@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from dgmono import Mesh, StabilizationParams, alpha_all, build_dg_nodes, \
     build_structured_quad
 from dgmono.assembly import BoundaryTrace, interpolate_boundary
-from dgmono.detector import (DerivedScales, DetectorPass, _fixed_legs,
-                             abs_lower, abs_upper, smax, ssgn, z_ramp)
+from dgmono.detector import (DerivedScales, DetectorPass, abs_lower,
+                             abs_upper, smax, ssgn, z_ramp)
 from dgmono.mesh import symmetric_points_batch
 
 from .oracles import PairDetector, reference_topology, support_nodes
@@ -229,8 +229,9 @@ class TestDetector:
         assert topo.pair_w[k[0]] == pytest.approx(1.0 / h_ab, rel=1e-13)
         # pair legs lead the detector's flat term layout; this one is
         # w (u_b - u_a), and in raw mode its magnitude enters the mean
-        t_pair, _ = _fixed_legs(topo, u, None, StabilizationParams(mode="raw"),
-                                DerivedScales())
+        t_pair, _ = DetectorPass(nodes, u, None,
+                                 StabilizationParams(mode="raw"),
+                                 DerivedScales()).legs
         assert t_pair[k[0]] == pytest.approx(1.0 / h_ab, rel=1e-13)
 
     def test_perturbed_mesh_extrema(self):

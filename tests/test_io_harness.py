@@ -1,5 +1,7 @@
 """File formats, configuration handling, experiment harness and CLI."""
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -163,10 +165,12 @@ class TestHarness:
         assert report["final_osc"] <= 1e-10
 
     def test_three_body_small(self, tmp_path):
-        report = run_experiment(
-            "three-body",
-            overrides={"n": 8, "n_steps": 4, "tol": 1e-3},
-            outdir=str(tmp_path))
+        # coarse mesh + huge steps: some steps end unconverged, and say so
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            report = run_experiment(
+                "three-body",
+                overrides={"n": 8, "n_steps": 4, "tol": 1e-3},
+                outdir=str(tmp_path))
         assert (tmp_path / "three_body_osc.csv").exists()
         # smoke only: coarse mesh + huge steps; just require a finite report
         assert np.isfinite(report["max_osc"])
@@ -187,7 +191,11 @@ class TestHarness:
 
         monkeypatch.setattr(harness, "get_case", small_case)
         monkeypatch.setattr(harness, "run_transient", run_transient)
-        run_experiment(name, overrides={"tol": 1e-3}, outdir=str(tmp_path))
+        # the 4x4 three-body steps at the case's dt end unconverged
+        with (pytest.warns(RuntimeWarning, match="did not converge")
+              if name == "three-body" else contextlib.nullcontext()):
+            run_experiment(name, overrides={"tol": 1e-3},
+                           outdir=str(tmp_path))
         vtk = next(tmp_path.glob("*.vtk")).read_text()
         assert "CELLS 16 80\n" in vtk
         if name == "three-body":

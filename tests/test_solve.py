@@ -376,6 +376,20 @@ class TestHybridNewton:
                                                         switch_tol=1e10))
         assert trace.converged and trace.gmres_iters[:2] == [0, 1]
 
+    @pytest.mark.parametrize("max_iter, converged",
+                             [(3, False), (4, False), (5, True)])
+    def test_last_record_is_the_returned_iterate(self, max_iter, converged):
+        # Newton stops after max_iter records have stepped, and the
+        # iterate it returns is the last record, tested for convergence
+        prob = sharp_layer(10)
+        u, trace = hybrid_newton(prob, cfg=SolverConfig(tol=1e-12,
+                                                        max_iter=max_iter))
+        assert trace.residuals[-1] == np.linalg.norm(
+            prob.linearize(u).residual)
+        assert trace.iterations == max_iter + 1
+        assert trace.converged is converged
+        assert (trace.residuals[-1] <= 1e-12) is converged
+
     def test_converges_quadratically_near_solution(self):
         prob = make_problem(6, mu=1e-4)
         cfg = SolverConfig(tol=1e-10, max_iter=100)
@@ -681,6 +695,21 @@ class TestThetaStep:
             f"time step {k} did not converge: residual "
             f"{traces[k].residuals[-1]:.3e} after 2 iterations"
             for k in range(2)]
+
+    def test_unconverged_hybrid_step_warns_its_residual(self):
+        # the warning names the residual of the iterate the step returns
+        prob = make_problem(4, mu=0.0)
+        u0 = np.where(prob.nodes.coords[:, 0] < 0.5, 1.0, 0.0)
+        loop = TimeLoopConfig(theta=0.5, dt=0.01, n_steps=1, method="hybrid",
+                              solver=SolverConfig(tol=1e-12, max_iter=4))
+        with pytest.warns(RuntimeWarning, match="did not converge") as rec:
+            u, (trace,) = run_transient(prob, u0, loop)
+        norm = np.linalg.norm(prob.linearize(u, 0.01, u0, 0.5).residual)
+        assert trace.residuals[-1] == norm
+        assert not trace.converged
+        assert [str(w.message) for w in rec] == [
+            f"time step 0 did not converge: residual {norm:.3e} after "
+            f"{trace.iterations} iterations"]
 
     def test_non_finite_old_state_raises(self):
         prob = make_problem(3)
