@@ -51,7 +51,7 @@ class ProblemSpec:
 
     def beta_max(self, mesh):
         """L-infinity norm of |beta| over the cell quadrature points."""
-        bx, by = beta_at(self.beta, cell_quad_points(mesh))
+        bx, by = beta_at(self.beta, mesh.quadrature[3])
         return float(np.sqrt(bx**2 + by**2).max())
 
 
@@ -99,21 +99,17 @@ def _det_inv_2x2(J):
 
 
 def cell_quadrature(mesh, order=2):
-    """Shape values N, physical gradients gradN and weighted Jacobians w_det
-    at the points of the 2x2 (order=2) or 3x3 (order=3) Gauss rule."""
+    """Shape values N, physical gradients gradN, weighted Jacobians w_det
+    and physical points (nc, nq, 2) of the 2x2 (order=2) or 3x3 (order=3)
+    Gauss rule; :attr:`Mesh.quadrature` keeps the order-2 rule."""
     ref_pts, ref_w = _cell_rule(order)
     N, gradref = basis_at_ref(ref_pts)       # (nq,4), (nq,4,2)
     verts = mesh.vertices[mesh.cells]        # (nc,4,2)
     # J[c,q,i,j] = d x_i / d xi_j
     det, Jinv = _det_inv_2x2(np.einsum("ckd,qke->cqde", verts, gradref))
     gradN = np.einsum("qke,cqed->cqkd", gradref, Jinv)
-    return N, gradN, ref_w[None, :] * det
-
-
-def cell_quad_points(mesh, order=2):
-    """Physical points (nc, nq, 2) of the Gauss rule of that order."""
-    N, _ = basis_at_ref(_cell_rule(order)[0])
-    return np.einsum("qk,ckd->cqd", N, mesh.vertices[mesh.cells])
+    points = np.einsum("qk,ckd->cqd", N, verts)
+    return N, gradN, ref_w[None, :] * det, points
 
 
 def edge_ref_coords(edge, s):
@@ -188,7 +184,7 @@ class _Coo:
 
 def assemble_M(mesh, nodes):
     """Consistent mass matrix; block diagonal over cells, SPD."""
-    N, _, w_det = cell_quadrature(mesh)
+    N, _, w_det, _ = mesh.quadrature
     local = np.einsum("cq,qa,qb->cab", w_det, N, N)
     ids = _node_ids(np.arange(mesh.n_cells))
     coo = _Coo()
@@ -202,8 +198,7 @@ def assemble_G(mesh, nodes, g):
     n = nodes.n_nodes
     if g is None:
         return np.zeros(n)
-    N, _, w_det = cell_quadrature(mesh)
-    pts = cell_quad_points(mesh)
+    N, _, w_det, pts = mesh.quadrature
     gv = np.broadcast_to(np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float),
                          w_det.shape)
     vec = np.einsum("cq,cq,qa->ca", w_det, gv, N)
@@ -221,8 +216,8 @@ def assemble_K(mesh, nodes, spec, inflow):
     coo = _Coo()
 
     # volume terms
-    N, gradN, w_det = cell_quadrature(mesh)
-    bx, by = beta_at(spec.beta, cell_quad_points(mesh))
+    N, gradN, w_det, pts = mesh.quadrature
+    bx, by = beta_at(spec.beta, pts)
     beta_dot_grad_a = bx[..., None] * gradN[..., 0] + by[..., None] * gradN[..., 1]
     local = -np.einsum("cq,qb,cqa->cab", w_det, N, beta_dot_grad_a)
     if mu > 0.0:

@@ -9,6 +9,7 @@ quadrilaterals listed counter-clockwise; ``Mesh`` rejects any other cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,6 +137,17 @@ class Mesh:
     def area(self):
         return float(self.cell_area.sum())
 
+    @cached_property
+    def quadrature(self):
+        """(N, gradN, w_det, points) of the 2x2 Gauss rule on every cell
+        (:func:`~dgmono.assembly.cell_quadrature`), computed on first use
+        and shared, read-only, by every operator and weight built here."""
+        from .assembly import cell_quadrature
+        rule = cell_quadrature(self)
+        for a in rule:
+            a.flags.writeable = False
+        return rule
+
     def facet_points(self, v0, v1, ref_points):
         """Map 1D reference points in [-1, 1] to physical facet points."""
         p0 = self.vertices[v0].reshape(-1, 2)
@@ -242,8 +254,7 @@ class DgNodeSet:
         self._pattern = None
 
     def _lumped_weights(self):
-        from .assembly import cell_quadrature
-        N, _, w_det = cell_quadrature(self.mesh)
+        N, _, w_det, _ = self.mesh.quadrature
         # integral of each local shape over its cell
         return np.einsum("cq,qi->ci", w_det, N).ravel()
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import cell_quad_points, cell_quadrature
+from .assembly import cell_quadrature
 
 
 def osc(u, lo=0.0, hi=1.0):
@@ -15,8 +15,7 @@ def osc(u, lo=0.0, hi=1.0):
 
 def l2_error(mesh, u, exact):
     """L2 norm of u_h - exact with a 3x3 Gauss rule per cell."""
-    N, _, w_det = cell_quadrature(mesh, order=3)
-    pts = cell_quad_points(mesh, order=3)
+    N, _, w_det, pts = cell_quadrature(mesh, order=3)
     uh = np.einsum("qk,ck->cq", N, np.asarray(u).reshape(mesh.n_cells, 4))
     ue = np.broadcast_to(np.asarray(exact(pts[..., 0], pts[..., 1]),
                                     dtype=float), uh.shape)

@@ -157,45 +157,65 @@ GMRES_CAP = 20      # GMRES iterations per solve: one cycle, no restart
 GMRES_RTOL = 1e-8   # relative residual a GMRES solve is to reach
 
 
-def _gmres(apply, lu, b):
+def _gmres(apply, precondition, b):
     """(y, iterations, met): one cycle of at most ``GMRES_CAP`` iterations
-    on M d = b, M v = ``apply(v)``, preconditioned from the right by the
-    factorization ``lu`` of some P: GMRES solves M P^-1 y = b, d = P^-1 y,
-    so the residual it minimizes is M's own and from zero never grows.
-    ``met``: that residual reached ``GMRES_RTOL`` ||b|| (d is then finite)."""
+    on M d = b, M v = ``apply(v)``, preconditioned from the right by
+    ``precondition(v)`` = P^-1 v for some P: GMRES solves M P^-1 y = b,
+    d = P^-1 y, so the residual it minimizes is M's own and from zero never
+    grows.  ``met``: that residual reached ``GMRES_RTOL`` ||b|| (d is then
+    finite)."""
     n = len(b)
     residuals = []
     y, info = spla.gmres(
-        spla.LinearOperator((n, n), matvec=lambda v: apply(lu.solve(v)),
+        spla.LinearOperator((n, n), matvec=lambda v: apply(precondition(v)),
                             dtype=float),
         b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_CAP, maxiter=1,
         callback=residuals.append, callback_type="pr_norm")
     return y, len(residuals), info == 0
 
 
+def block_inverse(blocks):
+    """v -> P^-1 v for the block-diagonal P of the 4x4 ``blocks``
+    (n_cells, 4, 4), one per cell's nodes 4c..4c+3; None when a block is
+    singular or its inverse is not finite."""
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(inv)):
+        return None
+    return lambda v: np.matmul(inv, v.reshape(-1, 4, 1)).ravel()
+
+
 class LinearSolves:
-    """The linear solves of one nonlinear solve, which keep one factorization.
+    """The linear solves of one nonlinear solve.
 
     Each solve is M d = -T(u) at a :class:`Linearization`: M is the Picard
     matrix A for a Picard update u + omega d, and the Jacobian
     J = A + C d alpha/du (:attr:`Linearization.jacobian_terms`, three
-    products in S) for a Newton direction d.
+    products in S) for a Newton direction d.  Its preconditioner comes from
+    P, which is A for a Picard update and A + C diag(d alpha/du) for a
+    Newton direction; that keeps the detector term's dependence on each
+    node's own value and so stays in S.
 
-    - With a factorization kept from an earlier iterate, one :func:`_gmres`
-      cycle preconditioned by it solves, if it meets the tolerance.
-    - Otherwise the solve factors (:func:`factor`) its iterate's own matrix
-      and keeps it.  A Picard update factors A and solves directly,
-      (1 - omega) u + omega A^-1 rhs.  A Newton direction factors
-      P = A + C diag(d alpha/du), which keeps the detector term's
-      dependence on each node's own value and so stays in S, and takes the
-      iterate of one GMRES cycle preconditioned by it, met or not.
-    - The first miss latches: every later solve factors its own matrix and
+    - On a theta-step, M_tilde/dt + theta K_tilde is dominated by the
+      cell-block-diagonal mass, so one :func:`_gmres` cycle preconditioned
+      by the inverses of the 4x4 cell blocks of the iterate's own P
+      (:func:`block_inverse`) solves.  A cycle that misses its tolerance,
+      or a singular or non-finite block, latches the call to factoring.
+    - Steady, a factorization kept from an earlier iterate preconditions
+      one :func:`_gmres` cycle, which solves if it meets the tolerance.
+    - Otherwise the solve factors (:func:`factor`) its iterate's own P.  A
+      Picard update solves directly, (1 - omega) u + omega A^-1 rhs; a
+      Newton direction takes the iterate of one GMRES cycle preconditioned
+      by LU(P), met or not.  Unless latched, the factorization is kept.
+    - The first miss latches: every later solve factors its own P and
       keeps nothing.  The missed factorization is dropped before the new
       one is built, so at most one is alive."""
 
     def __init__(self):
         self.lu = None          # factorization kept from an earlier iterate
-        self.latched = False    # a kept factorization's cycle has missed
+        self.latched = False    # a cycle has missed or a block was singular
         self.last = None        # the final Linearization of a Picard phase
 
     def __call__(self, state, trace, omega=None):
@@ -204,29 +224,46 @@ class LinearSolves:
         iterations and factorizations are added to the last record of
         ``trace``.  RuntimeError when the result is not finite."""
         A = state.system[0]
+        b = -state.residual
         newton = omega is None
+        tables = state.problem.tables
         if newton:
             C, dalpha = state.jacobian_terms
 
         def apply(v):
             return A @ v + C @ (dalpha @ v) if newton else A @ v
-        b = -state.residual
-        if self.lu is not None:
-            y, iterations, met = _gmres(apply, self.lu, b)
+
+        def p_data():
+            """The data of P in S."""
+            if not newton:
+                return A.data
+            S = tables.S
+            return A.data + C.data * dalpha.data[S.diag][S.indices]
+
+        def cycle(precondition):
+            """One GMRES cycle; its result if it met the tolerance."""
+            y, iterations, met = _gmres(apply, precondition, b)
             trace.gmres_iters[-1] += iterations
             if met:
-                d = self.lu.solve(y)
+                d = precondition(y)
                 return d if newton else state.u + omega * d
+        if state.dt is not None and not self.latched:
+            precondition = block_inverse(p_data()[tables.cell_blocks])
+            x = None if precondition is None else cycle(precondition)
+            if x is not None:
+                return x
+            self.latched = True
+        if self.lu is not None:
+            x = cycle(self.lu.solve)
+            if x is not None:
+                return x
             self.lu, self.latched = None, True
+        lu = factor(tables.S.matrix(p_data()))
         if newton:
-            S = state.problem.tables.S
-            lu = factor(S.matrix(A.data
-                                 + C.data * dalpha.data[S.diag][S.indices]))
-            y, iterations, _ = _gmres(apply, lu, b)
+            y, iterations, _ = _gmres(apply, lu.solve, b)
             trace.gmres_iters[-1] += iterations
             x = lu_solve(lu, y)
         else:
-            lu = factor(A)
             x = (1.0 - omega) * state.u + omega * lu_solve(lu, state.system[1])
         trace.factorizations[-1] += 1
         if not self.latched:
@@ -251,7 +288,8 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
     ``stall_window`` stops early (unconverged) when the residual has not
     improved for that many iterations, e.g. on a limit cycle.  At most
     ``max_iter`` updates are made, so the last of the ``max_iter + 1``
-    records is that of the final iterate.
+    records is that of the final iterate.  A record's step length is omega
+    once the update from it is made; the last record's stays NaN.
     """
     cfg = cfg or SolverConfig()
     solves = solves or LinearSolves()
@@ -263,7 +301,7 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
         res_norm = float(np.linalg.norm(state.residual))
         ref = float(np.linalg.norm(state.system[1]))
         trace.record(res_norm, _osc(u, bounds),
-                     np.count_nonzero(state.alpha >= 1.0), cfg.omega)
+                     np.count_nonzero(state.alpha >= 1.0), np.nan)
         trace.converged = res_norm <= cfg.tol * max(ref, 1e-300)
         if res_norm < 0.99 * best_norm:
             best_norm, since_best = res_norm, 0
@@ -274,6 +312,7 @@ def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = No
             solves.last = state
             return u, trace
         u = solves(state, trace, cfg.omega)
+        trace.step_lengths[-1] = cfg.omega
         # free this state and its detector pass before the next one is built
         del state
 

@@ -81,6 +81,15 @@ class PairTables:
     def M(self):
         return self._in_pattern(self._M)
 
+    @cached_property
+    def cell_blocks(self):
+        """The slots in S of the 4x4 cell blocks, (n_cells, 4, 4): entry
+        (c, i, j) is that of nodes (4c + i, 4c + j).  Built on first use,
+        so only theta-step solves pay for it."""
+        cells = np.arange(self.S.shape[0]).reshape(-1, 4)
+        rows, cols = np.repeat(cells, 4, axis=1), np.tile(cells, 4)
+        return self.S.slots(rows.ravel(), cols.ravel()).reshape(-1, 4, 4)
+
     def _in_pattern(self, A):
         """The data of A in S, by the slots of A's stored entries."""
         A = A.tocoo()
@@ -225,10 +234,11 @@ class Linearization:
     node pattern.  A non-finite u or u_old raises ValueError.
 
     A Linearization keeps no factorization.  The solvers' linear solves
-    (:class:`dgmono.solve.LinearSolves`) keep one per nonlinear solve: the
-    LU of an earlier iterate's matrix preconditions GMRES on the later
-    iterates' systems until a GMRES cycle misses its tolerance; from then
-    on each solve factors its own iterate's matrix and keeps none.
+    (:class:`dgmono.solve.LinearSolves`) precondition GMRES on a theta-step
+    by the iterate's own cell blocks and, steady, by the LU of an earlier
+    iterate's matrix, kept once per nonlinear solve; after a GMRES cycle
+    misses its tolerance each solve factors its own iterate's matrix and
+    keeps none.
     """
 
     def __init__(self, problem, u, dt=None, u_old=None, theta=1.0):

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from dgmono import (Mesh, ProblemSpec, assemble_B, assemble_G, assemble_K,
-                    assemble_M, build_dg_nodes, build_structured_quad,
-                    classify_facets, interpolate_boundary)
+from dgmono import (Mesh, ProblemSpec, StabilizationParams, assemble_B,
+                    assemble_G, assemble_K, assemble_M, assembly,
+                    build_dg_nodes, build_structured_quad, classify_facets,
+                    interpolate_boundary)
 from dgmono.assembly import (basis_at_ref, dirichlet_boundary_nodes,
                              edge_ref_coords, eval_in_cells, evaluate,
                              inverse_map)
 from dgmono.mesh import GAUSS2
+from dgmono.stabilization import StabilizedProblem
 
 from .oracles import facet_quadrature, interior_penalty_operators
 from .test_mesh import perturbed_mesh
@@ -271,6 +273,28 @@ class TestBoundaryOperator:
         a = int(nodes.boundary_nodes[0])
         assert tr.values[nodes.boundary_index[a]] == pytest.approx(
             nodes.coords[a, 0] + 10 * nodes.coords[a, 1])
+
+
+class TestCellQuadrature:
+    def test_once_per_mesh(self, monkeypatch):
+        # K, M, G, the lumped weights and beta_max share one order-2 rule
+        calls = []
+
+        def counted(mesh, *args, _fn=assembly.cell_quadrature):
+            calls.append(mesh)
+            return _fn(mesh, *args)
+        monkeypatch.setattr(assembly, "cell_quadrature", counted)
+        mesh = perturbed_mesh(4, 3, scale=0.2, seed=2)
+        spec = ProblemSpec(beta=lambda x, y: (1.0 + 0.0 * x, 0.5 + 0.0 * y),
+                           mu=1e-2, g=lambda x, y: x * y)
+        StabilizedProblem(mesh, build_dg_nodes(mesh), spec,
+                          StabilizationParams())
+        assert calls == [mesh]
+        monkeypatch.undo()
+        for kept, fresh in zip(mesh.quadrature,
+                               assembly.cell_quadrature(mesh)):
+            assert not kept.flags.writeable
+            assert np.array_equal(kept, fresh)
 
 
 class TestPointEvaluation:

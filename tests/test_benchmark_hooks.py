@@ -52,10 +52,10 @@ def test_instrument_patches_and_restores():
 
 # Sparse LU factorizations per operation on the warm inputs.  The sharp
 # layer keeps the first iterate's LU as GMRES's preconditioner for every
-# later solve; the three-body step misses with it at its second Picard
-# update, after which each of its 24 solves factors its own matrix.
+# later solve; every solve of the three-body step meets its tolerance by
+# GMRES preconditioned by its own matrix's cell blocks, and factors nothing.
 WARM_FACTORIZATIONS = {"sharp-layer-picard": [1], "sharp-layer-hybrid": [1],
-                       "three-body-be-hybrid": [24]}
+                       "three-body-be-hybrid": [0]}
 
 
 @pytest.mark.parametrize("name", sorted(WARM_FACTORIZATIONS))

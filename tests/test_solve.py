@@ -1,8 +1,15 @@
 """Nonlinear solvers, Jacobian machinery and theta time stepping."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import dgmono
 
 from dgmono import (Mesh, SolverConfig, TimeLoopConfig, build_dg_nodes,
                     build_structured_quad, detector, get_case, hybrid_newton,
@@ -175,6 +182,18 @@ class TestPicard:
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[-2]) for r in rows] == trace.gmres_iters
         assert [int(r[-1]) for r in rows] == trace.factorizations
+
+    def test_step_length_is_set_when_the_update_is_made(self):
+        # every record but the last makes an update with step omega; the
+        # last makes none and keeps NaN, in the hybrid's Picard phase too
+        cfg = SolverConfig(tol=1e-8, max_iter=12, omega=0.7)
+        _, trace = picard(make_problem(5), cfg=cfg)
+        assert trace.iterations > 2
+        assert trace.step_lengths[:-1] == [0.7] * (trace.iterations - 1)
+        assert np.isnan(trace.step_lengths[-1])
+        _, trace = hybrid_newton(sharp_layer(10))
+        np.testing.assert_array_equal(trace.step_lengths,
+                                      [1.0, np.nan, 1.0, np.nan])
 
     @pytest.mark.parametrize("omega", [1.0, 0.7])
     def test_kept_lu_matches_fresh_factorizations(self, monkeypatch, omega):
@@ -449,6 +468,19 @@ def newton_states(run):
     return states
 
 
+def picard_phase_iterations(monkeypatch):
+    """Wrap ``solve.picard`` so that each call appends its record count to
+    the list returned (the hybrid's Picard phase is such a call)."""
+    picard_iters = []
+
+    def picard_phase(*args, _picard=solve.picard, **kw):
+        u, trace = _picard(*args, **kw)
+        picard_iters.append(trace.iterations)
+        return u, trace
+    monkeypatch.setattr(solve, "picard", picard_phase)
+    return picard_iters
+
+
 def one_record():
     """A SolveTrace with one record, for linear solves to count into."""
     trace = SolveTrace()
@@ -463,22 +495,65 @@ def three_body_newton_state():
     return newton_states(lambda: three_body_be_solve(*three_body_be_step()))[2]
 
 
-class TestNewtonLinearSolve:
-    """Newton's direction by GMRES on J v, preconditioned by a kept LU or
-    by the LU of P = A + C diag(d alpha/du)."""
+THETA_STEPS = {"backward-euler": (1e-2, 1.0), "crank-nicolson": (1e-2, 0.5)}
 
-    @pytest.mark.parametrize("newton_state", [
-        lambda: at_newton_start(sharp_layer(10)),
-        lambda: at_newton_start(make_problem(
-            mu=1e-2, mesh=perturbed_mesh(8, 8, scale=0.2, seed=5))),
-        three_body_newton_state],
+
+def random_state(step):
+    """The Linearization of ``jittered_problem(6, 1)`` at a random iterate,
+    steady (``step`` None) or the theta-step ``step`` = (dt, theta) from a
+    random old state."""
+    prob = jittered_problem(6, 1)
+    rng = np.random.default_rng(7)
+    u, u_old = rng.uniform(0.0, 1.0, (2, prob.nodes.n_nodes))
+    return prob.linearize(u) if step is None else \
+        prob.linearize(u, step[0], u_old, step[1])
+
+
+def cell_blocks_of(M):
+    """The 4x4 diagonal blocks (n_cells, 4, 4) of M, rows 4c..4c+3."""
+    nc = M.shape[0] // 4
+    dense = M.toarray().reshape(nc, 4, nc, 4)
+    return dense[np.arange(nc), :, np.arange(nc), :]
+
+
+def oracle_preconditioner(state):
+    """P = A + C diag(d alpha/du) from the COO oracle's terms."""
+    C, dalpha = coo_jacobian_terms(state)
+    return coo_system(state)[0] + C @ sp.diags(dalpha.diagonal())
+
+
+def record_calls(monkeypatch, name):
+    """Replace ``solve.<name>`` by a wrapper that keeps a copy of its first
+    argument per call; returns the list of copies."""
+    seen = []
+
+    def recorded(first, _fn=getattr(solve, name)):
+        seen.append(first.copy())
+        return _fn(first)
+    monkeypatch.setattr(solve, name, recorded)
+    return seen
+
+
+class TestNewtonLinearSolve:
+    """Newton's direction by GMRES on J v, preconditioned by the cell blocks
+    or the LU of P = A + C diag(d alpha/du) on a theta-step, and by a kept
+    LU or LU(P) when steady."""
+
+    @pytest.mark.parametrize("newton_state, factorizations", [
+        (lambda: at_newton_start(sharp_layer(10)), 1),
+        (lambda: at_newton_start(make_problem(
+            mu=1e-2, mesh=perturbed_mesh(8, 8, scale=0.2, seed=5))), 1),
+        (three_body_newton_state, 0)],
         ids=["sharp-layer", "jittered", "three-body"])
-    def test_gmres_matches_lu_of_jacobian(self, newton_state):
+    def test_gmres_matches_lu_of_jacobian(self, newton_state,
+                                          factorizations):
+        # steady: one cycle preconditioned by LU(P); on the three-body
+        # theta-step, one cycle preconditioned by P's cell blocks
         state = newton_state()
         trace = one_record()
         step = solve.LinearSolves()(state, trace)
         assert 0 < trace.gmres_iters[0] <= solve.GMRES_CAP
-        assert trace.factorizations == [1]
+        assert trace.factorizations == [factorizations]
         want = solve_linear(assembled_jacobian(state), -state.residual)
         assert np.linalg.norm(step - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -502,23 +577,25 @@ class TestNewtonLinearSolve:
                              ids=["steady", "backward-euler",
                                   "crank-nicolson"])
     def test_preconditioner(self, monkeypatch, step):
-        # P = A + C diag(d alpha/du), against the COO oracle's terms
-        prob = jittered_problem(6, 1)
-        rng = np.random.default_rng(7)
-        u, u_old = rng.uniform(0.0, 1.0, (2, prob.nodes.n_nodes))
-        state = prob.linearize(u) if step is None else \
-            prob.linearize(u, step[0], u_old, step[1])
-        factored = []
-
-        def factor(P, _factor=solve.factor):
-            factored.append(P)
-            return _factor(P)
-        monkeypatch.setattr(solve, "factor", factor)
+        # P = A + C diag(d alpha/du), against the COO oracle's terms: the
+        # matrix factored when steady; on a theta-step, the matrix whose
+        # cell blocks precondition, and the one factored after their cycle
+        # misses (forced here by a one-iteration cap)
+        state = random_state(step)
+        factored = record_calls(monkeypatch, "factor")
+        blocks = record_calls(monkeypatch, "block_inverse")
+        monkeypatch.setattr(solve, "GMRES_CAP", 1)
         solve.LinearSolves()(state, one_record())
-        C, dalpha = coo_jacobian_terms(state)
-        want = coo_system(state)[0] + C @ sp.diags(dalpha.diagonal())
+        want = oracle_preconditioner(state)
         assert len(factored) == 1
         assert_close(factored[0], want)
+        if step is None:
+            assert blocks == []
+        else:
+            assert len(blocks) == 1
+            np.testing.assert_allclose(blocks[0], cell_blocks_of(want),
+                                       rtol=0.0,
+                                       atol=1e-14 * abs(want).max())
 
     def test_one_iteration_per_direction_still_converges(self, monkeypatch):
         # a GMRES iterate of a fresh P that misses the tolerance is still
@@ -534,34 +611,37 @@ class TestNewtonLinearSolve:
         assert 2 in traces[0].gmres_iters
 
     def test_trace_records_the_linear_solves(self, monkeypatch, tmp_path):
-        # every record but the last of each phase solves once: the first
-        # factors and solves directly; a record that solves by the kept LU
-        # holds its cycle's GMRES iterations and no factorization; a record
-        # that factors after a miss also holds the missed cycle's
-        picard_iters = []
-
-        def picard_phase(*args, _picard=solve.picard, **kw):
-            u, trace = _picard(*args, **kw)
-            picard_iters.append(trace.iterations)
-            return u, trace
-        monkeypatch.setattr(solve, "picard", picard_phase)
+        # every record but the last of each phase solves once.  On the
+        # three-body step each solve is one cycle preconditioned by cell
+        # blocks, which meets its tolerance: its GMRES iterations and no
+        # factorization.  On the sharp layer the first factors and solves
+        # directly; a record that solves by the kept LU holds its cycle's
+        # GMRES iterations and no factorization; a record that factors
+        # after a miss also holds the missed cycle's
+        picard_iters = picard_phase_iterations(monkeypatch)
         traces = [three_body_be_solve(*three_body_be_step())[1],
                   hybrid_newton(sharp_layer(10), cfg=SolverConfig())[1]]
         cap = solve.GMRES_CAP
         for trace, k in zip(traces, picard_iters):
             assert trace.converged and trace.iterations > k + 1
-            solved = [i for i in range(trace.iterations - 1) if i != k - 1]
             lus, its = trace.factorizations, trace.gmres_iters
-            assert (lus[0], its[0]) == (1, 0)
             assert (lus[k - 1], its[k - 1]) == (0, 0)
             assert (lus[-1], its[-1]) == (0, 0)
-            for i in solved[1:]:
-                if lus[i] == 0:
-                    assert 1 <= its[i] <= cap
-                elif i < k:
-                    assert its[i] in (0, cap)
-                else:
-                    assert lus[i] == 1 and 1 <= its[i] <= 2 * cap
+        trace, k = traces[0], picard_iters[0]
+        solved = [i for i in range(trace.iterations - 1) if i != k - 1]
+        assert all(trace.factorizations[i] == 0
+                   and 1 <= trace.gmres_iters[i] <= cap for i in solved)
+        trace, k = traces[1], picard_iters[1]
+        solved = [i for i in range(trace.iterations - 1) if i != k - 1]
+        lus, its = trace.factorizations, trace.gmres_iters
+        assert (lus[0], its[0]) == (1, 0)
+        for i in solved[1:]:
+            if lus[i] == 0:
+                assert 1 <= its[i] <= cap
+            elif i < k:
+                assert its[i] in (0, cap)
+            else:
+                assert lus[i] == 1 and 1 <= its[i] <= 2 * cap
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         rows = [r.split(",") for r in
@@ -589,26 +669,108 @@ class TestKeptFactorization:
         assert max(trace.osc) <= 1e-12
 
     def test_latch_after_first_miss(self, monkeypatch):
-        # three-body 4^2 backward Euler: the kept LU misses at a Picard
-        # update; from then on every solve factors its own matrix
-        picard_iters = []
+        # three-body 4^2 backward Euler with the cell blocks' cycle forced
+        # to miss at the second Picard update: the records before it factor
+        # nothing, and from it on every solve factors its own matrix
+        picard_iters = picard_phase_iterations(monkeypatch)
+        cycles = []
 
-        def picard_phase(*args, _picard=solve.picard, **kw):
-            u, trace = _picard(*args, **kw)
-            picard_iters.append(trace.iterations)
-            return u, trace
-        monkeypatch.setattr(solve, "picard", picard_phase)
+        def gmres(*args, _gmres=solve._gmres):
+            y, iterations, met = _gmres(*args)
+            cycles.append(met)
+            return y, iterations, met and len(cycles) != 2
+        monkeypatch.setattr(solve, "_gmres", gmres)
         _, trace = three_body_be_solve(*three_body_be_step())
         k = picard_iters[0]
         lus = trace.factorizations
-        miss = next(i for i in range(1, trace.iterations) if lus[i])
-        assert miss < k - 1
-        assert trace.gmres_iters[miss] == solve.GMRES_CAP
-        assert lus[1:miss] == [0] * (miss - 1)
+        miss = next(i for i in range(trace.iterations) if lus[i])
+        assert miss == 1 < k - 1 and cycles[:2] == [True, True]
+        assert lus[0] == 0 and 1 <= trace.gmres_iters[miss] <= solve.GMRES_CAP
         solved = [i for i in range(miss, trace.iterations - 1) if i != k - 1]
         assert trace.converged and len(solved) > 10
         assert all(lus[i] == 1 for i in solved)
         assert lus[k - 1] == lus[-1] == 0
+
+
+class TestCellBlockSolve:
+    """theta-step solves by one GMRES cycle preconditioned by the inverses
+    of the iterate's own 4x4 cell blocks, falling back to LU on a miss."""
+
+    @pytest.mark.parametrize("newton", [False, True],
+                             ids=["picard", "newton"])
+    @pytest.mark.parametrize("step", sorted(THETA_STEPS))
+    def test_blocks_are_the_oracles(self, monkeypatch, step, newton):
+        # A's blocks for a Picard update, P's for a Newton direction
+        state = random_state(THETA_STEPS[step])
+        blocks = record_calls(monkeypatch, "block_inverse")
+        solve.LinearSolves()(state, one_record(), None if newton else 1.0)
+        want = oracle_preconditioner(state) if newton \
+            else coo_system(state)[0]
+        assert len(blocks) == 1
+        np.testing.assert_allclose(blocks[0], cell_blocks_of(want), rtol=0.0,
+                                   atol=1e-14 * abs(want).max())
+
+    @pytest.mark.parametrize("newton", [False, True],
+                             ids=["picard", "newton"])
+    @pytest.mark.parametrize("step", sorted(THETA_STEPS))
+    def test_matches_direct_solve(self, step, newton):
+        # the cycle meets GMRES_RTOL on M d = -T without a factorization,
+        # so d is M's direct solution to within cond(M) GMRES_RTOL
+        state = random_state(THETA_STEPS[step])
+        solves, trace = solve.LinearSolves(), one_record()
+        b = -state.residual
+        if newton:
+            d = solves(state, trace)
+            M = assembled_jacobian(state)
+        else:
+            d = solves(state, trace, 1.0) - state.u
+            M = state.system[0]
+        assert trace.factorizations == [0]
+        assert 0 < trace.gmres_iters[0] <= solve.GMRES_CAP
+        assert solves.lu is None and not solves.latched
+        assert np.linalg.norm(M @ d - b) \
+            <= solve.GMRES_RTOL * np.linalg.norm(b)
+        want = solve_linear(M, b)
+        assert np.linalg.norm(d - want) <= np.linalg.cond(M.toarray()) \
+            * solve.GMRES_RTOL * np.linalg.norm(want)
+
+    def test_forced_miss_factors_every_solve(self, monkeypatch):
+        # a one-iteration cycle misses at the first update and latches:
+        # every solve factors its own matrix.  Picard updates then solve
+        # directly; Newton directions take one cycle preconditioned by LU(P)
+        monkeypatch.setattr(solve, "GMRES_CAP", 1)
+        picard_iters = picard_phase_iterations(monkeypatch)
+        _, trace = three_body_be_solve(*three_body_be_step())
+        k, n = picard_iters[0], trace.iterations
+        assert trace.converged and n > k + 1
+        solved = [i for i in range(n - 1) if i != k - 1]
+        assert trace.factorizations == [int(i in solved) for i in range(n)]
+        assert trace.gmres_iters == [1] + [0] * (k - 1) \
+            + [1] * (n - k - 1) + [0]
+
+    def test_singular_block_falls_back_to_lu(self):
+        # cell 0's block of A made rank one; A itself stays regular
+        state = random_state(THETA_STEPS["backward-euler"])
+        A, rhs = state.system
+        A = A.copy()
+        A.data[state.problem.tables.cell_blocks[0]] = 1.0
+        state.system = (A, rhs)
+        solves, trace = solve.LinearSolves(), one_record()
+        x = solves(state, trace, 1.0)
+        assert (trace.factorizations, trace.gmres_iters) == ([1], [0])
+        assert solves.latched and solves.lu is None
+        want = solve_linear(A, rhs)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_block_inverse_rejects(self, bad):
+        blocks = np.tile(np.eye(4), (3, 1, 1))
+        blocks[1] = bad
+        assert solve.block_inverse(blocks) is None
+        blocks[1] = 2.0 * np.eye(4)
+        v = np.arange(12.0)
+        np.testing.assert_array_equal(solve.block_inverse(blocks)(v),
+                                      np.r_[v[:4], v[4:8] / 2.0, v[8:]])
 
 
 class TestThetaStep:
@@ -739,6 +901,44 @@ class TestThetaStep:
                        method="bogus")
 
 
+# One three-body 16^2 backward-Euler step, then a second set-up of the
+# same problem: prints the minor page faults of that set-up.
+REPEATED_SETUP = """
+import resource
+import dgmono
+from dgmono.stabilization import StabilizedProblem
+
+def setup():
+    case = dgmono.get_case("three-body", sigma=1e-2, tau=1e-4)
+    mesh = dgmono.build_structured_quad(16, 16)
+    nodes = dgmono.build_dg_nodes(mesh)
+    prob = StabilizedProblem(mesh, nodes, case.spec, case.params)
+    nodes.pair_topology()
+    return prob, case.spec.u0(nodes.coords[:, 0], nodes.coords[:, 1])
+
+prob, u0 = setup()
+dgmono.theta_step(prob, u0, dt=5e-3, theta=1.0, method="hybrid",
+                  cfg=dgmono.SolverConfig(tol=1e-8, max_iter=80))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+setup()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_allocator_policy_keeps_repeated_setup_off_fresh_pages():
+    # in a fresh interpreter, so that no earlier test has moved glibc's
+    # thresholds: with the policy set at import, a repeated set-up reuses
+    # the heap the solve left (about 1,300 faulted pages without it)
+    pytest.importorskip("resource")
+    if not dgmono._set_allocator_policy():
+        pytest.skip("no glibc mallopt")
+    src = Path(dgmono.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", REPEATED_SETUP],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 200
+
+
 class TestDetectorPasses:
     """One detector pass per linearized iterate; its Jacobian reuses it."""
 
@@ -760,13 +960,7 @@ class TestDetectorPasses:
         prob, u0 = three_body_be_step()
         cfg = SolverConfig(tol=1e-8, max_iter=40,
                            max_backtracks=max_backtracks)
-        picard_iters = []
-
-        def picard_phase(*args, _picard=solve.picard, **kw):
-            u, trace = _picard(*args, **kw)
-            picard_iters.append(trace.iterations)
-            return u, trace
-        monkeypatch.setattr(solve, "picard", picard_phase)
+        picard_iters = picard_phase_iterations(monkeypatch)
         count = self.count_passes(monkeypatch)
         _, trace = theta_step(prob, u0, dt=5e-3, theta=1.0, cfg=cfg,
                               method="hybrid")
