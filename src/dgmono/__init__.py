@@ -1,7 +1,5 @@
 """dgmono: DMP-preserving interior-penalty dG convection-diffusion solver."""
 
-import ctypes
-
 from .assembly import (BoundaryTrace, ProblemSpec, assemble_B, assemble_G,
                        assemble_K, assemble_M, interpolate_boundary)
 from .detector import StabilizationParams, alpha_all
@@ -26,6 +24,7 @@ def _set_allocator_policy():
     work reuses the retained heap, while a run that makes no such free
     maps and page-faults every temporary anew.  Returns whether glibc's
     ``mallopt`` was found; elsewhere nothing is changed."""
+    import ctypes
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):

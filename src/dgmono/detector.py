@@ -182,8 +182,8 @@ class PairTopology:
         self.pair_w = 2.0 / (h_own[pa] + h_own[pb])
         other = np.flatnonzero(~coinc)
         ra, rb = pa[other], pb[other]
-        r = nodes.coords[rb] - nodes.coords[ra]
-        self.pair_w[other] = 1.0 / np.hypot(r[:, 0], r[:, 1])
+        self.pair_w[other] = 1.0 / np.hypot(
+            *(nodes.coords[rb] - nodes.coords[ra]).T)
 
         # group the non-coincident pairs by (a, vertex of b), with one
         # representative pair each; the symmetric point, its owning cells and
@@ -224,10 +224,12 @@ class PairTopology:
         cells = sb.cells[sb.owner]
         pts = np.repeat(sb.point, v_counts, axis=0)
         weights = np.clip(eval_in_cells(nodes.mesh, cells, pts), 0.0, 1.0)
+        del sb, pts     # freed once used: a lower set-up heap peak
         take = (np.repeat(v_ptr[v_grp] - self.cand_ptr[:-1], counts)
                 + np.arange(self.cand_ptr[-1]))
         self.cand_weights = weights[take]
         self.cand_nodes = 4 * cells[take, None] + np.arange(4)[None, :]
+        del weights, cells, take
         self.cand_group = np.repeat(np.arange(len(counts)), counts)
         self.cand_a = self.grp_a[self.cand_group]
 

@@ -382,13 +382,15 @@ def symmetric_points_batch(nodes: DgNodeSet, pa, pb) -> SymmetricPointBatch:
         raise ValueError("symmetric point undefined for coincident nodes")
     d = -r / dist_ab[:, None]
 
+    # unit outward normals of each cell's edges, gathered per pair below
+    poly = mesh.vertices[mesh.cells]  # (n_cells, 4, 2)
+    tvec = np.roll(poly, -1, axis=1) - poly
+    normals = np.stack([tvec[..., 1], -tvec[..., 0]], axis=-1)
+    normals /= np.hypot(tvec[..., 1], tvec[..., 0])[..., None]
     cells = nodes.vertex_cells_padded[nodes.node_vertex[pa]]  # (P, k)
     valid = cells >= 0
-    poly = mesh.vertices[mesh.cells[np.where(valid, cells, 0)]]  # (P, k, 4, 2)
-    v0 = poly
-    tvec = np.roll(poly, -1, axis=2) - v0
-    n_out = np.stack([tvec[..., 1], -tvec[..., 0]], axis=-1)
-    n_out /= np.hypot(tvec[..., 1], tvec[..., 0])[..., None]
+    safe = np.where(valid, cells, 0)
+    v0, n_out = poly[safe], normals[safe]  # (P, k, 4, 2)
     dn = np.einsum("pe,pkqe->pkq", d, n_out)
     side = np.einsum("pkqe,pkqe->pkq", xa[:, None, None, :] - v0, n_out)
 
@@ -398,6 +400,7 @@ def symmetric_points_batch(nodes: DgNodeSet, pa, pb) -> SymmetricPointBatch:
                    np.maximum(-side, 0.0) / np.where(dn > geo_tol, dn, 1.0),
                    np.inf)
     t_cell = t_e.min(axis=2)
+    del dn, side, t_e  # freed once used: a lower set-up heap peak
     t_cell = np.where(blocked | ~valid | ~np.isfinite(t_cell), -np.inf, t_cell)
     t_max = np.maximum(0.0, t_cell.max(axis=1))
 

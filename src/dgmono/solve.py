@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -82,10 +82,8 @@ class SolveTrace:
 
     def record(self, residual, osc, alpha_active, step):
         """One iterate: its residual norm, OSC (None: no bounds), number of
-        nodes with alpha = 1 and step length.  Its ``gmres_iters`` and
-        ``factorizations`` start at 0; the linear solves made from this
-        iterate (:class:`LinearSolves`: a Picard update, or a Newton
-        direction and any Picard fallback) add theirs."""
+        nodes with alpha = 1 and step length.  The linear solves of the step
+        from it add their GMRES iterations and factorizations to its 0."""
         self.residuals.append(float(residual))
         self.osc.append(float(osc) if osc is not None else np.nan)
         self.alpha_active.append(int(alpha_active))
@@ -134,10 +132,6 @@ def lu_solve(lu, rhs):
 def solve_linear(A, rhs):
     """Sparse direct solve: :func:`factor`, then :func:`lu_solve`."""
     return lu_solve(factor(A), rhs)
-
-
-def _osc(u, bounds):
-    return None if bounds is None else osc(u, *bounds)
 
 
 def _initial_guess(problem, u0):
@@ -216,7 +210,6 @@ class LinearSolves:
     def __init__(self):
         self.lu = None          # factorization kept from an earlier iterate
         self.latched = False    # a cycle has missed or a block was singular
-        self.last = None        # the final Linearization of a Picard phase
 
     def __call__(self, state, trace, omega=None):
         """The Newton direction at the Linearization ``state`` or, given
@@ -271,52 +264,6 @@ class LinearSolves:
         return x
 
 
-# -- Picard -------------------------------------------------------------------
-
-def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = None,
-           bounds=None, dt=None, u_old=None, theta=1.0, stall_window=0, *,
-           solves: Optional[LinearSolves] = None):
-    """Fixed-point iteration with lagged viscosities and relaxation.
-
-    Steady by default; passing (dt, u_old, theta) iterates on the
-    theta-method step instead.  Each iterate is linearized once
-    (:meth:`StabilizedProblem.linearize`, one detector pass): its Picard
-    system gives the residual A u - rhs, the tolerance reference ||rhs||,
-    the active-alpha count of the record and the next iterate, solved by
-    ``solves`` (:class:`LinearSolves`, one kept factorization; a fresh one
-    by default), which is left holding the final Linearization.  A positive
-    ``stall_window`` stops early (unconverged) when the residual has not
-    improved for that many iterations, e.g. on a limit cycle.  At most
-    ``max_iter`` updates are made, so the last of the ``max_iter + 1``
-    records is that of the final iterate.  A record's step length is omega
-    once the update from it is made; the last record's stays NaN.
-    """
-    cfg = cfg or SolverConfig()
-    solves = solves or LinearSolves()
-    u = _initial_guess(problem, u0)
-    trace = SolveTrace()
-    best_norm, since_best = np.inf, 0
-    for it in range(cfg.max_iter + 1):
-        state = problem.linearize(u, dt, u_old, theta)
-        res_norm = float(np.linalg.norm(state.residual))
-        ref = float(np.linalg.norm(state.system[1]))
-        trace.record(res_norm, _osc(u, bounds),
-                     np.count_nonzero(state.alpha >= 1.0), np.nan)
-        trace.converged = res_norm <= cfg.tol * max(ref, 1e-300)
-        if res_norm < 0.99 * best_norm:
-            best_norm, since_best = res_norm, 0
-        else:
-            since_best += 1
-        stalled = stall_window and since_best >= stall_window
-        if trace.converged or stalled or it == cfg.max_iter:
-            solves.last = state
-            return u, trace
-        u = solves(state, trace, cfg.omega)
-        trace.step_lengths[-1] = cfg.omega
-        # free this state and its detector pass before the next one is built
-        del state
-
-
 # -- finite-difference Jacobian with graph coloring ---------------------------
 #
 # Newton uses the analytic Jacobian (Linearization.jacobian_terms); these
@@ -368,88 +315,100 @@ def fd_jacobian(residual, u, T0, P, colors, n_colors):
     return J.tocsc()
 
 
-# -- hybrid Newton ------------------------------------------------------------
+# -- the nonlinear loop -------------------------------------------------------
 
-STALL_WINDOW = 10   # picard's stall_window in the hybrid's Picard phase
+STALL_WINDOW = 10   # hybrid records without a 1% improvement before Newton
 
 
-def _newton(state, solves, cfg, trace, bounds):
-    """Damped Newton with Armijo backtracking on 1/2 ||T||^2 from the
-    :class:`Linearization` ``state``; falls back to one Picard step when the
-    line search exhausts its backtracks.  Returns the last iterate.
+def _line_search(state, norm, step, cfg):
+    """(lam, trial): the first step length lam = rho**k, k < max_backtracks,
+    along ``step`` from the :class:`Linearization` ``state`` (residual norm
+    ``norm``) that meets Armijo's condition on 1/2 ||T||^2, and the
+    Linearization there; (0.0, None) when none does."""
+    phi0, lam = 0.5 * norm**2, 1.0
+    for _ in range(cfg.max_backtracks):
+        trial = state.at(state.u + lam * step)
+        phi = 0.5 * float(np.linalg.norm(trial.residual))**2
+        if phi <= (1.0 - 2.0 * cfg.c1 * lam) * phi0:
+            return lam, trial
+        lam *= cfg.rho
+    return 0.0, None
 
-    Every iterate is linearized once: the accepted line-search trial (or
-    the state after a fallback) supplies the residual, the active-alpha
-    count of the record and the Jacobian terms.  The residual is A u - rhs
-    of the iterate's Picard system, the same T that :func:`picard` records,
-    so each trial builds that system, and a fallback solves the one it
-    built.  The Jacobian is exact for the smoothed residual
-    (:attr:`Linearization.jacobian_terms`).  Where the smoothed detector is
-    not differentiable it is the derivative of the active branch: the first
-    candidate cell attaining the max (min) at a symmetric point, the
-    all-max or all-min assignment np.maximum keeps per node, and zero where
-    the ramp Z saturates or the clip to [0, 1] binds.  Directions and
-    fallbacks are solved by ``solves`` (:class:`LinearSolves`).
-    Convergence is ||T|| <= tol * ||rhs||, with rhs the Picard system's at
-    the start.  The start is recorded again, as Newton's first record, and
-    steps are made while the trace holds at most ``max_iter`` records, so
-    the last record is that of the returned iterate and
-    ``trace.converged`` is its test; when the Picard phase made all
-    ``max_iter`` updates, that iterate is the start."""
-    target = cfg.tol * max(float(np.linalg.norm(state.system[1])), 1e-300)
+
+def _iterate(problem, u0, cfg, bounds, dt, u_old, theta, hybrid):
+    """The loop of :func:`picard` and :func:`hybrid_newton`: linearize,
+    record, test, stop, step; returns (u, trace).
+
+    Each iterate is linearized once (one detector pass) and recorded once;
+    it has converged at ||T|| <= tol ||rhs||, T = A u - rhs of its Picard
+    system.  At most ``max_iter`` steps are made, so the last record is the
+    returned iterate's.  A step is a Picard update relaxed by omega (step
+    length omega; the iterate's Linearization is freed before the next is
+    built) or a Newton direction with :func:`_line_search` (step length the
+    accepted lam; the Picard update, step length 0, when none is).  With
+    ``hybrid``, Newton starts at the first iterate within ``switch_tol``
+    ||rhs|| or after ``STALL_WINDOW`` records without a 1% improvement, and
+    ||rhs|| stays that iterate's.  One :class:`LinearSolves` solves all."""
+    cfg = cfg or SolverConfig()
+    solves, trace = LinearSolves(), SolveTrace()
+    state = problem.linearize(_initial_guess(problem, u0), dt, u_old, theta)
+    newton, best, since_best = False, np.inf, 0
     while True:
         norm = float(np.linalg.norm(state.residual))
-        trace.record(norm, _osc(state.u, bounds),
+        if not newton:
+            ref = max(float(np.linalg.norm(state.system[1])), 1e-300)
+        trace.record(norm, None if bounds is None else osc(state.u, *bounds),
                      np.count_nonzero(state.alpha >= 1.0), np.nan)
-        trace.converged = norm <= target
+        trace.converged = norm <= cfg.tol * ref
         if trace.converged or trace.iterations > cfg.max_iter:
-            return state.u
-        step = solves(state, trace)
-        phi0 = 0.5 * norm**2
-        lam = 1.0
-        for _ in range(cfg.max_backtracks):
-            trial = state.at(state.u + lam * step)
-            phi = 0.5 * float(np.linalg.norm(trial.residual))**2
-            if phi <= (1.0 - 2.0 * cfg.c1 * lam) * phi0:
+            return state.u, trace
+        if hybrid and not newton:
+            if norm < 0.99 * best:
+                best, since_best = norm, 0
+            else:
+                since_best += 1
+            newton = norm <= cfg.switch_tol * ref \
+                or since_best >= STALL_WINDOW
+        if newton:
+            lam, trial = _line_search(state, norm, solves(state, trace), cfg)
+            trace.step_lengths[-1] = lam
+            if trial is not None:
                 state = trial
-                trace.step_lengths[-1] = lam
-                break
-            lam *= cfg.rho
+                continue
         else:
-            state = state.at(solves(state, trace, cfg.omega))
-            trace.step_lengths[-1] = 0.0
+            trace.step_lengths[-1] = cfg.omega
+        u = solves(state, trace, cfg.omega)
+        del state
+        state = problem.linearize(u, dt, u_old, theta)
+
+
+def picard(problem: StabilizedProblem, u0=None, cfg: Optional[SolverConfig] = None,
+           bounds=None, dt=None, u_old=None, theta=1.0):
+    """Fixed-point iteration with lagged viscosities and relaxation omega:
+    every step of :func:`_iterate` is a Picard update.  Steady by default;
+    passing (dt, u_old, theta) iterates on the theta-method step instead."""
+    return _iterate(problem, u0, cfg, bounds, dt, u_old, theta, hybrid=False)
 
 
 def hybrid_newton(problem: StabilizedProblem, u0=None,
                   cfg: Optional[SolverConfig] = None, bounds=None,
                   dt=None, u_old=None, theta=1.0):
-    """Picard to the switch tolerance, then damped Newton with line search.
-
-    The Picard phase also stops after ``STALL_WINDOW`` iterations without
-    improvement.  Both phases share one :class:`LinearSolves`, passed to
-    :func:`picard`, so the call keeps one factorization, and Newton starts
-    from the Picard phase's last :class:`Linearization`, which the phase
-    leaves there: it gives Newton's first residual and its tolerance
-    reference, ||rhs|| of the Picard system there.  Newton applies the
-    analytic Jacobian of the smoothed residual by GMRES (see :func:`_newton`
-    for its non-smooth branches)."""
-    cfg = cfg or SolverConfig()
+    """Picard updates to the switch tolerance or a stall, then damped Newton
+    with line search, in one loop (:func:`_iterate`).  Newton's Jacobian is
+    exact for the smoothed residual.  Where the smoothed detector is not
+    differentiable it is the derivative of the active branch: the first
+    candidate cell attaining the max (min) at a symmetric point, the
+    all-max or all-min assignment np.maximum keeps per node, and zero where
+    the ramp Z saturates or the clip to [0, 1] binds."""
     if problem.params.enabled and problem.params.mode != "smoothed":
         raise ValueError("hybrid Newton requires the smoothed stabilization")
-    # the Picard phase stops at switch_tol and never reads its own switch_tol
-    pre_cfg = replace(cfg, tol=cfg.switch_tol, switch_tol=np.inf)
-    solves = LinearSolves()
-    _, trace = picard(problem, u0, pre_cfg, bounds, dt, u_old, theta,
-                      stall_window=STALL_WINDOW, solves=solves)
-    state, solves.last = solves.last, None
-    return _newton(state, solves, cfg, trace, bounds), trace
+    return _iterate(problem, u0, cfg, bounds, dt, u_old, theta, hybrid=True)
 
 
 def solver(method):
     """The nonlinear solver named ``method``: ``"picard"`` for
     :func:`picard`, ``"hybrid"`` for :func:`hybrid_newton`.  Both are
-    looked up when called, so a replacement of either module name is seen.
-    """
+    looked up when called, so a replacement of either module name is seen."""
     solvers = {"picard": picard, "hybrid": hybrid_newton}
     if method not in solvers:
         raise ValueError(f"unknown nonlinear method {method!r}; "

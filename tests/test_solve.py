@@ -135,19 +135,6 @@ class TestPicard:
         assert u.min() >= -1e-8 and u.max() <= 1.0 + 1e-8
         assert prob.audit(u) == []
 
-    def test_stall_window_stops_early(self):
-        # sharp-layer with h^4-scaled smoothing: Picard limit-cycles above
-        # tight tolerances, the stall guard must stop it well before the cap
-        from dgmono import get_case
-        case = get_case("sharp-layer", sigma=1e-2, tau=1e-4, gamma=1e-2)
-        mesh = build_structured_quad(10, 10)
-        prob = StabilizedProblem(mesh, build_dg_nodes(mesh), case.spec,
-                                 case.params)
-        u, trace = picard(prob, cfg=SolverConfig(tol=1e-12, max_iter=400),
-                          stall_window=5)
-        assert not trace.converged
-        assert trace.iterations < 400
-
     def test_non_finite_start_raises(self):
         prob = make_problem(3)
         u0 = np.zeros(prob.nodes.n_nodes)
@@ -185,15 +172,15 @@ class TestPicard:
 
     def test_step_length_is_set_when_the_update_is_made(self):
         # every record but the last makes an update with step omega; the
-        # last makes none and keeps NaN, in the hybrid's Picard phase too
+        # last makes none and keeps NaN.  The hybrid records its switch
+        # iterate once, with Newton's accepted step
         cfg = SolverConfig(tol=1e-8, max_iter=12, omega=0.7)
         _, trace = picard(make_problem(5), cfg=cfg)
         assert trace.iterations > 2
         assert trace.step_lengths[:-1] == [0.7] * (trace.iterations - 1)
         assert np.isnan(trace.step_lengths[-1])
         _, trace = hybrid_newton(sharp_layer(10))
-        np.testing.assert_array_equal(trace.step_lengths,
-                                      [1.0, np.nan, 1.0, np.nan])
+        np.testing.assert_array_equal(trace.step_lengths, [1.0, 1.0, np.nan])
 
     @pytest.mark.parametrize("omega", [1.0, 0.7])
     def test_kept_lu_matches_fresh_factorizations(self, monkeypatch, omega):
@@ -367,38 +354,53 @@ class TestHybridNewton:
         with pytest.raises(ValueError):
             hybrid_newton(prob)
 
-    # every valid SolverConfig runs: the Picard phase's own config stops at
-    # switch_tol, which may be 1 or more
+    # every valid SolverConfig runs: the switch tolerance may be 1 or more,
+    # and Newton starts at the first iterate within it
     @pytest.mark.parametrize("tol, switch_tol", [(1e-6, 1.0), (0.5, 5.0)])
     def test_any_valid_switch_tol(self, monkeypatch, tol, switch_tol):
         prob = make_problem(4)
-        picard_cfgs = []
+        states = []     # the Picard iterates' Linearizations, from record 0
 
-        def picard_phase(problem, u0, cfg, *args, _picard=solve.picard,
-                         **kw):
-            picard_cfgs.append(cfg)
-            return _picard(problem, u0, cfg, *args, **kw)
-        monkeypatch.setattr(solve, "picard", picard_phase)
+        def linearize(*args, _linearize=prob.linearize):
+            states.append(_linearize(*args))
+            return states[-1]
+        monkeypatch.setattr(prob, "linearize", linearize)
+        switches = switch_records(monkeypatch)
         cfg = SolverConfig(tol=tol, switch_tol=switch_tol, max_iter=50)
         u, trace = hybrid_newton(prob, cfg=cfg)
-        assert [c.tol for c in picard_cfgs] == [switch_tol]
+        within = [np.linalg.norm(s.residual)
+                  <= switch_tol * np.linalg.norm(s.system[1]) for s in states]
+        assert switches == [within.index(True)]
         assert trace.converged and np.all(np.isfinite(u))
+
+    def test_stall_switches_to_newton(self, monkeypatch):
+        # sharp layer with h^4-scaled smoothing: Picard limit-cycles above
+        # switch_tol, so Newton starts STALL_WINDOW records after the best
+        # residual, and converges to a tolerance Picard never meets
+        prob = sharp_layer(10, sigma=1e-2, tau=1e-4, gamma=1e-2)
+        switches = switch_records(monkeypatch)
+        _, trace = hybrid_newton(prob, cfg=SolverConfig(tol=1e-12,
+                                                        max_iter=400))
+        best = int(np.argmin(trace.residuals[:switches[0]]))
+        assert switches == [best + solve.STALL_WINDOW] == [13]
+        assert trace.converged and trace.iterations == 25
 
     def test_disabled_stabilization(self):
         # d alpha/du is 0, stored in the node pattern like every other
         # per-iterate matrix, so Newton's preconditioner is A = J itself;
-        # with switch_tol 1e10 Newton takes the first step
+        # with switch_tol 1e10 Newton takes the first step, in one GMRES
+        # iteration
         prob = sharp_layer(6, enabled=False)
         _, trace = hybrid_newton(prob)
-        assert trace.converged and trace.iterations == 3
+        assert trace.converged and trace.iterations == 2
         _, trace = hybrid_newton(prob, cfg=SolverConfig(tol=1e-8,
                                                         switch_tol=1e10))
-        assert trace.converged and trace.gmres_iters[:2] == [0, 1]
+        assert trace.converged and trace.gmres_iters == [1, 0]
 
     @pytest.mark.parametrize("max_iter, converged",
-                             [(3, False), (4, False), (5, True)])
+                             [(2, False), (3, False), (4, True)])
     def test_last_record_is_the_returned_iterate(self, max_iter, converged):
-        # Newton stops after max_iter records have stepped, and the
+        # the loop stops after max_iter records have stepped, and the
         # iterate it returns is the last record, tested for convergence
         prob = sharp_layer(10)
         u, trace = hybrid_newton(prob, cfg=SolverConfig(tol=1e-12,
@@ -418,15 +420,10 @@ class TestHybridNewton:
         assert np.linalg.norm(prob.residual_steady(u)) <= 1e-10 * ref
 
 
-def newton_start(prob):
-    """The iterate the hybrid solver hands to Newton: Picard to 1e-2."""
-    cfg = SolverConfig(tol=1e-2, switch_tol=1.0, max_iter=50)
-    return picard(prob, cfg=cfg, stall_window=10)[0]
-
-
 def at_newton_start(prob):
-    """The Linearization at :func:`newton_start`."""
-    return prob.linearize(newton_start(prob))
+    """The Linearization at which the hybrid solver takes its first Newton
+    direction on ``prob``: its switch iterate."""
+    return newton_states(lambda: hybrid_newton(prob))[0]
 
 
 def three_body_be_step(n=4):
@@ -468,17 +465,20 @@ def newton_states(run):
     return states
 
 
-def picard_phase_iterations(monkeypatch):
-    """Wrap ``solve.picard`` so that each call appends its record count to
-    the list returned (the hybrid's Picard phase is such a call)."""
-    picard_iters = []
+def switch_records(monkeypatch):
+    """Spy on ``LinearSolves.__call__``: per solve that takes a Newton
+    direction, in call order, the index of the record that takes its first
+    (the hybrid's switch iterate) is appended to the list returned."""
+    traces, switches = [], []
 
-    def picard_phase(*args, _picard=solve.picard, **kw):
-        u, trace = _picard(*args, **kw)
-        picard_iters.append(trace.iterations)
-        return u, trace
-    monkeypatch.setattr(solve, "picard", picard_phase)
-    return picard_iters
+    def spied(self, state, trace, omega=None,
+              _solve=solve.LinearSolves.__call__):
+        if omega is None and not any(t is trace for t in traces):
+            traces.append(trace)
+            switches.append(trace.iterations - 1)
+        return _solve(self, state, trace, omega)
+    monkeypatch.setattr(solve.LinearSolves, "__call__", spied)
+    return switches
 
 
 def one_record():
@@ -611,31 +611,29 @@ class TestNewtonLinearSolve:
         assert 2 in traces[0].gmres_iters
 
     def test_trace_records_the_linear_solves(self, monkeypatch, tmp_path):
-        # every record but the last of each phase solves once.  On the
-        # three-body step each solve is one cycle preconditioned by cell
-        # blocks, which meets its tolerance: its GMRES iterations and no
-        # factorization.  On the sharp layer the first factors and solves
-        # directly; a record that solves by the kept LU holds its cycle's
-        # GMRES iterations and no factorization; a record that factors
-        # after a miss also holds the missed cycle's
-        picard_iters = picard_phase_iterations(monkeypatch)
+        # every record but the last solves once.  On the three-body step
+        # each solve is one cycle preconditioned by cell blocks, which
+        # meets its tolerance: its GMRES iterations and no factorization.
+        # On the sharp layer the first factors and solves directly; a
+        # record that solves by the kept LU holds its cycle's GMRES
+        # iterations and no factorization; a record that factors after a
+        # miss also holds the missed cycle's
+        switches = switch_records(monkeypatch)
         traces = [three_body_be_solve(*three_body_be_step())[1],
                   hybrid_newton(sharp_layer(10), cfg=SolverConfig())[1]]
         cap = solve.GMRES_CAP
-        for trace, k in zip(traces, picard_iters):
+        for trace, k in zip(traces, switches):
             assert trace.converged and trace.iterations > k + 1
-            lus, its = trace.factorizations, trace.gmres_iters
-            assert (lus[k - 1], its[k - 1]) == (0, 0)
-            assert (lus[-1], its[-1]) == (0, 0)
-        trace, k = traces[0], picard_iters[0]
-        solved = [i for i in range(trace.iterations - 1) if i != k - 1]
+            assert (trace.factorizations[-1], trace.gmres_iters[-1]) \
+                == (0, 0)
+        trace = traces[0]
         assert all(trace.factorizations[i] == 0
-                   and 1 <= trace.gmres_iters[i] <= cap for i in solved)
-        trace, k = traces[1], picard_iters[1]
-        solved = [i for i in range(trace.iterations - 1) if i != k - 1]
+                   and 1 <= trace.gmres_iters[i] <= cap
+                   for i in range(trace.iterations - 1))
+        trace, k = traces[1], switches[1]
         lus, its = trace.factorizations, trace.gmres_iters
         assert (lus[0], its[0]) == (1, 0)
-        for i in solved[1:]:
+        for i in range(1, trace.iterations - 1):
             if lus[i] == 0:
                 assert 1 <= its[i] <= cap
             elif i < k:
@@ -672,7 +670,7 @@ class TestKeptFactorization:
         # three-body 4^2 backward Euler with the cell blocks' cycle forced
         # to miss at the second Picard update: the records before it factor
         # nothing, and from it on every solve factors its own matrix
-        picard_iters = picard_phase_iterations(monkeypatch)
+        switches = switch_records(monkeypatch)
         cycles = []
 
         def gmres(*args, _gmres=solve._gmres):
@@ -681,15 +679,14 @@ class TestKeptFactorization:
             return y, iterations, met and len(cycles) != 2
         monkeypatch.setattr(solve, "_gmres", gmres)
         _, trace = three_body_be_solve(*three_body_be_step())
-        k = picard_iters[0]
         lus = trace.factorizations
         miss = next(i for i in range(trace.iterations) if lus[i])
-        assert miss == 1 < k - 1 and cycles[:2] == [True, True]
+        assert miss == 1 < switches[0] and cycles[:2] == [True, True]
         assert lus[0] == 0 and 1 <= trace.gmres_iters[miss] <= solve.GMRES_CAP
-        solved = [i for i in range(miss, trace.iterations - 1) if i != k - 1]
+        solved = range(miss, trace.iterations - 1)
         assert trace.converged and len(solved) > 10
         assert all(lus[i] == 1 for i in solved)
-        assert lus[k - 1] == lus[-1] == 0
+        assert lus[-1] == 0
 
 
 class TestCellBlockSolve:
@@ -739,12 +736,11 @@ class TestCellBlockSolve:
         # every solve factors its own matrix.  Picard updates then solve
         # directly; Newton directions take one cycle preconditioned by LU(P)
         monkeypatch.setattr(solve, "GMRES_CAP", 1)
-        picard_iters = picard_phase_iterations(monkeypatch)
+        switches = switch_records(monkeypatch)
         _, trace = three_body_be_solve(*three_body_be_step())
-        k, n = picard_iters[0], trace.iterations
+        k, n = switches[0], trace.iterations
         assert trace.converged and n > k + 1
-        solved = [i for i in range(n - 1) if i != k - 1]
-        assert trace.factorizations == [int(i in solved) for i in range(n)]
+        assert trace.factorizations == [1] * (n - 1) + [0]
         assert trace.gmres_iters == [1] + [0] * (k - 1) \
             + [1] * (n - k - 1) + [0]
 
@@ -939,6 +935,11 @@ def test_allocator_policy_keeps_repeated_setup_off_fresh_pages():
     assert int(out.stdout) < 200
 
 
+def test_package_namespace_leaks_no_stdlib_module():
+    # the allocator policy imports ctypes where it is used
+    assert "ctypes" not in vars(dgmono)
+
+
 class TestDetectorPasses:
     """One detector pass per linearized iterate; its Jacobian reuses it."""
 
@@ -960,7 +961,7 @@ class TestDetectorPasses:
         prob, u0 = three_body_be_step()
         cfg = SolverConfig(tol=1e-8, max_iter=40,
                            max_backtracks=max_backtracks)
-        picard_iters = picard_phase_iterations(monkeypatch)
+        switches = switch_records(monkeypatch)
         count = self.count_passes(monkeypatch)
         _, trace = theta_step(prob, u0, dt=5e-3, theta=1.0, cfg=cfg,
                               method="hybrid")
@@ -968,7 +969,7 @@ class TestDetectorPasses:
         # a Newton record's step length is rho**k after k rejected trials,
         # 0 after a fallback (max_backtracks rejected trials), and NaN on
         # the converged record, the only one without a Jacobian
-        steps = np.array(trace.step_lengths[picard_iters[0]:])
+        steps = np.array(trace.step_lengths[switches[0]:])
         accepted = steps[steps > 0.0]
         fallbacks = int(np.sum(steps == 0.0))
         jacobians = int(np.sum(~np.isnan(steps)))
@@ -977,9 +978,9 @@ class TestDetectorPasses:
         assert trials > len(accepted) + fallbacks
         assert trace.converged == (fallbacks == 0)
         assert jacobians > 0
-        # Newton starts from the Picard phase's last linearization: the
-        # switch adds no pass
-        assert count["passes"] == picard_iters[0] + trials + fallbacks
+        # one pass per Picard iterate up to the switch iterate, which
+        # Newton starts from, and one per line-search trial and fallback
+        assert count["passes"] == switches[0] + 1 + trials + fallbacks
 
     def test_audit(self, monkeypatch):
         prob = make_problem(4)
