@@ -8,8 +8,8 @@ from .mesh import (DgNodeSet, Mesh, MeshError, build_dg_nodes,
                    save_mesh)
 from .metrics import eoc_fit, eoc_pairs, l2_error, osc
 from .problems import get_case
-from .solve import (SolverConfig, SolveTrace, TimeLoopConfig, hybrid_newton,
-                    picard, run_transient, solve_linear, theta_step)
+from .solve import (SolverConfig, SolveTrace, hybrid_newton, picard,
+                    run_transient, solve_linear, theta_step)
 from .stabilization import (GraphViscosity, StabilizedProblem, audit_dmp,
                             build_stabilized, build_viscosity, cfl_bound)
 
@@ -44,8 +44,7 @@ __all__ = [
     "DgNodeSet", "Mesh", "MeshError", "build_dg_nodes",
     "build_structured_quad", "classify_facets", "load_mesh", "save_mesh",
     "eoc_fit", "eoc_pairs", "l2_error", "osc", "get_case",
-    "SolverConfig", "SolveTrace", "TimeLoopConfig", "hybrid_newton", "picard",
-    "run_transient", "solve_linear", "theta_step", "GraphViscosity",
-    "StabilizedProblem", "audit_dmp", "build_stabilized", "build_viscosity",
-    "cfl_bound",
+    "SolverConfig", "SolveTrace", "hybrid_newton", "picard", "run_transient",
+    "solve_linear", "theta_step", "GraphViscosity", "StabilizedProblem",
+    "audit_dmp", "build_stabilized", "build_viscosity", "cfl_bound",
 ]

@@ -44,10 +44,12 @@ class ProblemSpec:
     c_ip: float = 10.0
 
     def __post_init__(self):
-        if self.mu < 0.0:
-            raise ValueError("diffusion mu must be nonnegative")
-        if self.c_ip <= 0.0:
-            raise ValueError("interior-penalty constant must be positive")
+        if not 0.0 <= self.mu < np.inf:
+            raise ValueError("diffusion mu must be finite and nonnegative, "
+                             f"got {self.mu!r}")
+        if not 0.0 < self.c_ip < np.inf:
+            raise ValueError("interior-penalty constant c_ip must be finite "
+                             f"and positive, got {self.c_ip!r}")
 
     def beta_max(self, mesh):
         """L-infinity norm of |beta| over the cell quadrature points."""

@@ -75,12 +75,15 @@ class StabilizationParams:
                 self.gamma = 1e-2
             if self.Q is None:
                 self.Q = 10.0
-        if self.q <= 0.0 or self.Q <= 0.0:
-            raise ValueError("exponents q and Q must be positive")
+        for name in ("q", "Q"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"exponent {name} must be positive, got "
+                                 f"{getattr(self, name)!r}")
         for name in ("sigma", "tau", "gamma", "sigma_h", "tau_h"):
             val = getattr(self, name)
-            if val is not None and val < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if val is not None and not 0.0 <= val < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {val!r}")
 
     def derived(self, h, beta_norm):
         """sigma_h, tau_h, gamma_h for mesh size h and velocity scale |beta|.

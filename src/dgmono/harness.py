@@ -8,22 +8,21 @@ are read by :func:`parse_options`.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from . import io_utils
 from .assembly import evaluate
+from .detector import StabilizationParams
 from .mesh import build_structured_quad, build_dg_nodes
 from .metrics import eoc_fit, eoc_pairs, l2_error, osc
 from .problems import get_case
-from .solve import SolverConfig, TimeLoopConfig, run_transient, solver
+from .solve import SolverConfig, check_count, run_transient, solver
 from .stabilization import StabilizedProblem
 
-PARAM_KEYS = ("mode", "q", "Q", "sigma", "tau", "gamma",
-              "sigma_h", "tau_h", "enabled",
-              "boundary_extrapolation")
-SOLVER_KEYS = ("tol", "max_iter", "switch_tol", "omega", "rho", "c1",
-               "max_backtracks")
+PARAM_KEYS = tuple(f.name for f in fields(StabilizationParams))
+SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 
 
 def coerce(text):
@@ -63,13 +62,6 @@ def load_config(path):
         return parse_options(f)
 
 
-def resolve_options(defaults, file_options=None, overrides=None):
-    merged = dict(defaults)
-    for extra in (file_options or {}), (overrides or {}):
-        merged.update(extra)
-    return merged
-
-
 def _split_options(options, keys):
     """(params_kw, solver_kw, rest) of ``options``, with ``keys`` the
     driver's own options; any other key raises ValueError."""
@@ -81,11 +73,6 @@ def _split_options(options, keys):
     rest = {k: v for k, v in options.items()
             if k not in PARAM_KEYS and k not in SOLVER_KEYS}
     return params_kw, solver_kw, rest
-
-
-def _solve_steady(problem, solver_kw, method, bounds):
-    return solver(method)(problem, cfg=SolverConfig(**solver_kw),
-                          bounds=bounds)
 
 
 def _problem(case, n):
@@ -104,10 +91,11 @@ def _out(outdir, name):
 def run_tuning(options, outdir):
     params_kw, solver_kw, opts = _split_options(options, ("n", "solver"))
     case = get_case("tuning", **params_kw)
-    n = int(opts.get("n", case.mesh_n))
+    cfg = SolverConfig(**solver_kw)
+    n = check_count("n", opts.get("n", case.mesh_n))
     method = opts.get("solver", "picard")
     problem = _problem(case, n)
-    u, trace = _solve_steady(problem, solver_kw, method, case.bounds)
+    u, trace = solver(method)(problem, cfg=cfg, bounds=case.bounds)
 
     # outflow profile: 100 equispaced samples on y=0, from the cells above
     xs = (np.arange(100) + 0.5) / 100.0
@@ -128,19 +116,16 @@ def run_smooth(options, outdir):
     params_kw, solver_kw, opts = _split_options(
         options, ("mu", "meshes", "solver"))
     mu = float(opts.get("mu", 1.0))
-    meshes = opts.get("meshes", "16,32,64,128")
-    if isinstance(meshes, str):
-        meshes = [int(t) for t in meshes.split(",")]
-    else:
-        meshes = [int(meshes)]
+    meshes = [check_count("meshes", coerce(t)) for t in
+              str(opts.get("meshes", "16,32,64,128")).split(",")]
     method = opts.get("solver", "picard")
-    solver_kw.setdefault("max_iter", 100)
+    cfg = SolverConfig(**{"max_iter": 100, **solver_kw})
 
     hs, errors, iters = [], [], []
     for n in meshes:
         case = get_case("smooth", mu=mu, **params_kw)
         problem = _problem(case, n)
-        u, trace = _solve_steady(problem, solver_kw, method, None)
+        u, trace = solver(method)(problem, cfg=cfg)
         hs.append(problem.mesh.h)
         errors.append(l2_error(problem.mesh, u, case.exact))
         iters.append(trace.iterations)
@@ -156,10 +141,11 @@ def run_smooth(options, outdir):
 def run_sharp_layer(options, outdir):
     params_kw, solver_kw, opts = _split_options(options, ("n", "solver"))
     case = get_case("sharp-layer", **params_kw)
-    n = int(opts.get("n", case.mesh_n))
+    cfg = SolverConfig(**solver_kw)
+    n = check_count("n", opts.get("n", case.mesh_n))
     method = opts.get("solver", "hybrid")
     problem = _problem(case, n)
-    u, trace = _solve_steady(problem, solver_kw, method, case.bounds)
+    u, trace = solver(method)(problem, cfg=cfg, bounds=case.bounds)
     trace.to_csv(_out(outdir, "sharp_layer_trace.csv"))
     io_utils.write_vtk(problem.mesh, u,
                        _out(outdir, "sharp_layer_solution.vtk"))
@@ -171,19 +157,17 @@ def run_three_body(options, outdir):
     params_kw, solver_kw, opts = _split_options(
         options, ("n", "n_steps", "theta"))
     case = get_case("three-body", **params_kw)
-    n = int(opts.get("n", case.mesh_n))
-    n_steps = int(opts.get("n_steps", case.n_steps))
+    n = check_count("n", opts.get("n", case.mesh_n))
+    n_steps = check_count("n_steps", opts.get("n_steps", case.n_steps))
     theta = float(opts.get("theta", case.theta))
-    solver_kw.setdefault("tol", 5e-4)
-    solver_kw.setdefault("max_iter", 50)
+    cfg = SolverConfig(**{"tol": 5e-4, "max_iter": 50, **solver_kw})
     problem = _problem(case, n)
     mesh, coords = problem.mesh, problem.nodes.coords
     u0 = case.spec.u0(coords[:, 0], coords[:, 1])
-    loop = TimeLoopConfig(theta=theta, dt=case.T / n_steps, n_steps=n_steps,
-                          solver=SolverConfig(**solver_kw))
-    u, traces = run_transient(problem, u0, loop, bounds=case.bounds)
+    u, traces = run_transient(problem, u0, case.T / n_steps, theta, n_steps,
+                              cfg, bounds=case.bounds)
 
-    step_osc = [osc_from_trace(tr) for tr in traces]
+    step_osc = [tr.osc[-1] for tr in traces]
     io_utils.write_table_csv(
         _out(outdir, "three_body_osc.csv"),
         ["step", "osc", "iterations", "converged"],
@@ -194,12 +178,6 @@ def run_three_body(options, outdir):
     return {"max_osc": max(step_osc), "final_min": float(u.min()),
             "final_max": float(u.max()),
             "unconverged_steps": sum(not t.converged for t in traces)}
-
-
-def osc_from_trace(trace):
-    """OSC of the accepted iterate of one time step (last recorded value)."""
-    vals = [v for v in trace.osc if not np.isnan(v)]
-    return vals[-1] if vals else float("nan")
 
 
 EXPERIMENTS = {
@@ -215,5 +193,4 @@ def run_experiment(name, overrides=None, config_path=None, outdir="out"):
         raise KeyError(f"unknown experiment {name!r}; "
                        f"available: {sorted(EXPERIMENTS)}")
     file_options = load_config(config_path) if config_path else {}
-    options = resolve_options({}, file_options, overrides)
-    return EXPERIMENTS[name](options, outdir)
+    return EXPERIMENTS[name]({**file_options, **(overrides or {})}, outdir)

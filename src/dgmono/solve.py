@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import csv
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,6 +18,14 @@ from .metrics import osc
 from .stabilization import StabilizedProblem, build_stabilized  # noqa: F401
 
 
+def check_count(name, value):
+    """``value``; ValueError naming ``name`` unless it is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 @dataclass
 class SolverConfig:
     tol: float = 1e-4
@@ -31,39 +39,14 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < self.switch_tol):
             raise ValueError("need 0 < tol < switch_tol")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        check_count("max_iter", self.max_iter)
         if not (0.0 < self.omega <= 1.0):
             raise ValueError("omega must be in (0, 1]")
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must be in (0, 1)")
         if not (0.0 < self.c1 < 0.5):
             raise ValueError("c1 must be in (0, 0.5)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
-
-
-def check_step(theta, dt):
-    """ValueError unless theta is in [0, 1] and dt > 0."""
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must be in [0, 1], got {theta!r}")
-    if not dt > 0.0:
-        raise ValueError(f"time step dt must be > 0, got {dt!r}")
-
-
-@dataclass
-class TimeLoopConfig:
-    theta: float = 0.5
-    dt: float = 1e-3
-    n_steps: int = 1
-    enforce_cfl: bool = False
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    method: str = "picard"
-
-    def __post_init__(self):
-        check_step(self.theta, self.dt)
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        check_count("max_backtracks", self.max_backtracks)
 
 
 @dataclass
@@ -92,15 +75,15 @@ class SolveTrace:
         self.factorizations.append(0)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["iteration", "residual", "osc", "alpha_active",
-                        "step_length", "gmres_iters", "factorizations"])
-            for i in range(self.iterations):
-                w.writerow([i, repr(self.residuals[i]), repr(self.osc[i]),
-                            self.alpha_active[i],
-                            repr(self.step_lengths[i]), self.gmres_iters[i],
-                            self.factorizations[i]])
+        # imported here: io_utils loads scipy.io, which a solve never needs
+        from .io_utils import write_table_csv
+
+        write_table_csv(path, ["iteration", "residual", "osc", "alpha_active",
+                               "step_length", "gmres_iters",
+                               "factorizations"],
+                        zip(range(self.iterations), self.residuals, self.osc,
+                            self.alpha_active, self.step_lengths,
+                            self.gmres_iters, self.factorizations))
 
 
 def factor(A):
@@ -421,8 +404,11 @@ def solver(method):
 def theta_step(problem, u_old, dt, theta, cfg=None, method="picard",
                bounds=None, enforce_cfl=False):
     """One theta-method step; returns (u_new, trace).  ValueError unless
-    theta is in [0, 1] and dt > 0 (:func:`check_step`)."""
-    check_step(theta, dt)
+    theta is in [0, 1] and dt > 0."""
+    if not (0.0 <= theta <= 1.0):
+        raise ValueError(f"theta must be in [0, 1], got {theta!r}")
+    if not dt > 0.0:
+        raise ValueError(f"time step dt must be > 0, got {dt!r}")
     if enforce_cfl and theta < 1.0:
         limit = problem.cfl_bound(u_old, theta)
         if dt > limit:
@@ -432,16 +418,20 @@ def theta_step(problem, u_old, dt, theta, cfg=None, method="picard",
                           theta=theta)
 
 
-def run_transient(problem, u0, loop: TimeLoopConfig, bounds=None):
-    """Sequential theta-steps from u0; returns (u_final, per-step traces).
+def run_transient(problem, u0, dt, theta, n_steps, cfg=None,
+                  method="picard", bounds=None, enforce_cfl=False):
+    """``n_steps`` sequential :func:`theta_step` calls from u0, with the
+    other arguments passed through; returns (u_final, per-step traces).
+    ValueError unless n_steps is an integer >= 1.
 
     Each unconverged step is returned as is and reported by a
     RuntimeWarning naming its index and final residual."""
+    check_count("n_steps", n_steps)
     u = np.asarray(u0, dtype=float).copy()
     traces = []
-    for n in range(loop.n_steps):
-        u, tr = theta_step(problem, u, loop.dt, loop.theta, loop.solver,
-                           loop.method, bounds, loop.enforce_cfl)
+    for n in range(n_steps):
+        u, tr = theta_step(problem, u, dt, theta, cfg, method, bounds,
+                           enforce_cfl)
         if not tr.converged:
             warnings.warn(f"time step {n} did not converge: residual "
                           f"{tr.residuals[-1]:.3e} after {tr.iterations} "

@@ -17,9 +17,9 @@ import scipy.sparse as sp
 
 import dgmono as dg
 from dgmono import (ProblemSpec, SolverConfig, StabilizationParams,
-                    TimeLoopConfig, build_dg_nodes, build_structured_quad,
-                    build_viscosity, get_case, hybrid_newton, osc, picard,
-                    run_transient, theta_step)
+                    build_dg_nodes, build_structured_quad, build_viscosity,
+                    get_case, hybrid_newton, osc, picard, run_transient,
+                    theta_step)
 from dgmono.assembly import BoundaryTrace, interpolate_boundary
 from dgmono.solve import color_columns, fd_jacobian
 from dgmono.stabilization import StabilizedProblem

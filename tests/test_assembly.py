@@ -333,6 +333,13 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(beta=lambda x, y: (1, 0), c_ip=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mu", np.nan), ("mu", np.inf), ("c_ip", np.nan), ("c_ip", np.inf),
+        ("c_ip", -1.0)])
+    def test_validation_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ProblemSpec(beta=lambda x, y: (1, 0), **{field: value})
+
     def test_beta_max(self):
         mesh = build_structured_quad(4, 4)
         spec = ProblemSpec(beta=lambda x, y: (3.0, 4.0))

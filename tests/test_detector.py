@@ -72,6 +72,18 @@ class TestParams:
         with pytest.raises(ValueError):
             StabilizationParams(tau=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("q", np.nan), ("Q", np.nan), ("q", -1.0), ("Q", 0.0),
+        ("sigma", np.nan), ("tau", np.inf), ("gamma", np.nan),
+        ("sigma_h", np.nan), ("tau_h", np.inf), ("gamma", -np.inf)])
+    def test_validation_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            StabilizationParams(**{field: value})
+
+    def test_infinite_exponents_accepted(self):
+        p = StabilizationParams(q=np.inf, Q=np.inf)
+        assert (p.q, p.Q) == (np.inf, np.inf)
+
     def test_derived_scaling(self):
         p = StabilizationParams(sigma=1e-2, tau=1e-4, gamma=1e-2)
         s = p.derived(h=0.1, beta_norm=3.0)

@@ -1,17 +1,20 @@
 """File formats, configuration handling, experiment harness and CLI."""
 
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import dgmono
 from dgmono import build_dg_nodes, build_structured_quad, get_case
 from dgmono import harness, io_utils
 from dgmono.cli import main as cli_main
-from dgmono.harness import (coerce, load_config, osc_from_trace,
-                            resolve_options, run_experiment)
-from dgmono.solve import SolveTrace
+from dgmono.harness import coerce, load_config, run_experiment
 
 
 class TestFieldCsv:
@@ -115,18 +118,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(path)
 
-    def test_precedence(self):
-        merged = resolve_options({"a": 1, "b": 1}, {"b": 2, "c": 2}, {"c": 3})
-        assert merged == {"a": 1, "b": 2, "c": 3}
-
-
-class TestTraceHelpers:
-    def test_osc_from_trace(self):
-        tr = SolveTrace()
-        tr.record(1.0, 0.5, 4, 1.0)
-        tr.record(0.1, 0.25, 2, 1.0)
-        tr.record(0.01, None, 0, 1.0)
-        assert osc_from_trace(tr) == 0.25
+    def test_precedence(self, tmp_path):
+        # the override's n wins over the file's, which wins over the case's
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 3\n")
+        run_experiment("sharp-layer", overrides={"n": 2},
+                       config_path=str(path), outdir=str(tmp_path))
+        vtk = (tmp_path / "sharp_layer_solution.vtk").read_text()
+        assert "CELLS 4 20\n" in vtk
 
 
 class TestHarness:
@@ -183,11 +182,12 @@ class TestHarness:
             case.mesh_n, case.n_steps, case.theta = 4, 2, 1.0
             return case
 
-        loops, real_run_transient = [], harness.run_transient
+        steps, real_run_transient = [], harness.run_transient
 
-        def run_transient(problem, u0, loop, **kw):
-            loops.append(loop)
-            return real_run_transient(problem, u0, loop, **kw)
+        def run_transient(problem, u0, dt, theta, n_steps, *args, **kw):
+            steps.append((n_steps, theta))
+            return real_run_transient(problem, u0, dt, theta, n_steps,
+                                      *args, **kw)
 
         monkeypatch.setattr(harness, "get_case", small_case)
         monkeypatch.setattr(harness, "run_transient", run_transient)
@@ -199,7 +199,20 @@ class TestHarness:
         vtk = next(tmp_path.glob("*.vtk")).read_text()
         assert "CELLS 16 80\n" in vtk
         if name == "three-body":
-            assert (loops[0].n_steps, loops[0].theta) == (2, 1.0)
+            assert steps == [(2, 1.0)]
+
+    # a truncated count would run another mesh or step count than asked
+    @pytest.mark.parametrize("name, key, value", [
+        ("tuning", "n", 0), ("sharp-layer", "n", 4.7),
+        ("three-body", "n", np.nan), ("three-body", "n_steps", 2.5),
+        ("three-body", "n_steps", np.inf), ("smooth", "meshes", 4.5),
+        ("smooth", "meshes", "4,8.5"), ("smooth", "meshes", "4,nope")])
+    def test_driver_counts_are_integers(self, tmp_path, monkeypatch, name,
+                                        key, value):
+        monkeypatch.setattr(harness, "_problem", None)  # no set-up is made
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            run_experiment(name, overrides={key: value},
+                           outdir=str(tmp_path))
 
 
 class TestCli:
@@ -244,6 +257,15 @@ class TestCli:
         assert rc == 0
         assert [(c.switch_tol, c.max_backtracks) for c in cfgs] == [(1.0, 5)]
 
+    def test_non_finite_max_iter_exit_code(self, tmp_path, monkeypatch,
+                                           capsys):
+        # fails before any set-up, instead of iterating without end
+        monkeypatch.setattr(harness, "_problem", None)
+        rc = cli_main(["run", "smooth", "meshes=8", "max_iter=nan",
+                       "-o", str(tmp_path)])
+        assert rc == 1
+        assert "max_iter must be an integer" in capsys.readouterr().err
+
     def test_bad_override(self, capsys):
         rc = cli_main(["run", "smooth", "badoption"])
         assert rc == 1
@@ -267,3 +289,22 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "audit.csv").exists()
         assert "0 violation(s)" in capsys.readouterr().out
+
+
+# Prints the modules of those named that ``import dgmono`` loaded.
+IMPORTED = """
+import sys
+import dgmono
+print(" ".join(m for m in ("scipy.io", "dgmono.io_utils", "dgmono.harness")
+               if m in sys.modules))
+"""
+
+
+def test_import_loads_no_writer_or_harness():
+    # in a fresh interpreter: the writers and the drivers load with their
+    # first use, so that every solve does not pay for them at import
+    src = Path(dgmono.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", IMPORTED],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -11,9 +11,9 @@ import scipy.sparse as sp
 
 import dgmono
 
-from dgmono import (Mesh, SolverConfig, TimeLoopConfig, build_dg_nodes,
-                    build_structured_quad, detector, get_case, hybrid_newton,
-                    picard, run_transient, solve, solve_linear, theta_step)
+from dgmono import (Mesh, SolverConfig, build_dg_nodes, build_structured_quad,
+                    detector, get_case, hybrid_newton, picard, run_transient,
+                    solve, solve_linear, theta_step)
 from dgmono import ProblemSpec, StabilizationParams
 from dgmono.detector import DetectorPass
 from dgmono.solve import SolveTrace, color_columns, fd_jacobian
@@ -45,15 +45,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             SolverConfig(**{field: value})
 
+    # a non-integral or non-finite count would never stop the loop (or
+    # fail only at the first Newton step)
+    @pytest.mark.parametrize("field", ["max_iter", "max_backtracks"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 0, -1, True])
+    def test_counts_are_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: value})
+
     def test_line_search_limits_accepted(self):
         cfg = SolverConfig(rho=0.99, c1=0.49, max_backtracks=1)
         assert (cfg.rho, cfg.c1, cfg.max_backtracks) == (0.99, 0.49, 1)
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
     def test_loop_validation(self):
-        with pytest.raises(ValueError):
-            TimeLoopConfig(theta=1.5)
-        with pytest.raises(ValueError):
-            TimeLoopConfig(dt=0.0)
+        prob = make_problem(3)
+        u0 = np.zeros(prob.nodes.n_nodes)
+        for name, value in [("theta", 1.5), ("dt", 0.0), ("n_steps", 0),
+                            ("n_steps", np.nan), ("n_steps", 2.5)]:
+            kw = dict(dt=1e-3, theta=0.5, n_steps=1) | {name: value}
+            with pytest.raises(ValueError, match=name):
+                run_transient(prob, u0, **kw)
 
 
 class TestLinearSolve:
@@ -789,9 +801,8 @@ class TestThetaStep:
         u_a, trace = theta_step(prob, u0, dt=0.01, theta=0.5, cfg=cfg,
                                 method="hybrid")
         assert trace.converged
-        loop = TimeLoopConfig(theta=0.5, dt=0.01, n_steps=1, solver=cfg,
-                              method="hybrid")
-        u_b, traces = run_transient(prob, u0, loop)
+        u_b, traces = run_transient(prob, u0, dt=0.01, theta=0.5, n_steps=1,
+                                    cfg=cfg, method="hybrid")
         assert len(traces) == 1
         assert traces[0].converged
         assert np.array_equal(u_a, u_b)
@@ -842,10 +853,10 @@ class TestThetaStep:
     def test_unconverged_steps_warn(self):
         prob = make_problem(4, mu=0.0)
         u0 = np.where(prob.nodes.coords[:, 0] < 0.5, 1.0, 0.0)
-        loop = TimeLoopConfig(theta=0.5, dt=0.01, n_steps=2,
-                              solver=SolverConfig(tol=1e-10, max_iter=1))
         with pytest.warns(RuntimeWarning, match="did not converge") as rec:
-            _, traces = run_transient(prob, u0, loop)
+            _, traces = run_transient(
+                prob, u0, dt=0.01, theta=0.5, n_steps=2,
+                cfg=SolverConfig(tol=1e-10, max_iter=1))
         assert [t.converged for t in traces] == [False, False]
         messages = [str(w.message) for w in rec
                     if issubclass(w.category, RuntimeWarning)]
@@ -858,10 +869,10 @@ class TestThetaStep:
         # the warning names the residual of the iterate the step returns
         prob = make_problem(4, mu=0.0)
         u0 = np.where(prob.nodes.coords[:, 0] < 0.5, 1.0, 0.0)
-        loop = TimeLoopConfig(theta=0.5, dt=0.01, n_steps=1, method="hybrid",
-                              solver=SolverConfig(tol=1e-12, max_iter=4))
         with pytest.warns(RuntimeWarning, match="did not converge") as rec:
-            u, (trace,) = run_transient(prob, u0, loop)
+            u, (trace,) = run_transient(
+                prob, u0, dt=0.01, theta=0.5, n_steps=1, method="hybrid",
+                cfg=SolverConfig(tol=1e-12, max_iter=4))
         norm = np.linalg.norm(prob.linearize(u, 0.01, u0, 0.5).residual)
         assert trace.residuals[-1] == norm
         assert not trace.converged
