@@ -2,9 +2,18 @@
 
 The detector compares, per node, the magnitude of the summed gradient jumps
 against the summed one-sided gradient magnitudes over all node pairs of the
-adjacency.  Both quantities are accumulated from one shared flat term array,
-so at a discrete local extremum (all terms of one sign) the ratio is exactly
-1 in floating point.
+adjacency.  Both sums are taken in one order: per node a,
+
+    (P_a + E_a) + G_a,
+
+with P_a the sum of a's pair legs by ``np.add.reduceat`` over a's row of the
+node pattern S, E_a that of its extrapolated legs and G_a that of its group
+legs (each group's symmetric leg times its number of pairs), both by
+``np.bincount``.  The summation tree of each part depends only on the node,
+not on the values, and negation and the magnitude of an integer multiple are
+exact, so at a discrete local extremum (all terms of one sign) the sum of
+the magnitudes is the magnitude of the sum and the raw ratio is exactly 1 in
+floating point.
 """
 
 from __future__ import annotations
@@ -55,6 +64,10 @@ class StabilizationParams:
     boundary_extrapolation: bool = True
 
     def __post_init__(self):
+        for name in ("enabled", "boundary_extrapolation"):
+            val = getattr(self, name)
+            if not isinstance(val, bool):
+                raise ValueError(f"{name} must be a bool, got {val!r}")
         if self.mode not in ("raw", "smoothed"):
             raise ValueError(f"unknown detector mode {self.mode!r}")
         if self.mode == "raw":
@@ -136,7 +149,8 @@ def _ssgn_slope(x, tau_h):
 def _abs_lower_slope(x, tau_h):
     """d abs_lower/dx = x (x^2 + 2 tau_h) / (x^2 + tau_h)^(3/2)."""
     x2 = np.square(x)
-    den = abs_upper(x, tau_h)**3
+    r = x2 + tau_h
+    den = r * np.sqrt(r)
     return np.divide(x * (x2 + 2.0 * tau_h), den, out=np.zeros_like(den),
                      where=den > 0.0)
 
@@ -181,23 +195,31 @@ class PairTopology:
         h_own = nodes.mesh.h_cell[nodes.node_cell]
         vertex, nv = nodes.node_vertex, nodes.mesh.n_vertices
 
+        # the pair legs are summed per row of S (np.add.reduceat), which
+        # needs every row to hold a pair: a node's cell-mates are its pairs
+        if np.any(np.diff(nodes.pattern().indptr) < 2):
+            raise RuntimeError("node with no adjacency pair")
         coinc = vertex[pb] == vertex[pa]
         self.pair_w = 2.0 / (h_own[pa] + h_own[pb])
         other = np.flatnonzero(~coinc)
-        ra, rb = pa[other], pb[other]
+        del coinc, h_own
+        ra = pa[other]
         self.pair_w[other] = 1.0 / np.hypot(
-            *(nodes.coords[rb] - nodes.coords[ra]).T)
+            *(nodes.coords[pb[other]] - nodes.coords[ra]).T)
 
         # group the non-coincident pairs by (a, vertex of b), with one
         # representative pair each; the symmetric point, its owning cells and
         # their Q1 weights depend only on the vertices of a and b, so they
-        # are computed once per vertex pair of the groups
-        _, first, grp = np.unique(ra * nv + vertex[rb], return_index=True,
-                                  return_inverse=True)
-        ga, gb = ra[first], rb[first]
+        # are computed once per vertex pair of the groups.  The per-pair
+        # temporaries are freed once used: a lower set-up heap peak
+        _, first, grp = np.unique(ra * nv + vertex[pb[other]],
+                                  return_index=True, return_inverse=True)
+        ga, gb = ra[first], pb[other[first]]
+        del first, ra
         _, rep, inv = np.unique(vertex[ga] * nv + vertex[gb],
                                 return_index=True, return_inverse=True)
         sb = symmetric_points_batch(nodes, ga[rep], gb[rep])
+        del gb, rep
 
         # positions of the degenerate pairs among the adjacency pairs
         g_deg = sb.degenerate[inv]
@@ -208,10 +230,12 @@ class PairTopology:
         self.dg_w = self.pair_w[self.dg_pair]
 
         # regular pairs and their groups, the groups numbered in key order
-        self.reg_a = ra[~deg]
+        self.reg_a = pa[other[~deg]]
         self.reg_group = (np.cumsum(~g_deg) - 1)[grp[~deg]]
+        del other, grp, deg
         v_grp = inv[~g_deg]
         self.grp_a = ga[~g_deg]
+        del ga, inv, g_deg
         self.grp_pairs = np.bincount(self.reg_group,
                                      minlength=len(self.grp_a))
         self.grp_ws = 1.0 / sb.distance[v_grp]
@@ -227,7 +251,7 @@ class PairTopology:
         cells = sb.cells[sb.owner]
         pts = np.repeat(sb.point, v_counts, axis=0)
         weights = np.clip(eval_in_cells(nodes.mesh, cells, pts), 0.0, 1.0)
-        del sb, pts     # freed once used: a lower set-up heap peak
+        del sb, pts
         take = (np.repeat(v_ptr[v_grp] - self.cand_ptr[:-1], counts)
                 + np.arange(self.cand_ptr[-1]))
         self.cand_weights = weights[take]
@@ -241,34 +265,18 @@ class PairTopology:
         if np.any(self.dg_bidx < 0):
             raise RuntimeError("degenerate pair at a non-boundary node")
 
-        # fixed flat layout: [pair legs, symmetric legs, extrapolated legs],
-        # one symmetric leg per regular pair
-        self.term_idx = np.concatenate([pa, self.reg_a, self.dg_a])
-
         # largest term weight; scales the rounding-noise floor of the detector
         self.w_max = float(max(self.pair_w.max(),
                                self.grp_ws.max(initial=0.0)))
 
     @functools.cached_property
-    def slots(self):
-        """(fixed, cand): where the entries of :meth:`DetectorPass.jacobian`
-        land in the node pattern S, built on first use; each entry's row is
-        its term's node.
-
-        ``fixed`` holds the slots of the entries at fixed columns: pair legs
-        at (a, b) and (a, a) of every adjacency pair, the symmetric legs of
-        each group at (grp_a, grp_a) and extrapolated legs at (dg_a, dg_a)
-        and (dg_a, dg_b).  ``cand`` (n_cand, 4) holds, per candidate cell
-        of a group, the slots of its four nodes in the row of the group's
-        a; the cell lies at a's vertex, so the nodes are consecutive in that
-        row.
-        """
-        S = self.nodes.pattern()
-        pa = self.nodes.adjacency_pairs()[0]
-        fixed = np.concatenate([S.pairs, S.diag[pa], S.diag[self.grp_a],
-                                S.diag[self.dg_a], S.pairs[self.dg_pair]])
-        first = S.slots(self.cand_a, self.cand_nodes[:, 0])
-        return fixed, first[:, None] + np.arange(4, dtype=np.int32)
+    def cand_slots(self):
+        """(n_cand, 4): per candidate cell of a group, the slots in the node
+        pattern S of its four nodes in the row of the group's a, built on
+        first use (:meth:`DetectorPass.jacobian`).  The cell lies at a's
+        vertex, so the nodes are consecutive in that row."""
+        first = self.nodes.pattern().slots(self.cand_a, self.cand_nodes[:, 0])
+        return first[:, None] + np.arange(4, dtype=np.int32)
 
 
 def build_pair_topology(nodes):
@@ -368,10 +376,10 @@ def _node_slopes(br, params, scales, n):
     return np.stack([c, ssgn(br.num, scales.tau_h), br.zeta])
 
 
-def _leg_slopes(coef, idx, t, tau_h):
-    """d alpha_a/d t of terms with values ``t`` at nodes a = ``idx``, from
-    the per-node rows ``coef`` of :func:`_node_slopes`."""
-    c, sg, zeta = coef[:, idx]
+def _leg_slopes(coef, t, tau_h):
+    """d alpha_a/d t of terms with values ``t``, from the rows ``coef`` of
+    :func:`_node_slopes` taken at each term's node a."""
+    c, sg, zeta = coef
     return c * (sg - zeta * _abs_lower_slope(t, tau_h))
 
 
@@ -409,7 +417,7 @@ class DetectorPass:
         if not params.enabled:
             self.alpha = np.zeros(n)
             return
-        topo = nodes.pair_topology()
+        topo, S = nodes.pair_topology(), nodes.pattern()
         u = np.asarray(u, dtype=float)
         self.cand = _candidate_values(topo, u)
         s_hi, s_lo = _symmetric_candidates(topo, self.cand)
@@ -417,25 +425,35 @@ class DetectorPass:
         raw = params.mode == "raw"
         mag = np.abs if raw else functools.partial(abs_lower,
                                                    tau_h=scales.tau_h)
-        # the pair and extrapolated legs are shared by both assignments; a
-        # symmetric leg is shared by the pairs of its group
+        # the pair and extrapolated legs and their per-node sums are shared
+        # by both assignments; each adds its group legs, a group's
+        # symmetric leg times its number of regular pairs.  Row a of S
+        # holds a's pairs and a itself, so a's pair legs start at
+        # indptr[a] - a
         pa, pb = nodes.adjacency_pairs()
         t_pair = topo.pair_w * (u[pb] - u[pa])
         t_dgs, *self.dgs_slopes = _extrapolated_legs(topo, u, trace, params,
                                                      scales)
         self.legs = t_pair, t_dgs
-        m_pair, m_dgs = mag(t_pair), mag(t_dgs)
+        starts = S.indptr[:-1] - np.arange(n, dtype=S.indptr.dtype)
+
+        def node_sums(t_p, t_d):
+            return (np.add.reduceat(t_p, starts)
+                    + np.bincount(topo.dg_a, weights=t_d, minlength=n))
+        fixed = node_sums(t_pair, t_dgs)
+        fixed_mag = node_sums(mag(t_pair), mag(t_dgs))
 
         def sums(s):
             """The symmetric legs of the assignment s and, per node, the
             sums of its terms and of their magnitudes."""
             t_sym = topo.grp_ws * s
-            g = topo.reg_group
-            vals = np.concatenate([t_pair, t_sym[g], t_dgs])
-            mags = np.concatenate([m_pair, mag(t_sym)[g], m_dgs])
+            k = topo.grp_pairs
             return (t_sym,
-                    np.bincount(topo.term_idx, weights=vals, minlength=n),
-                    np.bincount(topo.term_idx, weights=mags, minlength=n))
+                    fixed + np.bincount(topo.grp_a, weights=k * t_sym,
+                                        minlength=n),
+                    fixed_mag + np.bincount(topo.grp_a,
+                                            weights=k * mag(t_sym),
+                                            minlength=n))
 
         if raw:
             u_scale = float(np.abs(u).max(initial=0.0))
@@ -460,7 +478,7 @@ class DetectorPass:
         the max (all-max assignment) or the min (all-min); at each node,
         the assignment np.maximum(a_hi, a_lo) keeps (all-max on ties); and
         zero where the ramp saturates (zeta >= 1) or the clip to [0, 1]
-        binds.  The entries are laid out as :attr:`PairTopology.slots`.
+        binds.
         """
         n, params, S = self.nodes.n_nodes, self.params, self.nodes.pattern()
         if not params.enabled:
@@ -486,20 +504,28 @@ class DetectorPass:
         # d alpha_a/d t per leg; every regular pair of a group has the
         # group's symmetric leg, whose slopes in u are the weights of
         # u(x_sym) at the nodes of the chosen candidate and minus their sum
-        # at a
+        # at a.  The pair legs of a are its row of S less the diagonal
         t_pair, t_dgs = self.legs
         tau_h = scales.tau_h
         pa = self.nodes.adjacency_pairs()[0]
-        w_pair = topo.pair_w * _leg_slopes(coef, pa, t_pair, tau_h)
-        sl_grp = topo.grp_pairs * _leg_slopes(coef, topo.grp_a, t_sym, tau_h)
+        row_pairs = np.diff(S.indptr) - 1
+        w_pair = topo.pair_w * _leg_slopes(np.repeat(coef, row_pairs, axis=1),
+                                           t_pair, tau_h)
+        sl_grp = topo.grp_pairs * _leg_slopes(coef[:, topo.grp_a], t_sym,
+                                              tau_h)
         w_grp = topo.grp_ws[:, None] * topo.cand_weights[choice]
-        sl_dgs = _leg_slopes(coef, topo.dg_a, t_dgs, tau_h)
+        sl_dgs = _leg_slopes(coef[:, topo.dg_a], t_dgs, tau_h)
         dgs_a, dgs_b = self.dgs_slopes
-        fixed = np.concatenate([w_pair, -w_pair, -w_grp.sum(axis=1) * sl_grp,
-                                dgs_a * sl_dgs, dgs_b * sl_dgs])
-        fixed_slots, cand_slots = topo.slots
-        data = np.bincount(fixed_slots, weights=fixed, minlength=S.nnz)
-        data += np.bincount(cand_slots[choice].ravel(),
+        # each slot sums its entries in the order pair legs, symmetric legs,
+        # extrapolated legs, candidate cells
+        data = np.empty(S.nnz)
+        data[S.pairs] = w_pair
+        data[S.diag] = np.bincount(
+            np.concatenate([pa, topo.grp_a, topo.dg_a]),
+            weights=np.concatenate([-w_pair, -w_grp.sum(axis=1) * sl_grp,
+                                    dgs_a * sl_dgs]), minlength=n)
+        data[S.pairs[topo.dg_pair]] += dgs_b * sl_dgs
+        data += np.bincount(topo.cand_slots[choice].ravel(),
                             weights=(w_grp * sl_grp[:, None]).ravel(),
                             minlength=S.nnz)
         return S.matrix(data)

@@ -23,10 +23,12 @@ def l2_error(mesh, u, exact):
 
 
 def eoc_pairs(hs, errors):
-    """Pairwise orders log(e_i/e_{i+1}) / log(h_i/h_{i+1})."""
+    """Pairwise orders log(e_i/e_{i+1}) / log(h_i/h_{i+1}), as Python
+    floats."""
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    return list(np.log(errors[:-1] / errors[1:]) / np.log(hs[:-1] / hs[1:]))
+    return (np.log(errors[:-1] / errors[1:])
+            / np.log(hs[:-1] / hs[1:])).tolist()
 
 
 def eoc_fit(hs, errors):

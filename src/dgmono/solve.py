@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -10,6 +11,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .metrics import osc
 
@@ -103,13 +105,17 @@ def factor(A):
         raise RuntimeError(f"linear solve failed: {exc}") from exc
 
 
-def lu_solve(lu, rhs):
-    """x = A^-1 rhs by the factorization ``lu`` of A; RuntimeError when x
-    is not finite."""
-    x = lu.solve(rhs)
+def _check_finite(x):
+    """``x``; RuntimeError unless every entry is finite."""
     if not np.all(np.isfinite(x)):
         raise RuntimeError("linear solve produced non-finite values")
     return x
+
+
+def lu_solve(lu, rhs):
+    """x = A^-1 rhs by the factorization ``lu`` of A; RuntimeError when x
+    is not finite."""
+    return _check_finite(lu.solve(rhs))
 
 
 def solve_linear(A, rhs):
@@ -135,20 +141,61 @@ GMRES_RTOL = 1e-8   # relative residual a GMRES solve is to reach
 
 
 def _gmres(apply, precondition, b):
-    """(y, iterations, met): one cycle of at most ``GMRES_CAP`` iterations
-    on M d = b, M v = ``apply(v)``, preconditioned from the right by
-    ``precondition(v)`` = P^-1 v for some P: GMRES solves M P^-1 y = b,
-    d = P^-1 y, so the residual it minimizes is M's own and from zero never
-    grows.  ``met``: that residual reached ``GMRES_RTOL`` ||b|| (d is then
-    finite)."""
-    n = len(b)
-    residuals = []
-    y, info = spla.gmres(
-        spla.LinearOperator((n, n), matvec=lambda v: apply(precondition(v)),
-                            dtype=float),
-        b, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_CAP, maxiter=1,
-        callback=residuals.append, callback_type="pr_norm")
-    return y, len(residuals), info == 0
+    """(d, iterations, met): one cycle of at most ``GMRES_CAP`` Arnoldi
+    steps on M d = b from d = 0, M v = ``apply(v)``, preconditioned from
+    the right by ``precondition(v)`` = P^-1 v for some P: GMRES solves
+    M P^-1 y = b, d = P^-1 y, so the residual it minimizes is M's own and
+    from zero never grows (Saad & Schultz 1986).
+
+    The basis is orthogonalized by classical Gram-Schmidt applied twice,
+    and the Hessenberg columns are reduced by Givens rotations, whose last
+    one gives the residual norm of the least-squares iterate.  The cycle
+    stops when that estimate is at most ``GMRES_RTOL`` ||b|| or the basis
+    breaks down (the new vector vanishes against M's scale).  ``met``: the
+    residual ||b - M d||, computed, is at most ``GMRES_RTOL`` ||b|| (d is
+    then finite)."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros(len(b)), 0, True
+    tol, eps = GMRES_RTOL * beta, np.finfo(float).eps
+    V = np.empty((GMRES_CAP + 1, len(b)))
+    R = np.zeros((GMRES_CAP, GMRES_CAP))  # the rotated Hessenberg columns
+    rotations = []
+    g = [beta]          # the rotated right-hand side beta e_1
+    V[0] = b / beta
+    for k in range(GMRES_CAP):
+        w = apply(precondition(V[k]))
+        scale = float(np.linalg.norm(w))
+        basis = V[:k + 1]
+        h = basis @ w
+        w = w - h @ basis   # not in place: apply may return its argument
+        h2 = basis @ w
+        w -= h2 @ basis
+        h += h2
+        h_next = float(np.linalg.norm(w))
+        breakdown = h_next <= eps * scale
+        if not breakdown:
+            V[k + 1] = w / h_next
+        col = h.tolist() + [0.0 if breakdown else h_next]
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], \
+                c * col[i + 1] - s * col[i]
+        r = math.hypot(col[k], col[k + 1])
+        c, s = (col[k] / r, col[k + 1] / r) if r > 0.0 else (1.0, 0.0)
+        rotations.append((c, s))
+        R[:k, k], R[k, k] = col[:k], r
+        g[k], g_k1 = c * g[k], -s * g[k]
+        g.append(g_k1)
+        if abs(g_k1) <= tol or breakdown:
+            break
+    steps = k + 1
+    # a zero last pivot (M P^-1 maps the last basis vector to 0) leaves
+    # that vector out of the iterate
+    m = steps if r != 0.0 else k
+    y = solve_triangular(R[:m, :m], g[:m], check_finite=False)
+    d = precondition(y @ V[:m])
+    residual = float(np.linalg.norm(b - apply(d)))
+    return d, steps, residual <= tol
 
 
 def block_inverse(blocks):
@@ -218,10 +265,9 @@ class LinearSolves:
 
         def cycle(precondition):
             """One GMRES cycle; its result if it met the tolerance."""
-            y, iterations, met = _gmres(apply, precondition, b)
+            d, iterations, met = _gmres(apply, precondition, b)
             trace.gmres_iters[-1] += iterations
             if met:
-                d = precondition(y)
                 return d if newton else state.u + omega * d
         if state.dt is not None and not self.latched:
             precondition = block_inverse(p_data()[tables.cell_blocks])
@@ -236,9 +282,9 @@ class LinearSolves:
             self.lu, self.latched = None, True
         lu = factor(tables.S.matrix(p_data()))
         if newton:
-            y, iterations, _ = _gmres(apply, lu.solve, b)
+            x, iterations, _ = _gmres(apply, lu.solve, b)
             trace.gmres_iters[-1] += iterations
-            x = lu_solve(lu, y)
+            _check_finite(x)
         else:
             x = (1.0 - omega) * state.u + omega * lu_solve(lu, state.system[1])
         trace.factorizations[-1] += 1

@@ -306,11 +306,13 @@ class PairDetector:
     """The detector pass at state u, with the candidates of every regular
     node pair interpolated and reduced on their own.
 
-    The flat term layout [pair legs, symmetric legs, extrapolated legs] and
-    the order of every sum are those of :class:`dgmono.detector.DetectorPass`,
-    so ``alpha`` is bitwise the package's.  :meth:`jacobian` sums one entry
-    per node pair and agrees with the package's, which sums the symmetric
-    legs of a group first, to rounding.
+    The per-node sums follow the order documented in :mod:`dgmono.detector`,
+    (pair legs + extrapolated legs) + group legs, so ``alpha`` is bitwise
+    the package's.  A group is the regular pairs of a node a whose b lie at
+    one vertex; their symmetric legs, reduced pair by pair here, must be
+    bitwise equal, and the group adds its leg times its number of pairs.
+    :meth:`jacobian` sums one entry per node pair and agrees with the
+    package's, which sums the symmetric legs of a group first, to rounding.
     """
 
     def __init__(self, nodes, u, trace, params, scales):
@@ -346,15 +348,34 @@ class PairDetector:
             t_dgs = t["dg_w"] * (self.d0 + self.db * ssgn(x, tau_h))
         t_pair = t["pair_w"] * (u[pb] - u[pa])
 
-        def bincount(w):
-            return np.bincount(self.term_idx, weights=w, minlength=n)
+        # the regular pairs in pair order, grouped by (a, vertex of b)
+        vertex = nodes.node_vertex
+        reg = np.setdiff1d(np.flatnonzero(vertex[pa] != vertex[pb]),
+                           t["dg_pair"])
+        _, first, grp = np.unique(pa[reg] * nodes.mesh.n_vertices
+                                  + vertex[pb[reg]], return_index=True,
+                                  return_inverse=True)
+        grp_pairs, grp_a = np.bincount(grp), t["reg_a"][first]
+        S = nodes.pattern()
+        starts = S.indptr[:-1] - np.arange(n, dtype=S.indptr.dtype)
+
+        def node_sums(f, t_sym):
+            """Per node, the sum of f(t) over its terms t: the pair legs
+            along its row of S, then the extrapolated legs, then each
+            group's leg f(t_sym) times its number of pairs."""
+            assert np.array_equal(t_sym, t_sym[first][grp])
+            return (np.add.reduceat(f(t_pair), starts)
+                    + np.bincount(t["dg_a"], weights=f(t_dgs), minlength=n)
+                    + np.bincount(grp_a, weights=grp_pairs * f(t_sym[first]),
+                                  minlength=n))
 
         self.branches = []
         for s in self.sides:
-            vals = np.concatenate([t_pair, t["reg_ws"] * s, t_dgs])
-            num = bincount(vals)
+            t_sym = t["reg_ws"] * s
+            vals = np.concatenate([t_pair, t_sym, t_dgs])
+            num = node_sums(lambda x: x, t_sym)
             if params.mode == "raw":
-                den = bincount(np.abs(vals))
+                den = node_sums(np.abs, t_sym)
                 ratio = np.divide(np.abs(num), den, out=np.zeros(n),
                                   where=den > 0.0)
                 ratio[ratio <= RATIO_SNAP] = 0.0
@@ -368,7 +389,8 @@ class PairDetector:
                 self.branches.append(
                     {"alpha": np.clip(ratio, 0.0, 1.0)**params.q})
                 continue
-            den_s = bincount(abs_lower(vals, tau_h)) + scales.gamma_h
+            den_s = node_sums(functools.partial(abs_lower, tau_h=tau_h),
+                              t_sym) + scales.gamma_h
             zeta = np.divide(abs_upper(num, tau_h) + scales.gamma_h, den_s,
                              out=np.zeros(n), where=den_s > 0.0)
             z = z_ramp(zeta)

@@ -266,6 +266,26 @@ class TestCli:
         assert rc == 1
         assert "max_iter must be an integer" in capsys.readouterr().err
 
+    def test_switch_given_as_word_exit_code(self, tmp_path, monkeypatch,
+                                            capsys):
+        # enabled=off is the string "off", not False: rejected before set-up
+        monkeypatch.setattr(harness, "_problem", None)
+        rc = cli_main(["run", "sharp-layer", "n=4", "enabled=off",
+                       "-o", str(tmp_path)])
+        assert rc == 1
+        assert "enabled must be a bool" in capsys.readouterr().err
+
+    def test_smooth_report_prints_plain_floats(self, tmp_path, capsys):
+        rc = cli_main(["run", "smooth", "meshes=4,8", "-o", str(tmp_path)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        eoc = next(line for line in lines if line.startswith("eoc_pairs: "))
+        order = float(eoc.removeprefix("eoc_pairs: [").removesuffix("]"))
+        assert eoc == f"eoc_pairs: [{order!r}]"
+        # the CSV writes the same float by its repr
+        rows = (tmp_path / "smooth_eoc.csv").read_text().splitlines()
+        assert rows[2].split(",")[3] == repr(order)
+
     def test_bad_override(self, capsys):
         rc = cli_main(["run", "smooth", "badoption"])
         assert rc == 1

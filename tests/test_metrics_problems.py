@@ -51,6 +51,7 @@ class TestEoc:
         hs = [0.1, 0.05, 0.025, 0.0125]
         errs = [3.0 * h**1.7 for h in hs]
         assert np.allclose(eoc_pairs(hs, errs), 1.7, atol=1e-12)
+        assert all(type(order) is float for order in eoc_pairs(hs, errs))
         assert eoc_fit(hs, errs) == pytest.approx(1.7, abs=1e-12)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import dgmono
 
@@ -125,6 +126,79 @@ class TestLinearSolve:
             x = solve_linear(A, b)
             ref = np.linalg.solve(A.toarray(), b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestGmresCycle:
+    """solve._gmres against scipy's gmres on the same right-preconditioned
+    operator M P^-1, one cycle of GMRES_CAP iterations from zero."""
+
+    @staticmethod
+    def scipy_cycle(M, precondition, b):
+        """(d, iterations, met) of scipy's gmres, as _gmres reports them."""
+        n, residuals = len(b), []
+        y, info = spla.gmres(
+            spla.LinearOperator((n, n), matvec=lambda v: M @ precondition(v),
+                                dtype=float),
+            b, rtol=solve.GMRES_RTOL, atol=0.0, restart=solve.GMRES_CAP,
+            maxiter=1, callback=residuals.append, callback_type="pr_norm")
+        return precondition(y), len(residuals), info == 0
+
+    @staticmethod
+    def block_system(seed, spread):
+        """A random nonsymmetric 200x200 system 4 I + spread N(0, 1), its
+        cell-block preconditioner and a right-hand side."""
+        rng = np.random.default_rng(seed)
+        n = 200
+        M = 4.0 * np.eye(n) + spread * rng.standard_normal((n, n))
+        cells = np.arange(n // 4)
+        blocks = M.reshape(n // 4, 4, n // 4, 4)[cells, :, cells, :]
+        return M, solve.block_inverse(blocks), rng.standard_normal(n)
+
+    # 0.05: met in about 11 iterations; 0.3: missed at the cap
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spread", [0.05, 0.3])
+    def test_matches_scipy(self, seed, spread):
+        M, precondition, b = self.block_system(seed, spread)
+        d, iterations, met = solve._gmres(lambda v: M @ v, precondition, b)
+        want, want_iterations, want_met = self.scipy_cycle(M, precondition,
+                                                           b)
+        assert (iterations, met) == (want_iterations, want_met)
+        assert met == (spread == 0.05)
+        bound = np.linalg.cond(M) * solve.GMRES_RTOL
+        assert np.linalg.norm(d - want) <= bound * np.linalg.norm(want)
+        if met:
+            assert np.linalg.norm(b - M @ d) <= \
+                solve.GMRES_RTOL * np.linalg.norm(b)
+
+    def test_zero_rhs(self):
+        M, precondition, b = self.block_system(0, 0.05)
+        d, iterations, met = solve._gmres(lambda v: M @ v, precondition,
+                                          np.zeros_like(b))
+        assert (iterations, met) == (0, True)
+        assert not d.any() and d.shape == b.shape
+
+    def test_cap_of_one_misses(self, monkeypatch):
+        M, precondition, b = self.block_system(0, 0.05)
+        monkeypatch.setattr(solve, "GMRES_CAP", 1)
+        d, iterations, met = solve._gmres(lambda v: M @ v, precondition, b)
+        assert (iterations, met) == (1, False)
+        assert self.scipy_cycle(M, precondition, b)[1:] == (1, False)
+        assert np.all(np.isfinite(d))
+
+    def test_breakdown_stops_at_once(self):
+        # the identity: the Krylov space is spanned by b, and the basis
+        # breaks down after one step with b solved to rounding
+        b = np.random.default_rng(3).standard_normal(12)
+        d, iterations, met = solve._gmres(lambda v: v, lambda v: v, b)
+        assert (iterations, met) == (1, True)
+        assert np.linalg.norm(d - b) <= 1e-15 * np.linalg.norm(b)
+
+    def test_zero_operator_misses(self):
+        # M P^-1 maps b to 0: a zero pivot, left out of the iterate d = 0
+        b = np.ones(8)
+        d, iterations, met = solve._gmres(lambda v: 0.0 * v, lambda v: v, b)
+        assert (iterations, met) == (1, False)
+        assert not d.any()
 
 
 class TestPicard:
@@ -944,6 +1018,39 @@ def test_allocator_policy_keeps_repeated_setup_off_fresh_pages():
                          env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True)
     assert int(out.stdout) < 200
+
+
+# The traced heap of the three-body 16^2 set-up: its peak and what the set-up
+# keeps, in bytes.
+SETUP_HEAP = """
+import tracemalloc
+import dgmono
+from dgmono.stabilization import StabilizedProblem
+
+case = dgmono.get_case("three-body", sigma=1e-2, tau=1e-4)
+tracemalloc.start()
+mesh = dgmono.build_structured_quad(16, 16)
+nodes = dgmono.build_dg_nodes(mesh)
+prob = StabilizedProblem(mesh, nodes, case.spec, case.params)
+nodes.pair_topology()
+kept, peak = tracemalloc.get_traced_memory()
+print(peak, kept)
+"""
+
+
+def test_setup_heap_stays_below_its_budget():
+    # in a fresh interpreter, so that no cache an earlier test filled is
+    # counted or missed.  The repeated set-up of the allocator test above
+    # stays off fresh pages only while it fits in the heap the solve left
+    src = Path(dgmono.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", SETUP_HEAP],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    peak, kept = (int(v) / 1e6 for v in out.stdout.split())
+    assert peak < 6.37, (f"set-up heap peak {peak:.2f} MB, budget 6.37 MB: "
+                         "free set-up temporaries once used")
+    assert kept < 4.65, (f"set-up keeps {kept:.2f} MB, budget 4.65 MB: "
+                         "a new per-pair or per-slot array?")
 
 
 def test_package_namespace_leaks_no_stdlib_module():
