@@ -89,15 +89,29 @@ def _cell_rule(order):
     return CELL_RULES[order]
 
 
-def _det_inv_2x2(J):
-    """(det J, J^-1) of a stack of 2x2 matrices J[..., i, j]."""
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    Jinv = np.empty_like(J)
-    Jinv[..., 0, 0] = J[..., 1, 1] / det
-    Jinv[..., 0, 1] = -J[..., 0, 1] / det
-    Jinv[..., 1, 0] = -J[..., 1, 0] / det
-    Jinv[..., 1, 1] = J[..., 0, 0] / det
-    return det, Jinv
+def _det_inv_2x2(a, b, c, d):
+    """det and the entries (i00, i01, i10, i11) of the inverse of the 2x2
+    matrices [[a, b], [c, d]], one per element of the arrays a, b, c, d."""
+    det = a * d - b * c
+    return det, (d / det, -b / det, -c / det, a / det)
+
+
+def _jacobian(X, gradref):
+    """The entries (a, b, c, d) of J = [[dx/dxi, dx/deta], [dy/dxi,
+    dy/deta]] of the cells with corners X (m, 4, 2) at reference points
+    with shape gradients gradref (..., 4, 2) that broadcast against (m, 1).
+
+    Here and in the local matrices below, each sum over corners, points or
+    components adds its terms one at a time, in order, not by BLAS, whose
+    fused multiply-adds round otherwise: the operators round the same on
+    every machine."""
+    return tuple(sum(X[:, None, k, i] * gradref[..., k, j] for k in range(4))
+                 for i in (0, 1) for j in (0, 1))
+
+
+def _outer_sum(L, R):
+    """sum_q L[:, q, a] R[:, q, b]: the local matrices (m, a, b)."""
+    return sum(L[:, q, :, None] * R[:, q, None, :] for q in range(L.shape[1]))
 
 
 def cell_quadrature(mesh, order=2):
@@ -106,11 +120,12 @@ def cell_quadrature(mesh, order=2):
     Gauss rule; :attr:`Mesh.quadrature` keeps the order-2 rule."""
     ref_pts, ref_w = _cell_rule(order)
     N, gradref = basis_at_ref(ref_pts)       # (nq,4), (nq,4,2)
-    verts = mesh.vertices[mesh.cells]        # (nc,4,2)
-    # J[c,q,i,j] = d x_i / d xi_j
-    det, Jinv = _det_inv_2x2(np.einsum("ckd,qke->cqde", verts, gradref))
-    gradN = np.einsum("qke,cqed->cqkd", gradref, Jinv)
-    points = np.einsum("qk,ckd->cqd", N, verts)
+    X = mesh.vertices[mesh.cells]
+    det, (i00, i01, i10, i11) = _det_inv_2x2(*_jacobian(X, gradref))
+    gx, gy = gradref[..., 0], gradref[..., 1]         # (nq, 4)
+    gradN = np.stack([gx * i00[..., None] + gy * i10[..., None],
+                      gx * i01[..., None] + gy * i11[..., None]], axis=-1)
+    points = sum(N[:, k, None] * X[:, None, k] for k in range(4))
     return N, gradN, ref_w[None, :] * det, points
 
 
@@ -134,17 +149,20 @@ def _facet_traces(mesh, spec, facets, *sides):
     Reference coordinates lie exactly on the edge, so off-edge shape values
     are exactly zero.
     """
-    nrm = facets["normal"]
+    nx, ny = facets["normal"][:, None, 0], facets["normal"][:, None, 1]
     traces = []
     for cells, edges, s in sides:
         N, gradref = basis_at_ref(edge_ref_coords(edges, s))
-        verts = mesh.vertices[mesh.cells[cells]]          # (nf,4,2)
-        _, Jinv = _det_inv_2x2(np.einsum("fkd,fqke->fqde", verts, gradref))
-        traces.append((N, np.einsum("fqke,fqed,fd->fqk", gradref, Jinv, nrm)))
+        _, Jinv = _det_inv_2x2(
+            *_jacobian(mesh.vertices[mesh.cells[cells]], gradref))
+        # dN/dn = sum_e sum_d dN/dxi_e (J^-1)_ed n_d
+        traces.append((N, sum(gradref[..., e] * Jinv[2 * e + d][..., None]
+                              * n[..., None] for e in (0, 1)
+                              for d, n in enumerate((nx, ny)))))
     bx, by = beta_at(spec.beta, mesh.facet_points(facets["v0"], facets["v1"],
                                                   GAUSS2))
     w = 0.5 * facets["length"][:, None] * GAUSS2_W
-    return w, bx * nrm[:, None, 0] + by * nrm[:, None, 1], traces
+    return w, bx * nx + by * ny, traces
 
 
 def _facet_form(w, bn, v, dv, u, du, u_up, mu, pen):
@@ -156,8 +174,8 @@ def _facet_form(w, bn, v, dv, u, du, u_up, mu, pen):
     traces u = [u], du = {du/dn} and u_up, the upwind trace (nf, nq, b).
     """
     coef = bn[..., None] * u_up + pen[:, None, None] * u - mu * du
-    return (np.einsum("fq,fqa,fqb->fab", w, v, coef)
-            - mu * np.einsum("fq,fqa,fqb->fab", w, dv, u))
+    w = w[..., None]
+    return _outer_sum(w * v, coef) - mu * _outer_sum(w * dv, u)
 
 
 def _node_ids(cells_idx):
@@ -187,7 +205,7 @@ class _Coo:
 def assemble_M(mesh, nodes):
     """Consistent mass matrix; block diagonal over cells, SPD."""
     N, _, w_det, _ = mesh.quadrature
-    local = np.einsum("cq,qa,qb->cab", w_det, N, N)
+    local = _outer_sum(w_det[..., None] * N, N[None])
     ids = _node_ids(np.arange(mesh.n_cells))
     coo = _Coo()
     coo.add(ids[:, :, None], ids[:, None, :], local)
@@ -203,7 +221,8 @@ def assemble_G(mesh, nodes, g):
     N, _, w_det, pts = mesh.quadrature
     gv = np.broadcast_to(np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float),
                          w_det.shape)
-    vec = np.einsum("cq,cq,qa->ca", w_det, gv, N)
+    vec = sum((w_det[:, q] * gv[:, q])[:, None] * N[q]
+              for q in range(len(N)))
     return vec.ravel()
 
 
@@ -221,9 +240,12 @@ def assemble_K(mesh, nodes, spec, inflow):
     N, gradN, w_det, pts = mesh.quadrature
     bx, by = beta_at(spec.beta, pts)
     beta_dot_grad_a = bx[..., None] * gradN[..., 0] + by[..., None] * gradN[..., 1]
-    local = -np.einsum("cq,qb,cqa->cab", w_det, N, beta_dot_grad_a)
+    local = -_outer_sum(beta_dot_grad_a, w_det[..., None] * N)
     if mu > 0.0:
-        local += mu * np.einsum("cq,cqbd,cqad->cab", w_det, gradN, gradN)
+        # per point, the sum over the components d of w dN_b/dx_d dN_a/dx_d
+        G, w = gradN.swapaxes(2, 3), w_det[..., None, None]
+        local += mu * sum(_outer_sum(G[:, q], w[:, q] * G[:, q])
+                          for q in range(G.shape[1]))
     ids = _node_ids(np.arange(mesh.n_cells))
     coo.add(ids[:, :, None], ids[:, None, :], local)
 
@@ -327,19 +349,36 @@ def interpolate_boundary(nodes, ubar, dirichlet_mask=None):
 # -- point evaluation ---------------------------------------------------------
 
 def inverse_map(mesh, cells_idx, points, tol=1e-13, max_iter=25):
-    """Reference coordinates of physical points inside the given cells."""
-    cells_idx = np.asarray(cells_idx)
+    """Reference coordinates (m, 2) of physical points inside the given
+    cells, by Newton's method from the cell centre on each cell's bilinear
+    map x = c0 + c1 xi + c2 eta + c3 xi eta.  RuntimeError when a residual
+    is still tol * h or more after max_iter steps."""
+    # corner coordinates (2, 4, m); x = sum_k x_k (1 + s_k xi)(1 + t_k eta)
+    # / 4 over the corners (s_k, t_k)
+    X = np.take(mesh.vertices.T, mesh.cells[np.asarray(cells_idx)].T, axis=1)
     points = np.atleast_2d(points)
-    verts = mesh.vertices[mesh.cells[cells_idx]]   # (m,4,2)
-    xi = np.zeros((len(points), 2))
-    for _ in range(max_iter):
-        N, gradref = basis_at_ref(xi)
-        res = np.einsum("mk,mkd->md", N, verts) - points
-        if np.abs(res).max(initial=0.0) < tol * mesh.h:
-            break
-        _, Jinv = _det_inv_2x2(np.einsum("mkd,mke->mde", verts, gradref))
-        xi -= np.einsum("mde,me->md", Jinv, res)
-    return xi
+    s, t = REF_CORNERS[:, 0], REF_CORNERS[:, 1]
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = (
+        [0.25 * sum(sign[k] * X[i, k] for k in range(4))
+         for sign in (s * s, s, t, s * t)] for i in (0, 1))
+    x0, y0 = x0 - points[:, 0], y0 - points[:, 1]
+    xi, eta = np.zeros(len(points)), np.zeros(len(points))
+    for step in range(max_iter + 1):
+        # the Jacobian [[a, b], [c, d]] and the residual at (xi, eta)
+        a, b = x1 + x3 * eta, x2 + x3 * xi
+        c, d = y1 + y3 * eta, y2 + y3 * xi
+        rx, ry = x0 + a * xi + x2 * eta, y0 + c * xi + y2 * eta
+        err = np.maximum(np.abs(rx), np.abs(ry))
+        done = err < tol * mesh.h
+        if done.all():
+            return np.column_stack([xi, eta])
+        if step == max_iter:
+            raise RuntimeError(
+                f"inverse map: {np.count_nonzero(~done)} of {len(done)} points"
+                f" not converged after {max_iter} Newton steps, largest "
+                f"residual {err.max():.3e} (tolerance {tol * mesh.h:.3e})")
+        _, (i00, i01, i10, i11) = _det_inv_2x2(a, b, c, d)
+        xi, eta = xi - (i00 * rx + i01 * ry), eta - (i10 * rx + i11 * ry)
 
 
 def eval_in_cells(mesh, cells_idx, points):

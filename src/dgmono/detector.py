@@ -191,51 +191,56 @@ class PairTopology:
 
     def __init__(self, nodes: DgNodeSet):
         self.nodes = nodes
+        S = nodes.pattern()
         pa, pb = nodes.adjacency_pairs()
-        h_own = nodes.mesh.h_cell[nodes.node_cell]
-        vertex, nv = nodes.node_vertex, nodes.mesh.n_vertices
 
         # the pair legs are summed per row of S (np.add.reduceat), which
         # needs every row to hold a pair: a node's cell-mates are its pairs
-        if np.any(np.diff(nodes.pattern().indptr) < 2):
+        if np.any(np.diff(S.indptr) < 2):
             raise RuntimeError("node with no adjacency pair")
-        coinc = vertex[pb] == vertex[pa]
-        self.pair_w = 2.0 / (h_own[pa] + h_own[pb])
-        other = np.flatnonzero(~coinc)
-        del coinc, h_own
-        ra = pa[other]
-        self.pair_w[other] = 1.0 / np.hypot(
-            *(nodes.coords[pb[other]] - nodes.coords[ra]).T)
 
-        # group the non-coincident pairs by (a, vertex of b), with one
-        # representative pair each; the symmetric point, its owning cells and
-        # their Q1 weights depend only on the vertices of a and b, so they
-        # are computed once per vertex pair of the groups.  The per-pair
-        # temporaries are freed once used: a lower set-up heap peak
-        _, first, grp = np.unique(ra * nv + vertex[pb[other]],
-                                  return_index=True, return_inverse=True)
-        ga, gb = ra[first], pb[other[first]]
-        del first, ra
-        _, rep, inv = np.unique(vertex[ga] * nv + vertex[gb],
-                                return_index=True, return_inverse=True)
-        sb = symmetric_points_batch(nodes, ga[rep], gb[rep])
-        del gb, rep
+        # the weight 1/|x_b - x_a|, the symmetric point, its owning cells
+        # and their Q1 weights depend only on the vertices of a and b, so
+        # they are computed once per vertex pair (v, w), v != w, of the
+        # vertex pattern W (NodePattern), from any node at each vertex
+        v, w = S.vertex_pairs
+        off = v != w
+        node_at = np.empty(nodes.mesh.n_vertices, dtype=np.int64)
+        node_at[nodes.node_vertex] = np.arange(nodes.n_nodes)
+        sb = symmetric_points_batch(nodes, node_at[v[off]], node_at[w[off]])
+        r = nodes.mesh.vertices[w[off]] - nodes.mesh.vertices[v[off]]
+        weight = np.zeros(len(v))
+        weight[off] = 1.0 / np.hypot(r[:, 0], r[:, 1])
+        kind = np.zeros(len(v), dtype=np.int8)
+        kind[off] = np.where(sb.degenerate, 1, 2)
+
+        # an entry (a, v) of N W is the group (a, vertex of b) of the pairs
+        # (a, b) with b at v, in key order (a, then v), of kind 0 where v is
+        # a's vertex (coincident pairs), 1 where the symmetric point is
+        # degenerate and 2 where it is regular.  The per-pair temporaries
+        # are freed once used: a lower set-up heap peak
+        grp_kind = kind[S.support_pair]
+        sup = S.slot_support[S.pairs]
+        pair_kind = grp_kind[sup]
+        self.pair_w = weight[S.support_pair][sup]
+        coinc = np.flatnonzero(pair_kind == 0)
+        h_own = nodes.mesh.h_cell[nodes.node_cell]
+        self.pair_w[coinc] = 2.0 / (h_own[pa[coinc]] + h_own[pb[coinc]])
+        del coinc, h_own
 
         # positions of the degenerate pairs among the adjacency pairs
-        g_deg = sb.degenerate[inv]
-        deg = g_deg[grp]
-        self.dg_pair = other[deg]
+        self.dg_pair = np.flatnonzero(pair_kind == 1)
         self.dg_a = pa[self.dg_pair]
         self.dg_b = pb[self.dg_pair]
         self.dg_w = self.pair_w[self.dg_pair]
 
         # regular pairs and their groups, the groups numbered in key order
-        self.reg_a = pa[other[~deg]]
-        self.reg_group = (np.cumsum(~g_deg) - 1)[grp[~deg]]
-        del other, grp, deg
-        v_grp = inv[~g_deg]
-        self.grp_a = ga[~g_deg]
-        del ga, inv, g_deg
+        grp = grp_kind == 2
+        self.reg_group = (np.cumsum(grp) - 1)[sup[pair_kind == 2]]
+        del sup, pair_kind
+        self.grp_a = S.support_rows[grp].astype(np.int64)
+        # each group's vertex pair, numbered as sb's rows
+        v_grp = (np.cumsum(off) - 1)[S.support_pair[grp]]
         self.grp_pairs = np.bincount(self.reg_group,
                                      minlength=len(self.grp_a))
         self.grp_ws = 1.0 / sb.distance[v_grp]

@@ -256,7 +256,7 @@ class DgNodeSet:
     def _lumped_weights(self):
         N, _, w_det, _ = self.mesh.quadrature
         # integral of each local shape over its cell
-        return np.einsum("cq,qi->ci", w_det, N).ravel()
+        return sum(w_det[:, q, None] * N[q] for q in range(len(N))).ravel()
 
     # -- topology queries -----------------------------------------------------
 
@@ -298,13 +298,19 @@ class NodePattern:
     """CSR sparsity pattern S of the node adjacency plus the diagonal.
 
     Row a holds every node b with x_b in the closed support of a, a itself
-    included, in ascending order: S is the structure of N (V V^T) N^T, with
-    N the node-vertex and V the vertex-cell incidence, built by one sparse
+    included, in ascending order: S is the structure of (N W) N^T, with N
+    the node-vertex incidence and W = V V^T the pattern of the vertex pairs
+    that share a cell (V the vertex-cell incidence), built by one sparse
     product.  ``indptr`` and ``indices`` are int32, canonical and shared by
     every matrix stored in S (:meth:`matrix`); ``rows``, int32, is the row
     of each slot.  The slot maps, int32, are ``pairs`` for the off-diagonal entries
     in CSR order, which is the order of :meth:`DgNodeSet.adjacency_pairs`,
     and ``diag`` for the diagonal; :meth:`slots` finds any other entry.
+
+    Entries of W and of N W are numbered in their CSR order: W's are the
+    ``vertex_pairs`` (v, w); ``support_rows`` and ``support_pair`` give the
+    node a and the W entry (vertex of a, v) of each entry (a, v) of N W, and
+    ``slot_support`` the N W entry (a, vertex of b) of each slot (a, b).
     """
 
     def __init__(self, nodes: DgNodeSet):
@@ -316,8 +322,22 @@ class NodePattern:
         # V^T, the cell-vertex incidence, shares N's vertex ids
         Vt = sp.csr_matrix((ones, nodes.node_vertex, np.arange(0, n + 1, 4)),
                            shape=(nodes.mesh.n_cells, nv))
-        S = N @ (Vt.T @ Vt) @ N.T
+        # each entry of N W and (N W) N^T is one product: the entry numbers
+        # + 1 put in W's and N W's data come out as the products' data
+        W = (Vt.T @ Vt).tocsr()
+        W.sort_indices()
+        self.vertex_pairs = (np.repeat(np.arange(nv), np.diff(W.indptr)),
+                             W.indices)
+        W.data = np.arange(1, W.nnz + 1, dtype=np.int32)
+        NW = N @ W
+        NW.sort_indices()
+        self.support_rows = np.repeat(np.arange(n, dtype=np.int32),
+                                      np.diff(NW.indptr))
+        self.support_pair = NW.data - 1
+        NW.data = np.arange(1, NW.nnz + 1, dtype=np.int32)
+        S = NW @ N.T
         S.sort_indices()
+        self.slot_support = S.data - 1
         self.nnz = S.nnz
         self.indptr = S.indptr.astype(np.int32)
         self.indices = S.indices.astype(np.int32)
@@ -380,32 +400,38 @@ def symmetric_points_batch(nodes: DgNodeSet, pa, pb) -> SymmetricPointBatch:
     dist_ab = np.hypot(r[:, 0], r[:, 1])
     if np.any(dist_ab == 0.0):
         raise ValueError("symmetric point undefined for coincident nodes")
-    d = -r / dist_ab[:, None]
+    dx, dy = -r[:, 0] / dist_ab, -r[:, 1] / dist_ab
 
-    # unit outward normals of each cell's edges, gathered per pair below
-    poly = mesh.vertices[mesh.cells]  # (n_cells, 4, 2)
-    tvec = np.roll(poly, -1, axis=1) - poly
-    normals = np.stack([tvec[..., 1], -tvec[..., 0]], axis=-1)
-    normals /= np.hypot(tvec[..., 1], tvec[..., 0])[..., None]
+    # the first vertex and unit outward normal of each cell edge, (4,
+    # n_cells) per component, taken per support cell of each pair as (4, k,
+    # P), so that the reductions over edges and cells run along the leading
+    # axes; the side tests are (x - v0) . n
+    vx, vy = mesh.vertices[mesh.cells.T, 0], mesh.vertices[mesh.cells.T, 1]
+    tx, ty = np.roll(vx, -1, axis=0) - vx, np.roll(vy, -1, axis=0) - vy
+    length = np.hypot(ty, tx)
     cells = nodes.vertex_cells_padded[nodes.node_vertex[pa]]  # (P, k)
-    valid = cells >= 0
-    safe = np.where(valid, cells, 0)
-    v0, n_out = poly[safe], normals[safe]  # (P, k, 4, 2)
-    dn = np.einsum("pe,pkqe->pkq", d, n_out)
-    side = np.einsum("pkqe,pkqe->pkq", xa[:, None, None, :] - v0, n_out)
+    valid = (cells >= 0).T
+    safe = np.where(valid, cells.T, 0)
+    v0x, v0y, nx, ny = (np.take(e, safe, axis=1)
+                        for e in (vx, vy, ty / length, -tx / length))
+
+    def side_of(px, py):
+        return (px - v0x) * nx + (py - v0y) * ny
 
     geo_tol = 1e-12 * mesh.h
-    blocked = ((dn <= geo_tol) & (side > geo_tol)).any(axis=2)
-    t_e = np.where(dn > geo_tol,
-                   np.maximum(-side, 0.0) / np.where(dn > geo_tol, dn, 1.0),
-                   np.inf)
-    t_cell = t_e.min(axis=2)
-    del dn, side, t_e  # freed once used: a lower set-up heap peak
+    dn = dx * nx + dy * ny
+    side = side_of(xa[:, 0], xa[:, 1])
+    leaving = dn > geo_tol
+    blocked = (~leaving & (side > geo_tol)).any(axis=0)
+    t_e = np.where(leaving,
+                   np.maximum(-side, 0.0) / np.where(leaving, dn, 1.0), np.inf)
+    t_cell = t_e.min(axis=0)
+    del dn, side, leaving, t_e  # freed once used: a lower set-up heap peak
     t_cell = np.where(blocked | ~valid | ~np.isfinite(t_cell), -np.inf, t_cell)
-    t_max = np.maximum(0.0, t_cell.max(axis=1))
+    t_max = np.maximum(0.0, t_cell.max(axis=0))
 
     degenerate = t_max <= geo_tol
-    point = xa + t_max[:, None] * d
+    point = np.column_stack([xa[:, 0] + t_max * dx, xa[:, 1] + t_max * dy])
     point[degenerate] = xa[degenerate]
     r_sym = point - xa
     distance = np.hypot(r_sym[:, 0], r_sym[:, 1])
@@ -415,12 +441,12 @@ def symmetric_points_batch(nodes: DgNodeSet, pa, pb) -> SymmetricPointBatch:
     # moves the point and breaks the detector's silence on affine states.
     # The cell the ray leaves through contains its exit point by
     # construction, so it owns it whatever the rounding.
-    side_pt = np.einsum("pkqe,pkqe->pkq", point[:, None, None, :] - v0, n_out)
-    owner = (side_pt <= geo_tol).all(axis=2) & valid
-    owner[np.arange(len(pa)), np.argmax(t_cell, axis=1)] = True
-    owner[degenerate] = False
+    owner = (side_of(point[:, 0], point[:, 1]) <= geo_tol).all(axis=0) & valid
+    owner[np.argmax(t_cell, axis=0), np.arange(len(pa))] = True
+    owner[:, degenerate] = False
     return SymmetricPointBatch(point=point, distance=distance,
-                               degenerate=degenerate, cells=cells, owner=owner)
+                               degenerate=degenerate, cells=cells,
+                               owner=owner.T)
 
 
 # -- plain-text mesh import/export -------------------------------------------

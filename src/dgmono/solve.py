@@ -450,18 +450,27 @@ def solver(method):
 def theta_step(problem, u_old, dt, theta, cfg=None, method="picard",
                bounds=None, enforce_cfl=False):
     """One theta-method step; returns (u_new, trace).  ValueError unless
-    theta is in [0, 1] and dt > 0."""
+    theta is in [0, 1] and dt > 0.  With ``enforce_cfl`` and theta < 1,
+    also ValueError when dt exceeds the positivity bound at u_old, before
+    the solve, or, for theta > 0, at the stage state
+    theta u_new + (1 - theta) u_old of the returned step."""
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta!r}")
     if not dt > 0.0:
         raise ValueError(f"time step dt must be > 0, got {dt!r}")
-    if enforce_cfl and theta < 1.0:
-        limit = problem.cfl_bound(u_old, theta)
+
+    def check_cfl(u, where):
+        limit = problem.cfl_bound(u, theta)
         if dt > limit:
-            raise ValueError(
-                f"time step {dt:g} exceeds the CFL bound {limit:g}")
-    return solver(method)(problem, u_old, cfg, bounds, dt=dt, u_old=u_old,
-                          theta=theta)
+            raise ValueError(f"time step {dt:g} exceeds the CFL bound "
+                             f"{limit:g} at {where}: margin {limit - dt:.3g}")
+    if enforce_cfl and theta < 1.0:
+        check_cfl(u_old, "u_old")
+    u_new, trace = solver(method)(problem, u_old, cfg, bounds, dt=dt,
+                                  u_old=u_old, theta=theta)
+    if enforce_cfl and 0.0 < theta < 1.0:
+        check_cfl(theta * u_new + (1.0 - theta) * u_old, "the stage state")
+    return u_new, trace
 
 
 def run_transient(problem, u0, dt, theta, n_steps, cfg=None,

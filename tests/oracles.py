@@ -12,6 +12,8 @@
 - the interior-penalty operators K and B on any convex quadrilateral mesh,
   built with plain loops over cells, facets and Gauss points: the oracle for
   :func:`dgmono.assemble_K` and :func:`dgmono.assemble_B`;
+- the reference coordinates of one physical point by scalar Newton steps:
+  the oracle for :func:`dgmono.assembly.inverse_map`;
 - the detector with one candidate set per regular node pair, the layout
   that :class:`dgmono.detector.PairTopology` groups by (a, vertex of b): the
   oracle for :class:`dgmono.detector.DetectorPass`.
@@ -172,6 +174,24 @@ def q1_at(mesh, c, xi, eta):
     X = cell_polygon(mesh, c)
     J = X.T @ dN  # J[i, j] = d x_i / d xi_j
     return N, dN @ np.linalg.inv(J), N @ X, np.linalg.det(J)
+
+
+def reference_coords(mesh, c, x, tol=1e-13, max_iter=50):
+    """Reference coordinates of the physical point x in cell c by scalar
+    Newton steps on :func:`q1_at`: the oracle for
+    :func:`dgmono.assembly.inverse_map`.  xi and eta are the Q1
+    interpolants of the corners' own reference coordinates, so their
+    physical gradients, the rows of J^-1, are those of the shape functions
+    weighted by the corners' xi and eta."""
+    corners = np.array(_CORNERS)
+    xi = np.zeros(2)
+    for _ in range(max_iter):
+        _, grad, p, _ = q1_at(mesh, c, *xi)
+        res = p - x
+        if np.abs(res).max() < tol * mesh.h:
+            return xi
+        xi = xi - (corners.T @ grad) @ res
+    raise RuntimeError(f"no convergence in cell {c} at {x}")
 
 
 def _edge_ref(mesh, c, va, vb, t):

@@ -13,10 +13,34 @@ from dgmono.assembly import (basis_at_ref, dirichlet_boundary_nodes,
 from dgmono.mesh import GAUSS2
 from dgmono.stabilization import StabilizedProblem
 
-from .oracles import facet_quadrature, interior_penalty_operators
+from .oracles import (facet_quadrature, interior_penalty_operators,
+                      reference_coords)
 from .test_mesh import perturbed_mesh
 
 SHEAR = np.array([[1.0, 0.3], [0.1, 0.9]])
+
+# convex cells far from parallelograms: |x0 - x1 + x2 - x3|, four times the
+# xi eta coefficient of the bilinear map, is 0.5 and 0.4
+TRAPEZOID = [[0, 0], [1, 0], [0.7, 0.6], [0.2, 0.6]]
+KITE = [[0, 0], [0.5, 0.1], [1, 1], [0.1, 0.5]]
+
+
+def skewed_cells(n_random, seed):
+    """The trapezoid, the kite and ``n_random`` convex cells whose corners
+    are the unit square's moved by up to 0.3 and whose |x0 - x1 + x2 - x3|
+    is above 0.4, each its own mesh component."""
+    rng = np.random.default_rng(seed)
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    quads = [np.array(TRAPEZOID, float), np.array(KITE, float)]
+    while len(quads) < 2 + n_random:
+        q = square + rng.uniform(-0.3, 0.3, (4, 2))
+        e = np.roll(q, -1, axis=0) - q
+        en = np.roll(e, -1, axis=0)
+        if (e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0] > 0).all() \
+                and np.abs(q[0] - q[1] + q[2] - q[3]).max() > 0.4:
+            quads.append(q)
+    verts = np.concatenate([q + [2.0 * i, 0.0] for i, q in enumerate(quads)])
+    return Mesh(verts, np.arange(len(verts)).reshape(-1, 4))
 
 
 def unit_cell():
@@ -307,6 +331,25 @@ class TestPointEvaluation:
         pts = np.einsum("mk,mkd->md", N, mesh.vertices[mesh.cells[cells]])
         xi = inverse_map(mesh, cells, pts)
         assert np.allclose(xi, xi_ref, atol=1e-11)
+
+    def test_inverse_map_matches_scalar_newton(self):
+        mesh = skewed_cells(20, seed=4)
+        rng = np.random.default_rng(6)
+        cells = np.repeat(np.arange(mesh.n_cells), 5)
+        N, _ = basis_at_ref(rng.uniform(-1, 1, (len(cells), 2)))
+        pts = np.einsum("mk,mkd->md", N, mesh.vertices[mesh.cells[cells]])
+        oracle = [reference_coords(mesh, c, x) for c, x in zip(cells, pts)]
+        assert np.allclose(inverse_map(mesh, cells, pts), oracle, rtol=0.0,
+                           atol=1e-12)
+
+    def test_inverse_map_raises_when_unconverged(self):
+        # one Newton step is exact only on parallelograms
+        mesh = skewed_cells(0, seed=0)
+        pts = [[0.6, 0.45], [2.5, 0.4]]
+        with pytest.raises(RuntimeError, match="2 of 2 points not converged "
+                           "after 1 Newton steps, largest residual"):
+            inverse_map(mesh, [0, 1], pts, max_iter=1)
+        assert np.allclose(eval_in_cells(mesh, [0, 1], pts).sum(axis=1), 1.0)
 
     def test_evaluate_reproduces_nodal_values(self):
         mesh = perturbed_mesh(3, 2)

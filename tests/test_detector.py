@@ -272,7 +272,7 @@ def expand_per_pair(topo):
     ptr = np.concatenate([[0], np.cumsum(counts)])
     take = (np.repeat(topo.cand_ptr[:-1][g] - ptr[:-1], counts)
             + np.arange(ptr[-1]))
-    return {"reg_ws": topo.grp_ws[g], "cand_ptr": ptr,
+    return {"reg_a": topo.grp_a[g], "reg_ws": topo.grp_ws[g], "cand_ptr": ptr,
             "cand_weights": topo.cand_weights[take],
             "cand_nodes": topo.cand_nodes[take],
             "cand_a": topo.cand_a[take]}
@@ -310,10 +310,10 @@ class TestPairTopology:
         # one group per distinct (a, vertex of b), numbered in key order
         assert np.array_equal(np.unique(key, return_inverse=True)[1],
                               topo.reg_group)
-        assert np.array_equal(topo.grp_a[topo.reg_group], topo.reg_a)
+        assert np.array_equal(topo.grp_a[topo.reg_group], pa[regular])
         assert np.array_equal(topo.cand_group, np.repeat(
             np.arange(len(topo.grp_a)), np.diff(topo.cand_ptr)))
-        assert len(topo.grp_a) < len(topo.reg_a)
+        assert len(topo.grp_a) < np.count_nonzero(regular)
 
     @ORACLE_MESHES
     @pytest.mark.parametrize("mode", ["raw", "smoothed"])

@@ -398,22 +398,31 @@ class TestSymmetricPoint:
                 assert cross <= 1e-12 * (r_ab @ r_ab)
 
     def test_batch_matches_scalar(self):
-        mesh = perturbed_mesh(4, 3, seed=11)
-        nodes = build_dg_nodes(mesh)
-        pa, pb = [], []
-        for a in range(nodes.n_nodes):
-            for b in nodes.neighbors(a):
-                if b != a and not np.allclose(nodes.coords[b], nodes.coords[a]):
-                    pa.append(a)
-                    pb.append(b)
-        batch = symmetric_points_batch(nodes, pa, pb)
-        for i in range(len(pa)):
-            sp = symmetric_point(nodes, pa[i], pb[i])
-            assert sp.degenerate == bool(batch.degenerate[i])
-            if not sp.degenerate:
-                assert np.allclose(sp.point, batch.point[i], atol=1e-12)
-                owners = sorted(batch.cells[i][batch.owner[i]].tolist())
-                assert sorted(sp.cells) == owners
+        # the uniform grid puts symmetric points exactly on edges and
+        # corners, where several cells own them; the valence-3 mesh is the
+        # one the detector property test draws, as is and with its centre
+        # moved
+        for mesh in (perturbed_mesh(4, 3, seed=11), build_structured_quad(4, 3),
+                     Mesh(VALENCE3_VERTICES, VALENCE3_CELLS),
+                     Mesh(np.add(VALENCE3_VERTICES,
+                                 [[0, 0]] * 6 + [[0.03, -0.02]]),
+                          VALENCE3_CELLS)):
+            nodes = build_dg_nodes(mesh)
+            pa, pb = [], []
+            for a in range(nodes.n_nodes):
+                for b in nodes.neighbors(a):
+                    if b != a and not np.allclose(nodes.coords[b],
+                                                  nodes.coords[a]):
+                        pa.append(a)
+                        pb.append(b)
+            batch = symmetric_points_batch(nodes, pa, pb)
+            for i in range(len(pa)):
+                sp = symmetric_point(nodes, pa[i], pb[i])
+                assert sp.degenerate == bool(batch.degenerate[i])
+                if not sp.degenerate:
+                    assert np.allclose(sp.point, batch.point[i], atol=1e-12)
+                    owners = sorted(batch.cells[i][batch.owner[i]].tolist())
+                    assert sorted(sp.cells) == owners
 
     def test_point_on_support_boundary(self):
         mesh = build_structured_quad(3, 3)

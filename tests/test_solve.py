@@ -895,6 +895,19 @@ class TestThetaStep:
                    cfg=SolverConfig(tol=1e-8, max_iter=100),
                    enforce_cfl=True)
 
+    def test_cfl_enforced_at_the_stage_state(self):
+        # a Crank-Nicolson step inside the bound at u_old converges, but
+        # the bound at its stage state (9.47e-3) is below dt
+        case = dgmono.get_case("three-body")
+        nodes = build_dg_nodes(build_structured_quad(16, 16))
+        prob = StabilizedProblem(nodes.mesh, nodes, case.spec, case.params)
+        u0 = case.spec.u0(nodes.coords[:, 0], nodes.coords[:, 1])
+        dt = 0.99 * prob.cfl_bound(u0, theta=0.5)
+        with pytest.raises(ValueError, match="CFL bound .* stage state"):
+            theta_step(prob, u0, dt, theta=0.5,
+                       cfg=SolverConfig(tol=1e-6, max_iter=80),
+                       method="hybrid", enforce_cfl=True)
+
     def test_forward_euler_led_at_extrema(self):
         # local extremum diminishing: at detector-certified extrema of the
         # stage state, the update has the contracting sign
