@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import GAUSS2, GAUSS2_W, REF_CORNERS, beta_at
 
@@ -183,34 +182,14 @@ def _node_ids(cells_idx):
     return 4 * np.asarray(cells_idx)[:, None] + np.arange(4)[None, :]
 
 
-class _Coo:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, rows, cols, vals):
-        r, c, v = np.broadcast_arrays(rows, cols, vals)
-        self.rows.append(r.ravel())
-        self.cols.append(c.ravel())
-        self.vals.append(v.ravel())
-
-    def build(self, shape):
-        mat = sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=shape).tocsr()
-        mat.eliminate_zeros()  # store only the nonzeros
-        return mat
-
-
 def assemble_M(mesh, nodes):
-    """Consistent mass matrix; block diagonal over cells, SPD."""
+    """Consistent mass matrix in the node pattern; block diagonal over
+    cells, SPD."""
     N, _, w_det, _ = mesh.quadrature
     local = _outer_sum(w_det[..., None] * N, N[None])
     ids = _node_ids(np.arange(mesh.n_cells))
-    coo = _Coo()
-    coo.add(ids[:, :, None], ids[:, None, :], local)
-    n = nodes.n_nodes
-    return coo.build((n, n))
+    S = nodes.pattern()
+    return S.matrix(S.scatter(ids[:, :, None], ids[:, None, :], local))
 
 
 def assemble_G(mesh, nodes, g):
@@ -227,14 +206,15 @@ def assemble_G(mesh, nodes, g):
 
 
 def assemble_K(mesh, nodes, spec, inflow):
-    """Convection-diffusion dG matrix: volume terms and the facet form.
+    """Convection-diffusion dG matrix in the node pattern: volume terms and
+    the facet form.
 
     ``inflow`` is the inflow mask of :func:`~dgmono.mesh.classify_facets`.
     When mu == 0 the viscous and penalty terms vanish.
     """
-    n = nodes.n_nodes
     mu = spec.mu
-    coo = _Coo()
+    S = nodes.pattern()
+    blocks = []  # (node ids (m, k), local matrices (m, k, k))
 
     # volume terms
     N, gradN, w_det, pts = mesh.quadrature
@@ -246,8 +226,7 @@ def assemble_K(mesh, nodes, spec, inflow):
         G, w = gradN.swapaxes(2, 3), w_det[..., None, None]
         local += mu * sum(_outer_sum(G[:, q], w[:, q] * G[:, q])
                           for q in range(G.shape[1]))
-    ids = _node_ids(np.arange(mesh.n_cells))
-    coo.add(ids[:, :, None], ids[:, None, :], local)
+    blocks.append((_node_ids(np.arange(mesh.n_cells)), local))
 
     # interior facets, on the stacked traces [plus, minus] of both cells;
     # the minus cell runs the shared edge backwards (Mesh checks it)
@@ -261,9 +240,8 @@ def assemble_K(mesh, nodes, spec, inflow):
     up = np.concatenate([Np * plus, Nm * ~plus], axis=2)
     ids = np.concatenate([_node_ids(fi["cell_plus"]),
                           _node_ids(fi["cell_minus"])], axis=1)
-    local = _facet_form(w, bn, jump, mean, jump, mean, up, mu,
-                        spec.c_ip * mu / fi["length"])
-    coo.add(ids[:, :, None], ids[:, None, :], local)
+    blocks.append((ids, _facet_form(w, bn, jump, mean, jump, mean, up, mu,
+                                    spec.c_ip * mu / fi["length"])))
 
     # boundary facets: u_up is u on outflow and the boundary data (in B) on
     # inflow; [u] = u and the viscous terms are Nitsche's
@@ -271,40 +249,35 @@ def assemble_K(mesh, nodes, spec, inflow):
     w, bn, ((N, D),) = _facet_traces(mesh, spec, fb,
                                      (fb["cell"], fb["edge"], GAUSS2))
     out = ~inflow[:, None, None]
-    local = _facet_form(w, bn, N, D, N, D, N * out, mu,
-                        spec.c_ip * mu / fb["length"])
-    ids = _node_ids(fb["cell"])
-    coo.add(ids[:, :, None], ids[:, None, :], local)
-    return coo.build((n, n))
+    blocks.append((_node_ids(fb["cell"]),
+                   _facet_form(w, bn, N, D, N, D, N * out, mu,
+                               spec.c_ip * mu / fb["length"])))
+    return S.matrix(sum(S.scatter(ids[:, :, None], ids[:, None, :], local)
+                        for ids, local in blocks))
 
 
 def assemble_B(mesh, nodes, spec, inflow):
-    """Weak boundary operator; columns indexed by boundary dG nodes.
+    """Weak boundary operator; columns indexed by boundary dG nodes, stored
+    on the node pattern's boundary-column entries
+    (:meth:`~dgmono.mesh.NodePattern.boundary_matrix`).
 
     ``inflow`` is the inflow mask of :func:`~dgmono.mesh.classify_facets`.
-    For mu == 0 only the inflow convection term is kept.
+    For mu == 0 only the inflow convection term is nonzero.
     """
-    n = nodes.n_nodes
-    nb = nodes.n_boundary
-    mu = spec.mu
     fb = mesh.boundary_facets
-    # with mu == 0 only inflow facets carry a term: store nothing elsewhere
-    f = inflow if mu == 0.0 else slice(None)
-    facets = {k: fb[k][f] for k in ("v0", "v1", "normal", "length")}
-    cb, e = fb["cell"][f], fb["edge"][f]
-    w, bn, ((N, D),) = _facet_traces(mesh, spec, facets, (cb, e, GAUSS2))
+    cb, e = fb["cell"], fb["edge"]
+    w, bn, ((N, D),) = _facet_traces(mesh, spec, fb, (cb, e, GAUSS2))
     # trial: ubar at the two edge nodes of the cell.  Its part of the form,
     # [u] = -ubar and u_up = ubar on inflow, moved to the right-hand side is
     # the form with -beta.n, [u] = ubar and no trial gradient
     cols = np.stack([e, (e + 1) % 4], axis=1)
     ubar = np.take_along_axis(N, cols[:, None, :], axis=2)
-    local = _facet_form(w, -bn, N, D, ubar, 0.0,
-                        ubar * inflow[f][:, None, None], mu,
-                        spec.c_ip * mu / facets["length"])
-    coo = _Coo()
-    coo.add(_node_ids(cb)[:, :, None],
-            nodes.boundary_index[4 * cb[:, None] + cols][:, None, :], local)
-    return coo.build((n, nb))
+    local = _facet_form(w, -bn, N, D, ubar, 0.0, ubar * inflow[:, None, None],
+                        spec.mu, spec.c_ip * spec.mu / fb["length"])
+    S = nodes.pattern()
+    data = S.scatter(_node_ids(cb)[:, :, None],
+                     (4 * cb[:, None] + cols)[:, None, :], local)
+    return S.boundary_matrix(data[S.boundary_slots])
 
 
 @dataclass

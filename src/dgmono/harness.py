@@ -121,7 +121,7 @@ def run_smooth(options, outdir):
     method = opts.get("solver", "picard")
     cfg = SolverConfig(**{"max_iter": 100, **solver_kw})
 
-    hs, errors, iters = [], [], []
+    hs, errors, iters, converged, residuals = [], [], [], [], []
     for n in meshes:
         case = get_case("smooth", mu=mu, **params_kw)
         problem = _problem(case, n)
@@ -129,13 +129,18 @@ def run_smooth(options, outdir):
         hs.append(problem.mesh.h)
         errors.append(l2_error(problem.mesh, u, case.exact))
         iters.append(trace.iterations)
+        converged.append(trace.converged)
+        residuals.append(trace.residuals[-1])
 
     orders = [float("nan")] + eoc_pairs(hs, errors)
     io_utils.write_table_csv(_out(outdir, "smooth_eoc.csv"),
-                             ["n", "h", "l2_error", "eoc", "iterations"],
-                             list(zip(meshes, hs, errors, orders, iters)))
+                             ["n", "h", "l2_error", "eoc", "iterations",
+                              "converged", "residual"],
+                             list(zip(meshes, hs, errors, orders, iters,
+                                      converged, residuals)))
     return {"hs": hs, "errors": errors, "eoc_fit": eoc_fit(hs, errors),
-            "eoc_pairs": orders[1:]}
+            "eoc_pairs": orders[1:], "converged": converged,
+            "residuals": residuals}
 
 
 def run_sharp_layer(options, outdir):

@@ -44,6 +44,9 @@ class Mesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if cells.ndim != 2 or cells.shape[1] != 4:
             raise MeshError("cells must be an (nc, 4) array")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            raise MeshError(f"vertex {bad[0]} is not finite: {vertices[bad[0]]}")
         bad = cells[(cells < 0) | (cells >= len(vertices))]
         if bad.size:
             raise MeshError(f"vertex id {bad[0]} out of range for "
@@ -306,6 +309,10 @@ class NodePattern:
     of each slot.  The slot maps, int32, are ``pairs`` for the off-diagonal entries
     in CSR order, which is the order of :meth:`DgNodeSet.adjacency_pairs`,
     and ``diag`` for the diagonal; :meth:`slots` finds any other entry.
+    B and B_tilde (:meth:`boundary_matrix`) store S's entries in the columns
+    of boundary nodes, in S's CSR order: ``boundary_slots`` are their slots,
+    and ``boundary_rows``, ``boundary_cols`` (boundary indices) and
+    ``boundary_indptr``, int32, their CSR structure.
 
     Entries of W and of N W are numbered in their CSR order: W's are the
     ``vertex_pairs`` (v, w); ``support_rows`` and ``support_pair`` give the
@@ -349,6 +356,14 @@ class NodePattern:
         self.pairs = np.flatnonzero(~on_diag).astype(np.int32)
         self.diag = np.flatnonzero(on_diag).astype(np.int32)
 
+        self.boundary_shape = (n, nodes.n_boundary)
+        col = nodes.boundary_index[self.indices]  # -1: not a boundary node
+        self.boundary_slots = np.flatnonzero(col >= 0).astype(np.int32)
+        self.boundary_rows = self.rows[self.boundary_slots]
+        self.boundary_cols = col[self.boundary_slots].astype(np.int32)
+        self.boundary_indptr = np.searchsorted(
+            self.boundary_rows, np.arange(n + 1)).astype(np.int32)
+
     def slots(self, rows, cols):
         """The slots in S of the entries (rows[i], cols[i]); ValueError for
         an entry outside S.  scipy's row-local search reads them off the
@@ -364,10 +379,30 @@ class NodePattern:
                              "node pattern")
         return found
 
+    def scatter(self, rows, cols, vals):
+        """The data in S, float64, of the entries vals[i] at (rows[i],
+        cols[i]), broadcast together: entries at one slot add up in input
+        order.  An exact zero outside S is dropped; any other entry outside
+        S raises ValueError."""
+        rows, cols, vals = (a.ravel() for a in
+                            np.broadcast_arrays(rows, cols, vals))
+        nz = vals != 0.0
+        # bincount gives int64 zeros when no weight is left
+        return np.bincount(self.slots(rows[nz], cols[nz]), weights=vals[nz],
+                           minlength=self.nnz).astype(np.float64, copy=False)
+
     def matrix(self, data):
         """The CSR matrix with values ``data`` (one per slot) in S."""
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
+
+    def boundary_matrix(self, data):
+        """The (n, n_boundary) CSR matrix with values ``data`` (one per
+        boundary slot) on S's entries in boundary-node columns.  Its index
+        arrays are copies, so that it may drop its zeros in place."""
+        return sp.csr_matrix((data, self.boundary_cols.copy(),
+                              self.boundary_indptr.copy()),
+                             shape=self.boundary_shape)
 
 
 def build_dg_nodes(mesh):
@@ -473,11 +508,15 @@ def load_mesh(path):
         raise MeshError("no header line 'n_vertices n_cells'") from None
     if len(lines) != 1 + nv + nc:
         raise MeshError("truncated mesh file")
+    rows = []
     for k, (i, ln) in enumerate(lines[1:]):
-        if len(ln) != (2 if k < nv else 4):
+        size, kind = (2, float) if k < nv else (4, int)
+        if len(ln) != size:
             raise MeshError(f"line {i}: {len(ln)} values; a vertex line "
                             "has 2 and a cell line 4")
-    vertices = np.array([[float(t) for t in ln] for _, ln in lines[1:1 + nv]])
-    cells = np.array([[int(t) for t in ln] for _, ln in lines[1 + nv:]],
-                     dtype=np.int64)
-    return Mesh(vertices, cells)
+        try:
+            rows.append([kind(t) for t in ln])
+        except ValueError:
+            raise MeshError(f"line {i}: {' '.join(ln)!r} is not "
+                            f"{size} {kind.__name__} values") from None
+    return Mesh(np.array(rows[:nv]), np.array(rows[nv:], dtype=np.int64))

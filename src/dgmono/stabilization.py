@@ -1,10 +1,10 @@
 """Graph-viscosity stabilization: perturbed operators, residuals and auditing.
 
-One set of pair tables (:class:`PairTables`), built with the problem, holds
-the unordered adjacent node pairs for nu, the node x boundary-node pairs for
-nu_boundary, their slots in the node pattern and the data of K, B and M
-there.  Every per-iterate matrix is a data array filled into those patterns,
-so a full rebuild per nonlinear iterate is a handful of vectorized passes.
+K, B and M are assembled into the node pattern S.  One set of pair tables
+(:class:`PairTables`), built with the problem, holds the adjacent node
+pairs for nu, their slots in S and the data of K, B and M.  Every
+per-iterate matrix is a data array filled into S, so a full rebuild per
+nonlinear iterate is a handful of vectorized passes.
 The residual T(u) is the Picard system's A u - rhs (:class:`Linearization`).
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (ProblemSpec, assemble_B, assemble_G, assemble_K,
                        assemble_M, dirichlet_boundary_nodes,
@@ -43,14 +42,9 @@ class PairTables:
 
     ``pair_a`` < ``pair_b`` are the unordered adjacent node pairs in the
     CSR order of S, and ``ab`` and ``ba`` the slots of (pair_a, pair_b) and
-    (pair_b, pair_a) in S.  ``bpair_a`` and ``bpair_col`` are the (row,
-    boundary column) pairs: S's entries in the columns of boundary nodes, in
-    S's CSR order, which is also B_tilde's (``b_indptr``, ``bpair_col``)
-    because boundary_index ascends with node id.  K_tilde, M_tilde and the
-    Picard matrix are stored in S with one data array each: ``K`` and ``M``
-    (on first use, so steady problems skip it) are the data of K and M in
-    S, and ``B`` is the data of B per boundary pair.  ``K_ab`` and ``K_ba``
-    are read off K's data.  Every stored entry of K, B and M must lie in S.
+    (pair_b, pair_a) in S.  ``K``, ``B`` and ``M`` are the data arrays of
+    the operators themselves: K and M in S, B on S's boundary-column
+    entries.  ``K_ab`` and ``K_ba`` are read off K's data.
     """
 
     def __init__(self, nodes, K, B, M):
@@ -61,25 +55,9 @@ class PairTables:
         self.pair_b = pb[keep]
         self.ab = S.pairs[keep]
         self.ba = S.slots(self.pair_b, self.pair_a)
-        self.K = self._in_pattern(K)
+        self.K, self.B, self.M = K.data, B.data, M.data
         self.K_ab = self.K[self.ab]
         self.K_ba = self.K[self.ba]
-        self._M = M
-
-        bk = np.flatnonzero(nodes.boundary_mask[S.indices])
-        self.bpair_a = S.rows[bk]
-        self.bpair_col = nodes.boundary_index[S.indices[bk]].astype(np.int32)
-        self.b_shape = B.shape
-        self.b_indptr = np.searchsorted(
-            self.bpair_a, np.arange(B.shape[0] + 1)).astype(np.int32)
-        Bc = B.tocoo()
-        self.B = np.zeros(len(bk))
-        self.B[np.searchsorted(bk, S.slots(
-            Bc.row, nodes.boundary_nodes[Bc.col]))] = Bc.data
-
-    @cached_property
-    def M(self):
-        return self._in_pattern(self._M)
 
     @cached_property
     def cell_blocks(self):
@@ -90,13 +68,6 @@ class PairTables:
         rows, cols = np.repeat(cells, 4, axis=1), np.tile(cells, 4)
         return self.S.slots(rows.ravel(), cols.ravel()).reshape(-1, 4, 4)
 
-    def _in_pattern(self, A):
-        """The data of A in S, by the slots of A's stored entries."""
-        A = A.tocoo()
-        data = np.zeros(self.S.nnz)
-        data[self.S.slots(A.row, A.col)] = A.data
-        return data
-
 
 def build_viscosity(tables: PairTables, alpha, params, scales, n_nodes):
     """nu_ab = max{a_a K_ab, 0, a_b K_ba} and nu_b = max{-a_a B_ab, 0};
@@ -106,7 +77,8 @@ def build_viscosity(tables: PairTables, alpha, params, scales, n_nodes):
     xa = alpha[tables.pair_a] * tables.K_ab
     xb = alpha[tables.pair_b] * tables.K_ba
     nu = np.maximum(np.maximum(xa, 0.0), xb)
-    xd = -alpha[tables.bpair_a] * tables.B
+    rb = tables.S.boundary_rows
+    xd = -alpha[rb] * tables.B
     nu_b = np.maximum(xd, 0.0)
     if not params.enabled:
         nu, nu_b = np.zeros_like(nu), np.zeros_like(nu_b)
@@ -116,7 +88,7 @@ def build_viscosity(tables: PairTables, alpha, params, scales, n_nodes):
         nu_b = np.maximum(nu_b, smax(xd, 0.0, s))
     diag = (np.bincount(tables.pair_a, weights=nu, minlength=n_nodes)
             + np.bincount(tables.pair_b, weights=nu, minlength=n_nodes)
-            + np.bincount(tables.bpair_a, weights=nu_b, minlength=n_nodes))
+            + np.bincount(rb, weights=nu_b, minlength=n_nodes))
     return GraphViscosity(nu=nu, nu_boundary=nu_b, diag=diag)
 
 
@@ -134,7 +106,7 @@ def viscosity_slopes(tables: PairTables, alpha, scales):
     inner = ssgn(xa - xb, s)
     d_a = outer * 0.5 * (1.0 + inner) * tables.K_ab
     d_b = outer * 0.5 * (1.0 - inner) * tables.K_ba
-    xd = -alpha[tables.bpair_a] * tables.B
+    xd = -alpha[tables.S.boundary_rows] * tables.B
     d_bd = -0.5 * (1.0 + ssgn(xd, s)) * tables.B
     return d_a, d_b, d_bd
 
@@ -144,15 +116,14 @@ def build_stabilized(tables: PairTables, visc: GraphViscosity):
 
     K_tilde is filled into the node pattern, so it may store exact zeros;
     B_tilde stores only its nonzero entries."""
-    t = tables
+    t, S = tables, tables.S
     kt = t.K.copy()
     kt[t.ab] -= visc.nu
     kt[t.ba] -= visc.nu
-    kt[t.S.diag] += visc.diag
-    Bt = sp.csr_matrix((t.B + visc.nu_boundary, t.bpair_col.copy(),
-                        t.b_indptr.copy()), shape=t.b_shape)
+    kt[S.diag] += visc.diag
+    Bt = S.boundary_matrix(t.B + visc.nu_boundary)
     Bt.eliminate_zeros()
-    return t.S.matrix(kt), Bt
+    return S.matrix(kt), Bt
 
 
 def mass_blend(alpha, Q):
@@ -180,12 +151,15 @@ def cfl_bound(m, Ktilde_diag, theta):
                         initial=np.inf))
 
 
-def audit_dmp(Ktilde, Btilde, alpha, rel_tol=1e-12):
+AUDIT_REL_TOL = 1e-12  # of the DMP audit, relative to max |K_tilde|
+
+
+def audit_dmp(Ktilde, Btilde, alpha):
     """Check the DMP conditions; returns a list of violation records.
 
     At every row with alpha == 1: off-diagonal K_tilde <= 0 and
-    B_tilde >= 0; for all rows: sum_b K_tilde_ab - sum_b B_tilde_ab = 0
-    relative to the matrix norm.
+    B_tilde >= 0; for all rows: sum_b K_tilde_ab - sum_b B_tilde_ab = 0;
+    each to within AUDIT_REL_TOL max |K_tilde|.
     """
     if len(alpha) != Ktilde.shape[0]:
         raise ValueError(f"alpha has {len(alpha)} entries for "
@@ -195,7 +169,7 @@ def audit_dmp(Ktilde, Btilde, alpha, rel_tol=1e-12):
                          f"{Ktilde.shape}: their row counts differ")
     report = []
     scale = max(np.abs(Ktilde).max(), 1e-300)
-    tol = rel_tol * scale
+    tol = AUDIT_REL_TOL * scale
 
     rowsum = np.asarray(Ktilde.sum(axis=1)).ravel() - \
         np.asarray(Btilde.sum(axis=1)).ravel()
@@ -322,13 +296,14 @@ class Linearization:
         n = p.nodes.n_nodes
         d_a, d_b, d_bd = viscosity_slopes(t, self.alpha, p.scales)
         ds = s[t.pair_a] - s[t.pair_b]
-        dsb = s[t.bpair_a] - p.ubar_vec[t.bpair_col]
+        rb = S.boundary_rows
+        dsb = s[rb] - p.ubar_vec[S.boundary_cols]
         c = np.zeros(S.nnz)
         c[t.ab] = ds * d_b
         c[t.ba] = -ds * d_a
         c_diag = (np.bincount(t.pair_a, weights=ds * d_a, minlength=n)
                   - np.bincount(t.pair_b, weights=ds * d_b, minlength=n)
-                  + np.bincount(t.bpair_a, weights=dsb * d_bd, minlength=n))
+                  + np.bincount(rb, weights=dsb * d_bd, minlength=n))
         if self.dt is None:
             c[S.diag] = c_diag
             return S.matrix(c), dalpha
@@ -399,7 +374,7 @@ class StabilizedProblem:
         Ktilde, _ = self.operators(u_stage)
         return cfl_bound(self.nodes.m, Ktilde.diagonal(), theta)
 
-    def audit(self, u, rel_tol=1e-12):
+    def audit(self, u):
         state = self.linearize(u)
         Ktilde, Btilde = state.operators
-        return audit_dmp(Ktilde, Btilde, state.alpha, rel_tol)
+        return audit_dmp(Ktilde, Btilde, state.alpha)

@@ -161,19 +161,26 @@ class TestStiffness:
         assert (K0 - K1).nnz == 0  # c_ip irrelevant when mu = 0
 
     @pytest.mark.parametrize("mu", [0.0, 1e-3])
-    def test_operators_store_only_nonzeros(self, mu):
-        # the off-edge nodes of the two cells of an interior facet meet in
-        # exact zeros of K, more of them with mu = 0; none is stored
+    def test_operators_are_stored_in_the_node_pattern(self, mu):
+        # K and M share S's index arrays and B has S's boundary-column
+        # pattern, exact zeros included: the off-edge nodes of the two cells
+        # of an interior facet meet in exact zeros of K, more with mu = 0
         mesh = perturbed_mesh(4, 4, scale=0.2, seed=2)
         nodes = build_dg_nodes(mesh)
+        S = nodes.pattern()
         spec = ProblemSpec(beta=rotation, mu=mu)
         inflow = classify_facets(mesh, spec.beta)
-        for A in (assemble_K(mesh, nodes, spec, inflow),
-                  assemble_B(mesh, nodes, spec, inflow),
-                  assemble_M(mesh, nodes)):
-            assert A.has_canonical_format
-            assert np.all(A.data != 0.0)
-            assert A.nnz == np.count_nonzero(A.toarray())
+        K, M = assemble_K(mesh, nodes, spec, inflow), assemble_M(mesh, nodes)
+        for A in (K, M):
+            assert A.dtype == np.float64
+            assert np.shares_memory(A.indptr, S.indptr)
+            assert np.shares_memory(A.indices, S.indices)
+        assert np.any(K.data == 0.0)
+        B = assemble_B(mesh, nodes, spec, inflow)
+        assert B.dtype == np.float64
+        assert B.shape == (nodes.n_nodes, nodes.n_boundary)
+        assert np.array_equal(B.indptr, S.boundary_indptr)
+        assert np.array_equal(B.indices, S.boundary_cols)
 
     def test_row_sum_identity_unstabilized(self):
         # T(const) = 0: K c = B (c on the boundary) for constant states.

@@ -150,9 +150,26 @@ class TestHarness:
         report = run_experiment(
             "smooth", overrides={"meshes": "4,8", "mu": 1.0, "tol": 1e-8},
             outdir=str(tmp_path))
-        assert (tmp_path / "smooth_eoc.csv").exists()
         assert len(report["errors"]) == 2
         assert report["errors"][1] < report["errors"][0]
+        # each mesh's stop: converged flag and final residual
+        rows = [r.split(",") for r in
+                (tmp_path / "smooth_eoc.csv").read_text().splitlines()]
+        assert rows[0][-2:] == ["converged", "residual"]
+        assert [r[-2] for r in rows[1:]] == [str(c)
+                                             for c in report["converged"]]
+        assert [float(r[-1]) for r in rows[1:]] == report["residuals"]
+
+    def test_smooth_reports_unconverged_meshes(self, tmp_path):
+        # one iterate is no solution: the EOC row says so
+        report = run_experiment(
+            "smooth", overrides={"meshes": "4,8", "max_iter": 1},
+            outdir=str(tmp_path))
+        assert report["converged"] == [False, False]
+        rows = (tmp_path / "smooth_eoc.csv").read_text().splitlines()[1:]
+        for row, res in zip(rows, report["residuals"]):
+            assert res > 0.0
+            assert row.split(",")[-2:] == ["False", repr(res)]
 
     def test_sharp_layer_small(self, tmp_path):
         report = run_experiment(
@@ -285,6 +302,8 @@ class TestCli:
         # the CSV writes the same float by its repr
         rows = (tmp_path / "smooth_eoc.csv").read_text().splitlines()
         assert rows[2].split(",")[3] == repr(order)
+        res = next(line for line in lines if line.startswith("residuals: "))
+        assert rows[2].split(",")[-1] in res
 
     def test_bad_override(self, capsys):
         rc = cli_main(["run", "smooth", "badoption"])

@@ -81,6 +81,12 @@ class TestStructuredQuad:
         with pytest.raises(MeshError, match=f"vertex id {bad} out of range"):
             Mesh(verts, [[0, 1, 2, bad]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vertex_rejected(self, bad):
+        verts = [[0.0, 0], [1, 0], [1, 1], [bad, 1]]
+        with pytest.raises(MeshError, match="vertex 3 is not finite"):
+            Mesh(verts, [[0, 1, 2, 3]])
+
     def test_facet_run_in_same_direction_rejected(self):
         # both cells lie above the edge 0 -> 1 and overlap
         verts = [[0, 0], [1, 0], [1, 1], [0, 1], [1, .5], [0, .5]]
@@ -345,6 +351,49 @@ class TestNodePattern:
         assert np.array_equal(pa, rows[off])
         assert np.array_equal(pb, S.indices[off])
 
+    @pytest.mark.parametrize("mesh", PATTERN_MESHES,
+                             ids=["uniform", "jittered", "valence3"])
+    def test_scatter_sums_in_input_order(self, mesh):
+        nodes = build_dg_nodes(mesh)
+        S = nodes.pattern()
+        rng = np.random.default_rng(4)
+        k = rng.integers(0, S.nnz, size=3 * S.nnz)
+        vals = rng.standard_normal(len(k))
+        ref = np.zeros(S.nnz)
+        np.add.at(ref, k, vals)
+        got = S.scatter(S.rows[k], S.indices[k], vals)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ref)
+        # broadcast entries: a unit block per cell
+        cells = np.arange(nodes.n_nodes).reshape(-1, 4)
+        ones = S.scatter(cells[:, :, None], cells[:, None, :], 1.0)
+        ref = np.zeros(S.nnz)
+        ref[S.slots(np.repeat(cells, 4, axis=1).ravel(),
+                    np.tile(cells, 4).ravel())] = 1.0
+        assert np.array_equal(ones, ref)
+
+    @pytest.mark.parametrize("mesh", PATTERN_MESHES,
+                             ids=["uniform", "jittered", "valence3"])
+    def test_scatter_outside_pattern(self, mesh):
+        S = build_dg_nodes(mesh).pattern()
+        r, c = np.argwhere(S.matrix(np.ones(S.nnz)).toarray() == 0)[-1]
+        # an exact zero outside S is dropped
+        got = S.scatter([0, r, 0], [0, c, 0], [1.0, 0.0, 2.0])
+        ref = np.zeros(S.nnz)
+        ref[S.slots([0], [0])] = 3.0
+        assert np.array_equal(got, ref)
+        # any other value outside S raises
+        with pytest.raises(ValueError, match=f"entry \\({r}, {c}\\) is not"):
+            S.scatter([0, r], [0, c], [1.0, -1e-300])
+
+    def test_scatter_of_zeros_is_float64(self):
+        S = build_dg_nodes(build_structured_quad(2, 2)).pattern()
+        for idx, vals in (([], []), ([0, 1], 0.0),
+                          (np.zeros(0, dtype=np.int64), np.zeros(0))):
+            got = S.scatter(idx, idx, vals)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.zeros(S.nnz))
+
     def test_shared_structure_is_read_only(self):
         S = build_dg_nodes(build_structured_quad(2, 2)).pattern()
         A = S.matrix(np.ones(S.nnz))
@@ -482,12 +531,22 @@ class TestMeshIO:
         with pytest.raises(MeshError, match="header"):
             load_mesh(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_vertex_file_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"4 1\n0 0\n1 0\n{value} 1\n0 1\n0 1 2 3\n")
+        with pytest.raises(MeshError, match="vertex 2 is not finite"):
+            load_mesh(path)
+
     @pytest.mark.parametrize("text, line", [
         ("4 1\n0 0\n1\n1 1\n0 1\n0 1 2 3\n", 3),
         ("4 1\n0 0\n1 0 0\n1 1\n0 1\n0 1 2 3\n", 3),
         ("4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2\n", 6),
-        ("# c\n4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 3 0\n", 7)],
-        ids=["vertex-short", "vertex-long", "cell-short", "cell-long"])
+        ("# c\n4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 3 0\n", 7),
+        ("4 1\n0 0\n1 zero\n1 1\n0 1\n0 1 2 3\n", 3),
+        ("4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 3.5\n", 6)],
+        ids=["vertex-short", "vertex-long", "cell-short", "cell-long",
+             "vertex-not-a-number", "cell-not-an-integer"])
     def test_wrong_token_count(self, tmp_path, text, line):
         path = tmp_path / "bad.txt"
         path.write_text(text)

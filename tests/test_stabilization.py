@@ -8,9 +8,9 @@ from dgmono import (Mesh, ProblemSpec, StabilizationParams, audit_dmp,
                     build_dg_nodes, build_structured_quad, build_viscosity,
                     cfl_bound, solve)
 from dgmono.assembly import interpolate_boundary
-from dgmono.stabilization import (GraphViscosity, PairTables,
-                                  StabilizedProblem, build_stabilized,
-                                  mass_blend, viscosity_slopes)
+from dgmono.stabilization import (GraphViscosity, StabilizedProblem,
+                                  build_stabilized, mass_blend,
+                                  viscosity_slopes)
 
 from .oracles import PairDetector, assembled_jacobian, lumped_mass_apply
 from .test_mesh import VALENCE3_CELLS, VALENCE3_VERTICES, perturbed_mesh
@@ -55,36 +55,44 @@ class TestPairTables:
         t = prob.tables
         ref = {(int(a), int(nodes.boundary_index[bn]))
                for bn in nodes.boundary_nodes for a in nodes.neighbors(bn)}
-        assert set(zip(t.bpair_a.tolist(), t.bpair_col.tolist())) == ref
+        S = nodes.pattern()
+        rb, cb = S.boundary_rows, S.boundary_cols
+        assert set(zip(rb.tolist(), cb.tolist())) == ref
         B = prob.B
-        for i, (a, col) in enumerate(zip(t.bpair_a, t.bpair_col)):
+        for i, (a, col) in enumerate(zip(rb, cb)):
             assert t.B[i] == B[a, col]
         # exactly S's entries in boundary columns, in S's CSR order
-        S = nodes.pattern()
         rows = np.repeat(np.arange(nodes.n_nodes), np.diff(S.indptr))
         k = nodes.boundary_index[S.indices] >= 0
-        assert np.array_equal(t.bpair_a, rows[k])
-        assert np.array_equal(t.bpair_col, nodes.boundary_index[S.indices[k]])
+        assert np.array_equal(S.boundary_slots, np.flatnonzero(k))
+        assert np.array_equal(rb, rows[k])
+        assert np.array_equal(cb, nodes.boundary_index[S.indices[k]])
         # B_tilde at nu = 0 stores B's nonzeros in that order
-        zero = GraphViscosity(np.zeros(len(t.pair_a)),
-                              np.zeros(len(t.bpair_a)),
+        zero = GraphViscosity(np.zeros(len(t.pair_a)), np.zeros(len(rb)),
                               np.zeros(nodes.n_nodes))
         Bt = build_stabilized(t, zero)[1].tocoo()
         nz = t.B != 0.0
         assert nz.any()
-        assert np.array_equal(Bt.row, t.bpair_a[nz])
-        assert np.array_equal(Bt.col, t.bpair_col[nz])
+        assert np.array_equal(Bt.row, rb[nz])
+        assert np.array_equal(Bt.col, cb[nz])
         assert np.array_equal(Bt.data, t.B[nz])
 
+    def test_tables_share_the_operators_data(self, prob):
+        # one store per operator: the tables read K, B and M in place
+        t = prob.tables
+        for name in ("K", "B", "M"):
+            assert np.shares_memory(getattr(t, name),
+                                    getattr(prob, name).data)
 
     def test_operator_entry_outside_pattern_raises(self, prob):
-        nodes = prob.nodes
-        S = nodes.pattern()
+        # an operator's entries reach S by its scatter, which refuses a
+        # nonzero outside S
+        S = prob.nodes.pattern()
         r, c = np.argwhere(S.matrix(np.ones(S.nnz)).toarray() == 0)[0]
-        K = prob.K.tolil()
-        K[r, c] = 1.0
+        K = prob.K.tocoo()
         with pytest.raises(ValueError, match="not in the node pattern"):
-            PairTables(nodes, K.tocsr(), prob.B, prob.M)
+            S.scatter(np.append(K.row, r), np.append(K.col, c),
+                      np.append(K.data, 1.0))
 
 
 class TestViscosity:
@@ -99,7 +107,7 @@ class TestViscosity:
                                     np.zeros(len(t.pair_a)),
                                     al[t.pair_b] * t.K_ba])
         assert np.array_equal(visc.nu, nu_ref)
-        nub_ref = np.maximum(-al[t.bpair_a] * t.B, 0.0)
+        nub_ref = np.maximum(-al[t.S.boundary_rows] * t.B, 0.0)
         assert np.array_equal(visc.nu_boundary, nub_ref)
 
     def test_smoothed_dominates_raw(self):
@@ -140,7 +148,7 @@ class TestViscosity:
         lhs = visc.diag
         rhs = (np.bincount(t.pair_a, weights=visc.nu, minlength=n)
                + np.bincount(t.pair_b, weights=visc.nu, minlength=n)
-               + np.bincount(t.bpair_a, weights=visc.nu_boundary,
+               + np.bincount(t.S.boundary_rows, weights=visc.nu_boundary,
                              minlength=n))
         assert np.array_equal(lhs, rhs)
 
@@ -347,8 +355,9 @@ def coo_operators(prob, visc):
     cols = np.concatenate([t.pair_b, t.pair_a, np.arange(n)])
     vals = np.concatenate([-visc.nu, -visc.nu, visc.diag])
     D = sp.coo_matrix((vals, (rows, cols)), shape=K.shape).tocsr()
-    nu_b = sp.coo_matrix((visc.nu_boundary, (t.bpair_a, t.bpair_col)),
-                         shape=B.shape).tocsr()
+    nu_b = sp.coo_matrix(
+        (visc.nu_boundary, (t.S.boundary_rows, t.S.boundary_cols)),
+        shape=B.shape).tocsr()
     return (K + D).tocsr(), (B + nu_b).tocsr()
 
 
@@ -389,11 +398,11 @@ def coo_jacobian_terms(state):
     dalpha = coo_dalpha(state)
     d_a, d_b, d_bd = viscosity_slopes(t, state.alpha, prob.scales)
     ds = s[t.pair_a] - s[t.pair_b]
-    dsb = s[t.bpair_a] - prob.ubar_vec[t.bpair_col]
+    dsb = s[t.S.boundary_rows] - prob.ubar_vec[t.S.boundary_cols]
     rows = np.concatenate([t.pair_a, t.pair_a, t.pair_b, t.pair_b,
-                           t.bpair_a])
+                           t.S.boundary_rows])
     cols = np.concatenate([t.pair_a, t.pair_b, t.pair_a, t.pair_b,
-                           t.bpair_a])
+                           t.S.boundary_rows])
     vals = np.concatenate([ds * d_a, ds * d_b, -ds * d_a, -ds * d_b,
                            dsb * d_bd])
     C = sp.coo_matrix((vals, (rows, cols)), shape=dalpha.shape).tocsr()
