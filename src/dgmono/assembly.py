@@ -188,7 +188,7 @@ def assemble_M(mesh, nodes):
     N, _, w_det, _ = mesh.quadrature
     local = _outer_sum(w_det[..., None] * N, N[None])
     ids = _node_ids(np.arange(mesh.n_cells))
-    S = nodes.pattern()
+    S = nodes.pattern
     return S.matrix(S.scatter(ids[:, :, None], ids[:, None, :], local))
 
 
@@ -213,7 +213,7 @@ def assemble_K(mesh, nodes, spec, inflow):
     When mu == 0 the viscous and penalty terms vanish.
     """
     mu = spec.mu
-    S = nodes.pattern()
+    S = nodes.pattern
     blocks = []  # (node ids (m, k), local matrices (m, k, k))
 
     # volume terms
@@ -274,7 +274,7 @@ def assemble_B(mesh, nodes, spec, inflow):
     ubar = np.take_along_axis(N, cols[:, None, :], axis=2)
     local = _facet_form(w, -bn, N, D, ubar, 0.0, ubar * inflow[:, None, None],
                         spec.mu, spec.c_ip * spec.mu / fb["length"])
-    S = nodes.pattern()
+    S = nodes.pattern
     data = S.scatter(_node_ids(cb)[:, :, None],
                      (4 * cb[:, None] + cols)[:, None, :], local)
     return S.boundary_matrix(data[S.boundary_slots])

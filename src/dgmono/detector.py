@@ -172,13 +172,13 @@ def _z_ramp_slope(x):
 class PairTopology:
     """Flattened node-pair data for vectorized detector evaluation.
 
-    Every adjacency pair (a, b), in the order of
-    :meth:`~dgmono.mesh.DgNodeSet.adjacency_pairs`, has a pair leg
-    ``pair_w * (u_b - u_a)``, with ``pair_w`` 2/(h_a + h_b) for coincident
-    pairs (x_a == x_b) and 1/|x_b - x_a| for the others.  A non-coincident
-    pair is regular, with candidate interpolation stencils at its symmetric
-    point, or boundary-degenerate (the symmetric point collapses onto x_a),
-    with an extrapolated leg instead.
+    Every adjacency pair (a, b), in the order of the node pattern's
+    ``pair_rows`` and ``pair_cols`` (:class:`~dgmono.mesh.NodePattern`),
+    has a pair leg ``pair_w * (u_b - u_a)``, with ``pair_w`` 2/(h_a + h_b)
+    for coincident pairs (x_a == x_b) and 1/|x_b - x_a| for the others.  A
+    non-coincident pair is regular, with candidate interpolation stencils at
+    its symmetric point, or boundary-degenerate (the symmetric point
+    collapses onto x_a), with an extrapolated leg instead.
 
     The symmetric leg u(x_sym) - u_a depends only on a and on b's vertex,
     not on which of the coincident nodes there b is.  So the regular pairs
@@ -191,8 +191,8 @@ class PairTopology:
 
     def __init__(self, nodes: DgNodeSet):
         self.nodes = nodes
-        S = nodes.pattern()
-        pa, pb = nodes.adjacency_pairs()
+        S = nodes.pattern
+        pa, pb = S.pair_rows, S.pair_cols
 
         # the pair legs are summed per row of S (np.add.reduceat), which
         # needs every row to hold a pair: a node's cell-mates are its pairs
@@ -280,7 +280,7 @@ class PairTopology:
         pattern S of its four nodes in the row of the group's a, built on
         first use (:meth:`DetectorPass.jacobian`).  The cell lies at a's
         vertex, so the nodes are consecutive in that row."""
-        first = self.nodes.pattern().slots(self.cand_a, self.cand_nodes[:, 0])
+        first = self.nodes.pattern.slots(self.cand_a, self.cand_nodes[:, 0])
         return first[:, None] + np.arange(4, dtype=np.int32)
 
 
@@ -422,7 +422,7 @@ class DetectorPass:
         if not params.enabled:
             self.alpha = np.zeros(n)
             return
-        topo, S = nodes.pair_topology(), nodes.pattern()
+        topo, S = nodes.pair_topology(), nodes.pattern
         u = np.asarray(u, dtype=float)
         self.cand = _candidate_values(topo, u)
         s_hi, s_lo = _symmetric_candidates(topo, self.cand)
@@ -435,8 +435,7 @@ class DetectorPass:
         # symmetric leg times its number of regular pairs.  Row a of S
         # holds a's pairs and a itself, so a's pair legs start at
         # indptr[a] - a
-        pa, pb = nodes.adjacency_pairs()
-        t_pair = topo.pair_w * (u[pb] - u[pa])
+        t_pair = topo.pair_w * (u[S.pair_cols] - u[S.pair_rows])
         t_dgs, *self.dgs_slopes = _extrapolated_legs(topo, u, trace, params,
                                                      scales)
         self.legs = t_pair, t_dgs
@@ -485,7 +484,7 @@ class DetectorPass:
         zero where the ramp saturates (zeta >= 1) or the clip to [0, 1]
         binds.
         """
-        n, params, S = self.nodes.n_nodes, self.params, self.nodes.pattern()
+        n, params, S = self.nodes.n_nodes, self.params, self.nodes.pattern
         if not params.enabled:
             return S.matrix(np.zeros(S.nnz))
         if params.mode != "smoothed":
@@ -512,7 +511,6 @@ class DetectorPass:
         # at a.  The pair legs of a are its row of S less the diagonal
         t_pair, t_dgs = self.legs
         tau_h = scales.tau_h
-        pa = self.nodes.adjacency_pairs()[0]
         row_pairs = np.diff(S.indptr) - 1
         w_pair = topo.pair_w * _leg_slopes(np.repeat(coef, row_pairs, axis=1),
                                            t_pair, tau_h)
@@ -526,7 +524,7 @@ class DetectorPass:
         data = np.empty(S.nnz)
         data[S.pairs] = w_pair
         data[S.diag] = np.bincount(
-            np.concatenate([pa, topo.grp_a, topo.dg_a]),
+            np.concatenate([S.pair_rows, topo.grp_a, topo.dg_a]),
             weights=np.concatenate([-w_pair, -w_grp.sum(axis=1) * sl_grp,
                                     dgs_a * sl_dgs]), minlength=n)
         data[S.pairs[topo.dg_pair]] += dgs_b * sl_dgs

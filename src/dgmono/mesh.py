@@ -44,6 +44,8 @@ class Mesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if cells.ndim != 2 or cells.shape[1] != 4:
             raise MeshError("cells must be an (nc, 4) array")
+        if len(cells) == 0:
+            raise MeshError("the cell list is empty: a mesh needs a cell")
         bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
         if bad.size:
             raise MeshError(f"vertex {bad[0]} is not finite: {vertices[bad[0]]}")
@@ -221,7 +223,8 @@ class DgNodeSet:
 
     Node ``a = 4 * cell + local_vertex``.  The adjacency N(a) contains every
     node whose coordinate lies in the closed support of a (including all
-    coincident duplicates).
+    coincident duplicates); ``pattern``, the node pattern S
+    (:class:`NodePattern`), holds it and is built with the nodes.
     """
 
     def __init__(self, mesh: Mesh):
@@ -252,9 +255,8 @@ class DgNodeSet:
         self.n_boundary = len(self.boundary_nodes)
 
         self.m = self._lumped_weights()
-        self._pairs = None
+        self.pattern = NodePattern(self)
         self._pair_topology = None
-        self._pattern = None
 
     def _lumped_weights(self):
         N, _, w_det, _ = self.mesh.quadrature
@@ -266,22 +268,8 @@ class DgNodeSet:
     def neighbors(self, a):
         """All nodes b with x_b in the closed support of a (includes a),
         ascending: row a of the node pattern S."""
-        S = self.pattern()
+        S = self.pattern
         return S.indices[S.indptr[a]:S.indptr[a + 1]]
-
-    def adjacency_pairs(self):
-        """Cached ordered adjacency pairs (a, b), b != a, as flat arrays.
-
-        b runs over every node whose coordinate lies in the closed support
-        of a, including coincident duplicates of both endpoints: the
-        off-diagonal entries of the node pattern S, in its CSR order.  The
-        detector's pair topology and the viscosity pair tables share them.
-        """
-        if self._pairs is None:
-            S = self.pattern()
-            self._pairs = (S.rows[S.pairs].astype(np.int64),
-                           S.indices[S.pairs].astype(np.int64))
-        return self._pairs
 
     def pair_topology(self):
         """Cached detector pair table (built by the detector module)."""
@@ -289,12 +277,6 @@ class DgNodeSet:
             from .detector import build_pair_topology
             self._pair_topology = build_pair_topology(self)
         return self._pair_topology
-
-    def pattern(self):
-        """Cached node pattern S = adjacency + diagonal, built on first use."""
-        if self._pattern is None:
-            self._pattern = NodePattern(self)
-        return self._pattern
 
 
 class NodePattern:
@@ -306,9 +288,13 @@ class NodePattern:
     that share a cell (V the vertex-cell incidence), built by one sparse
     product.  ``indptr`` and ``indices`` are int32, canonical and shared by
     every matrix stored in S (:meth:`matrix`); ``rows``, int32, is the row
-    of each slot.  The slot maps, int32, are ``pairs`` for the off-diagonal entries
-    in CSR order, which is the order of :meth:`DgNodeSet.adjacency_pairs`,
-    and ``diag`` for the diagonal; :meth:`slots` finds any other entry.
+    of each slot.  The slot maps, int32, are ``pairs`` for the off-diagonal
+    entries in CSR order and ``diag`` for the diagonal; :meth:`slots` finds
+    any other entry.  The ordered pairs (a, b), b != a, are those entries,
+    with a in ``pair_rows`` and b in ``pair_cols``.  The unordered pairs
+    a < b, in the same order, have a in ``upper_rows``, b in ``upper_cols``
+    and the slots ``upper`` of (a, b) and ``lower`` of (b, a).  The pairs'
+    nodes are intp: NumPy converts other indices on every call.
     B and B_tilde (:meth:`boundary_matrix`) store S's entries in the columns
     of boundary nodes, in S's CSR order: ``boundary_slots`` are their slots,
     and ``boundary_rows``, ``boundary_cols`` (boundary indices) and
@@ -355,6 +341,13 @@ class NodePattern:
         on_diag = self.rows == self.indices
         self.pairs = np.flatnonzero(~on_diag).astype(np.int32)
         self.diag = np.flatnonzero(on_diag).astype(np.int32)
+        self.pair_rows = self.rows[self.pairs].astype(np.intp)
+        self.pair_cols = self.indices[self.pairs].astype(np.intp)
+        upper = self.pair_cols > self.pair_rows
+        self.upper = self.pairs[upper]
+        self.upper_rows = self.pair_rows[upper]
+        self.upper_cols = self.pair_cols[upper]
+        self.lower = self.slots(self.upper_cols, self.upper_rows)
 
         self.boundary_shape = (n, nodes.n_boundary)
         col = nodes.boundary_index[self.indices]  # -1: not a boundary node
@@ -363,6 +356,15 @@ class NodePattern:
         self.boundary_cols = col[self.boundary_slots].astype(np.int32)
         self.boundary_indptr = np.searchsorted(
             self.boundary_rows, np.arange(n + 1)).astype(np.int32)
+
+    @cached_property
+    def cell_blocks(self):
+        """The slots in S of the 4x4 cell blocks, (n_cells, 4, 4): entry
+        (c, i, j) is that of nodes (4c + i, 4c + j).  Built on first use,
+        so only theta-step solves pay for it."""
+        cells = np.arange(self.shape[0]).reshape(-1, 4)
+        rows, cols = np.repeat(cells, 4, axis=1), np.tile(cells, 4)
+        return self.slots(rows.ravel(), cols.ravel()).reshape(-1, 4, 4)
 
     def slots(self, rows, cols):
         """The slots in S of the entries (rows[i], cols[i]); ValueError for

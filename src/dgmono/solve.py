@@ -249,7 +249,7 @@ class LinearSolves:
         A = state.system[0]
         b = -state.residual
         newton = omega is None
-        tables = state.problem.tables
+        S = state.problem.nodes.pattern
         if newton:
             C, dalpha = state.jacobian_terms
 
@@ -260,7 +260,6 @@ class LinearSolves:
             """The data of P in S."""
             if not newton:
                 return A.data
-            S = tables.S
             return A.data + C.data * dalpha.data[S.diag][S.indices]
 
         def cycle(precondition):
@@ -270,7 +269,7 @@ class LinearSolves:
             if met:
                 return d if newton else state.u + omega * d
         if state.dt is not None and not self.latched:
-            precondition = block_inverse(p_data()[tables.cell_blocks])
+            precondition = block_inverse(p_data()[S.cell_blocks])
             x = None if precondition is None else cycle(precondition)
             if x is not None:
                 return x
@@ -280,7 +279,7 @@ class LinearSolves:
             if x is not None:
                 return x
             self.lu, self.latched = None, True
-        lu = factor(tables.S.matrix(p_data()))
+        lu = factor(S.matrix(p_data()))
         if newton:
             x, iterations, _ = _gmres(apply, lu.solve, b)
             trace.gmres_iters[-1] += iterations
@@ -450,14 +449,14 @@ def solver(method):
 def theta_step(problem, u_old, dt, theta, cfg=None, method="picard",
                bounds=None, enforce_cfl=False):
     """One theta-method step; returns (u_new, trace).  ValueError unless
-    theta is in [0, 1] and dt > 0.  With ``enforce_cfl`` and theta < 1,
-    also ValueError when dt exceeds the positivity bound at u_old, before
-    the solve, or, for theta > 0, at the stage state
+    theta is in [0, 1] and dt is finite and > 0.  With ``enforce_cfl`` and
+    theta < 1, also ValueError when dt exceeds the positivity bound at
+    u_old, before the solve, or, for theta > 0, at the stage state
     theta u_new + (1 - theta) u_old of the returned step."""
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta!r}")
-    if not dt > 0.0:
-        raise ValueError(f"time step dt must be > 0, got {dt!r}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"time step dt must be finite and > 0, got {dt!r}")
 
     def check_cfl(u, where):
         limit = problem.cfl_bound(u, theta)

@@ -1,10 +1,10 @@
 """Graph-viscosity stabilization: perturbed operators, residuals and auditing.
 
-K, B and M are assembled into the node pattern S.  One set of pair tables
-(:class:`PairTables`), built with the problem, holds the adjacent node
-pairs for nu, their slots in S and the data of K, B and M.  Every
-per-iterate matrix is a data array filled into S, so a full rebuild per
-nonlinear iterate is a handful of vectorized passes.
+K, B and M are assembled into the node pattern S, which also holds the
+adjacent node pairs that nu is defined on and their slots
+(:class:`~dgmono.mesh.NodePattern`).  Every per-iterate matrix is a data
+array filled into S, so a full rebuild per nonlinear iterate is a handful
+of vectorized passes.
 The residual T(u) is the Picard system's A u - rhs (:class:`Linearization`).
 """
 
@@ -22,106 +22,76 @@ from .detector import DetectorPass, StabilizationParams, smax, ssgn
 # alpha_all is not called here; it stays importable from this module
 # because benchmark tracing wraps it by name.
 from .detector import alpha_all  # noqa: F401
-from .mesh import classify_facets
+from .mesh import GAUSS2, beta_at, classify_facets
 
 
 @dataclass
 class GraphViscosity:
-    """Edge viscosities: symmetric nu per unordered pair and boundary nu per
-    boundary pair, both in the order of the :class:`PairTables`, and the
-    compensating diagonal nu_aa = sum(nu) + sum(nu_boundary) per row."""
+    """Edge viscosities: symmetric nu per unordered pair, in the order of
+    the node pattern's ``upper`` slots, boundary nu per boundary slot, and
+    the compensating diagonal nu_aa = sum(nu) + sum(nu_boundary) per row.
+    ``terms`` are the pair terms (alpha_a K_ab, alpha_b K_ba,
+    -alpha_a B_ab) that nu and nu_boundary are the maxima of, shared with
+    :func:`viscosity_slopes`."""
 
     nu: np.ndarray
     nu_boundary: np.ndarray
     diag: np.ndarray
+    terms: tuple
 
 
-class PairTables:
-    """The node pattern S with the pair tables and the frozen operator data
-    that nu and the per-iterate matrices are built from.
-
-    ``pair_a`` < ``pair_b`` are the unordered adjacent node pairs in the
-    CSR order of S, and ``ab`` and ``ba`` the slots of (pair_a, pair_b) and
-    (pair_b, pair_a) in S.  ``K``, ``B`` and ``M`` are the data arrays of
-    the operators themselves: K and M in S, B on S's boundary-column
-    entries.  ``K_ab`` and ``K_ba`` are read off K's data.
-    """
-
-    def __init__(self, nodes, K, B, M):
-        self.S = S = nodes.pattern()
-        pa, pb = nodes.adjacency_pairs()  # ordered pairs, a != b
-        keep = pb > pa
-        self.pair_a = pa[keep]
-        self.pair_b = pb[keep]
-        self.ab = S.pairs[keep]
-        self.ba = S.slots(self.pair_b, self.pair_a)
-        self.K, self.B, self.M = K.data, B.data, M.data
-        self.K_ab = self.K[self.ab]
-        self.K_ba = self.K[self.ba]
-
-    @cached_property
-    def cell_blocks(self):
-        """The slots in S of the 4x4 cell blocks, (n_cells, 4, 4): entry
-        (c, i, j) is that of nodes (4c + i, 4c + j).  Built on first use,
-        so only theta-step solves pay for it."""
-        cells = np.arange(self.S.shape[0]).reshape(-1, 4)
-        rows, cols = np.repeat(cells, 4, axis=1), np.tile(cells, 4)
-        return self.S.slots(rows.ravel(), cols.ravel()).reshape(-1, 4, 4)
-
-
-def build_viscosity(tables: PairTables, alpha, params, scales, n_nodes):
+def build_viscosity(problem, alpha):
     """nu_ab = max{a_a K_ab, 0, a_b K_ba} and nu_b = max{-a_a B_ab, 0};
     smoothed mode uses the nested smoothed maximum, floored by the raw value
     so the DMP sign conditions hold exactly.  Zero when the stabilization is
     disabled (alpha is 0 then, but the smoothed maximum of zeros is not)."""
-    xa = alpha[tables.pair_a] * tables.K_ab
-    xb = alpha[tables.pair_b] * tables.K_ba
+    S, params, n = problem.nodes.pattern, problem.params, problem.nodes.n_nodes
+    xa = alpha[S.upper_rows] * problem.K_ab
+    xb = alpha[S.upper_cols] * problem.K_ba
     nu = np.maximum(np.maximum(xa, 0.0), xb)
-    rb = tables.S.boundary_rows
-    xd = -alpha[rb] * tables.B
+    rb = S.boundary_rows
+    xd = -alpha[rb] * problem.B.data
     nu_b = np.maximum(xd, 0.0)
     if not params.enabled:
         nu, nu_b = np.zeros_like(nu), np.zeros_like(nu_b)
     elif params.mode == "smoothed":
-        s = scales.sigma_h
+        s = problem.scales.sigma_h
         nu = np.maximum(nu, smax(0.0, smax(xa, xb, s), s))
         nu_b = np.maximum(nu_b, smax(xd, 0.0, s))
-    diag = (np.bincount(tables.pair_a, weights=nu, minlength=n_nodes)
-            + np.bincount(tables.pair_b, weights=nu, minlength=n_nodes)
-            + np.bincount(rb, weights=nu_b, minlength=n_nodes))
-    return GraphViscosity(nu=nu, nu_boundary=nu_b, diag=diag)
+    diag = (np.bincount(S.upper_rows, weights=nu, minlength=n)
+            + np.bincount(S.upper_cols, weights=nu, minlength=n)
+            + np.bincount(rb, weights=nu_b, minlength=n))
+    return GraphViscosity(nu, nu_b, diag, (xa, xb, xd))
 
 
-def viscosity_slopes(tables: PairTables, alpha, scales):
+def viscosity_slopes(problem, visc: GraphViscosity):
     """(d nu/d alpha_a, d nu/d alpha_b) per pair and d nu_b/d alpha_a per
-    boundary pair of the smoothed viscosities.
+    boundary pair of the smoothed viscosities ``visc``.
 
     For sigma_h > 0 the raw floor in :func:`build_viscosity` never binds,
     because smax(x, y) > max(x, y), so these are the derivatives of the
     nested smoothed maxima; d smax(x, y)/dx = (1 + ssgn(x - y)) / 2."""
-    s = scales.sigma_h
-    xa = alpha[tables.pair_a] * tables.K_ab
-    xb = alpha[tables.pair_b] * tables.K_ba
+    s = problem.scales.sigma_h
+    xa, xb, xd = visc.terms
     outer = 0.5 * (1.0 + ssgn(smax(xa, xb, s), s))
     inner = ssgn(xa - xb, s)
-    d_a = outer * 0.5 * (1.0 + inner) * tables.K_ab
-    d_b = outer * 0.5 * (1.0 - inner) * tables.K_ba
-    xd = -alpha[tables.S.boundary_rows] * tables.B
-    d_bd = -0.5 * (1.0 + ssgn(xd, s)) * tables.B
+    d_a = outer * 0.5 * (1.0 + inner) * problem.K_ab
+    d_b = outer * 0.5 * (1.0 - inner) * problem.K_ba
+    d_bd = -0.5 * (1.0 + ssgn(xd, s)) * problem.B.data
     return d_a, d_b, d_bd
 
 
-def build_stabilized(tables: PairTables, visc: GraphViscosity):
+def build_stabilized(problem, visc: GraphViscosity):
     """(K_tilde, B_tilde): K + graph-Laplacian viscosity, B + boundary nu.
 
     K_tilde is filled into the node pattern, so it may store exact zeros;
     B_tilde stores only its nonzero entries."""
-    t, S = tables, tables.S
-    kt = t.K.copy()
-    kt[t.ab] -= visc.nu
-    kt[t.ba] -= visc.nu
+    S = problem.nodes.pattern
+    kt = problem.K.data.copy()
+    kt[S.upper] -= visc.nu
+    kt[S.lower] -= visc.nu
     kt[S.diag] += visc.diag
-    Bt = S.boundary_matrix(t.B + visc.nu_boundary)
+    Bt = S.boundary_matrix(problem.B.data + visc.nu_boundary)
     Bt.eliminate_zeros()
     return S.matrix(kt), Bt
 
@@ -132,12 +102,12 @@ def mass_blend(alpha, Q):
     return alpha**Q
 
 
-def lumped_mass_matrix(tables: PairTables, m, alpha, Q):
+def lumped_mass_matrix(problem, alpha):
     """Selectively lumped mass diag(1 - a^Q) M + diag(a^Q m), whose action
     on w is (1 - a^Q)(Mw)_a + a^Q w_a m_a, in the node pattern."""
-    S = tables.S
-    blend = mass_blend(alpha, Q)
-    data = np.repeat(1.0 - blend, np.diff(S.indptr)) * tables.M
+    S, m = problem.nodes.pattern, problem.nodes.m
+    blend = mass_blend(alpha, problem.params.Q)
+    data = np.repeat(1.0 - blend, np.diff(S.indptr)) * problem.M.data
     data[S.diag] += blend * m
     return S.matrix(data)
 
@@ -235,20 +205,17 @@ class Linearization:
     @cached_property
     def visc(self):
         """Graph viscosity nu(s)."""
-        p = self.problem
-        return build_viscosity(p.tables, self.alpha, p.params, p.scales,
-                               p.nodes.n_nodes)
+        return build_viscosity(self.problem, self.alpha)
 
     @cached_property
     def operators(self):
         """(K_tilde, B_tilde)."""
-        return build_stabilized(self.problem.tables, self.visc)
+        return build_stabilized(self.problem, self.visc)
 
     @cached_property
     def mass(self):
         """M_tilde, the mass matrix lumped with weight alpha^Q."""
-        p = self.problem
-        return lumped_mass_matrix(p.tables, p.nodes.m, self.alpha, p.params.Q)
+        return lumped_mass_matrix(self.problem, self.alpha)
 
     @cached_property
     def system(self):
@@ -260,7 +227,7 @@ class Linearization:
         if self.dt is None:
             return Kt, p.rhs(Bt)
         dt, theta, u_old, Mt = self.dt, self.theta, self.u_old, self.mass
-        A = p.tables.S.matrix(Mt.data * (1.0 / dt) + theta * Kt.data)
+        A = p.nodes.pattern.matrix(Mt.data * (1.0 / dt) + theta * Kt.data)
         rhs = Mt @ u_old / dt - (1.0 - theta) * (Kt @ u_old) \
             + p.G + Bt @ p.ubar_vec
         return A, rhs
@@ -290,19 +257,18 @@ class Linearization:
         (:meth:`DetectorPass.jacobian`), so the smoothed mode is required;
         with the stabilization disabled d alpha/du is 0, stored in S.
         """
-        p, s, t = self.problem, self.s, self.problem.tables
+        p, s, S = self.problem, self.s, self.problem.nodes.pattern
         dalpha = self.detector.jacobian()
-        S = t.S
         n = p.nodes.n_nodes
-        d_a, d_b, d_bd = viscosity_slopes(t, self.alpha, p.scales)
-        ds = s[t.pair_a] - s[t.pair_b]
+        d_a, d_b, d_bd = viscosity_slopes(p, self.visc)
+        ds = s[S.upper_rows] - s[S.upper_cols]
         rb = S.boundary_rows
         dsb = s[rb] - p.ubar_vec[S.boundary_cols]
         c = np.zeros(S.nnz)
-        c[t.ab] = ds * d_b
-        c[t.ba] = -ds * d_a
-        c_diag = (np.bincount(t.pair_a, weights=ds * d_a, minlength=n)
-                  - np.bincount(t.pair_b, weights=ds * d_b, minlength=n)
+        c[S.upper] = ds * d_b
+        c[S.lower] = -ds * d_a
+        c_diag = (np.bincount(S.upper_rows, weights=ds * d_a, minlength=n)
+                  - np.bincount(S.upper_cols, weights=ds * d_b, minlength=n)
                   + np.bincount(rb, weights=dsb * d_bd, minlength=n))
         if self.dt is None:
             c[S.diag] = c_diag
@@ -316,9 +282,22 @@ class Linearization:
         return S.matrix(self.theta * c), dalpha
 
 
+def _require_finite(what, arrays):
+    """ValueError naming the datum ``what`` when ``arrays`` hold a
+    non-finite value."""
+    bad = sum(np.count_nonzero(~np.isfinite(a)) for a in arrays)
+    if bad:
+        raise ValueError(f"{what}: {bad} non-finite values")
+
+
 class StabilizedProblem:
     """Assembled problem plus everything needed to evaluate the nonlinear
-    stabilized scheme; :meth:`linearize` gives it at one iterate."""
+    stabilized scheme; :meth:`linearize` gives it at one iterate.
+
+    ValueError, before K, B and M are assembled, when the velocity beta at
+    the cell and facet quadrature points, the source vector G or the
+    boundary data's trace values are not finite.  ``K_ab`` and ``K_ba`` are
+    K's entries at the node pattern's ``upper`` and ``lower`` slots."""
 
     def __init__(self, mesh, nodes, spec: ProblemSpec,
                  params: StabilizationParams):
@@ -326,20 +305,29 @@ class StabilizedProblem:
         self.nodes = nodes
         self.spec = spec
         self.params = params
+        points = [mesh.quadrature[3]] + [
+            mesh.facet_points(f["v0"], f["v1"], GAUSS2)
+            for f in (mesh.interior_facets, mesh.boundary_facets)]
+        _require_finite("velocity beta at the quadrature points",
+                        [c for p in points for c in beta_at(spec.beta, p)])
         inflow = classify_facets(mesh, spec.beta)
-        self.K = assemble_K(mesh, nodes, spec, inflow)
-        self.B = assemble_B(mesh, nodes, spec, inflow)
-        self.M = assemble_M(mesh, nodes)
-        self.G = assemble_G(mesh, nodes, spec.g)
-        self.beta_norm = spec.beta_max(mesh)
-        self.scales = params.derived(mesh.h, self.beta_norm)
-        self.tables = PairTables(nodes, self.K, self.B, self.M)
         self.dirichlet_mask = dirichlet_boundary_nodes(mesh, nodes, spec,
                                                        inflow)
         self.trace = None
         if spec.ubar is not None:
             self.trace = interpolate_boundary(nodes, spec.ubar,
                                               self.dirichlet_mask)
+            _require_finite("boundary data ubar at the boundary nodes",
+                            [self.trace.values])
+        self.G = assemble_G(mesh, nodes, spec.g)
+        _require_finite("source g, in the source vector G", [self.G])
+        self.K = assemble_K(mesh, nodes, spec, inflow)
+        self.B = assemble_B(mesh, nodes, spec, inflow)
+        self.M = assemble_M(mesh, nodes)
+        S = nodes.pattern
+        self.K_ab, self.K_ba = self.K.data[S.upper], self.K.data[S.lower]
+        self.beta_norm = spec.beta_max(mesh)
+        self.scales = params.derived(mesh.h, self.beta_norm)
 
     @property
     def ubar_vec(self):

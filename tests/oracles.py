@@ -145,7 +145,7 @@ def lumped_mass_apply(M, m, alpha, Q, w):
 def jacobian_pattern(problem):
     """Sparsity pattern of dT/du: S^2 for the node pattern S (viscosities
     couple each row to the neighbors of its neighbors), as CSC ones."""
-    S = problem.nodes.pattern()
+    S = problem.nodes.pattern
     A = S.matrix(np.ones(S.nnz, dtype=np.int32))
     P = (A @ A).tocsc()
     P.data[:] = 1
@@ -291,7 +291,7 @@ def reference_topology(nodes):
     """Pair topology from symmetric points and Q1 weights computed for every
     non-coincident node pair on its own (no sharing between node pairs that
     join the same two vertices)."""
-    pa, pb = nodes.adjacency_pairs()
+    pa, pb = nodes.pattern.pair_rows, nodes.pattern.pair_cols
     coinc = nodes.node_vertex[pa] == nodes.node_vertex[pb]
     ra, rb = pa[~coinc], pb[~coinc]
     sb = symmetric_points_batch(nodes, ra, rb)
@@ -338,7 +338,7 @@ class PairDetector:
     def __init__(self, nodes, u, trace, params, scales):
         self.nodes, self.u, self.params = nodes, u, params
         t = self.topo = reference_topology(nodes)
-        pa, pb = nodes.adjacency_pairs()
+        pa, pb = nodes.pattern.pair_rows, nodes.pattern.pair_cols
         n, tau_h = nodes.n_nodes, scales.tau_h
         self.tau_h = tau_h
         self.term_idx = np.concatenate([pa, t["reg_a"], t["dg_a"]])
@@ -376,7 +376,7 @@ class PairDetector:
                                   + vertex[pb[reg]], return_index=True,
                                   return_inverse=True)
         grp_pairs, grp_a = np.bincount(grp), t["reg_a"][first]
-        S = nodes.pattern()
+        S = nodes.pattern
         starts = S.indptr[:-1] - np.arange(n, dtype=S.indptr.dtype)
 
         def node_sums(f, t_sym):
@@ -442,7 +442,8 @@ class PairDetector:
         """(rows, cols, vals) of d alpha/du, one entry per term and u-entry
         (smoothed mode); entries at the same (row, column) add up."""
         t, u, tau_h = self.topo, self.u, self.tau_h
-        pa, pb = self.nodes.adjacency_pairs()
+        S = self.nodes.pattern
+        pa, pb = S.pair_rows, S.pair_cols
         hi, *lo = self.branches
         slope = self._slope(hi)
         choice = self._first_attaining(self.sides[0])
@@ -479,7 +480,7 @@ class PairDetector:
     def jacobian(self):
         """d alpha/du in the node pattern S (smoothed mode): the
         :meth:`entries` summed into S's slots."""
-        S = self.nodes.pattern()
+        S = self.nodes.pattern
         rows, cols, vals = self.entries()
         return S.matrix(np.bincount(S.slots(rows, cols), weights=vals,
                                     minlength=S.nnz))

@@ -167,7 +167,7 @@ class TestStiffness:
         # of an interior facet meet in exact zeros of K, more with mu = 0
         mesh = perturbed_mesh(4, 4, scale=0.2, seed=2)
         nodes = build_dg_nodes(mesh)
-        S = nodes.pattern()
+        S = nodes.pattern
         spec = ProblemSpec(beta=rotation, mu=mu)
         inflow = classify_facets(mesh, spec.beta)
         K, M = assemble_K(mesh, nodes, spec, inflow), assemble_M(mesh, nodes)

@@ -241,7 +241,7 @@ class TestDetector:
         u = np.zeros(nodes.n_nodes)
         u[b] = 1.0
         topo = nodes.pair_topology()
-        pa, pb = nodes.adjacency_pairs()
+        pa, pb = nodes.pattern.pair_rows, nodes.pattern.pair_cols
         k = np.flatnonzero((pa == a) & (pb == b))
         assert len(k) == 1
         h_ab = 0.1  # both cells have h_K = sqrt(0.01)
@@ -303,7 +303,7 @@ class TestPairTopology:
     def test_groups_are_node_and_neighbour_vertex(self, mesh):
         nodes = build_dg_nodes(mesh)
         topo = nodes.pair_topology()
-        pa, pb = nodes.adjacency_pairs()
+        pa, pb = nodes.pattern.pair_rows, nodes.pattern.pair_cols
         regular = nodes.node_vertex[pa] != nodes.node_vertex[pb]
         regular[topo.dg_pair] = False
         key = pa[regular] * mesh.n_vertices + nodes.node_vertex[pb[regular]]
@@ -372,7 +372,7 @@ class TestDetectorProperties:
     @given(mesh=convex_meshes(), seed=st.integers(0, 2**16))
     def test_random_convex_mesh(self, mesh, seed):
         nodes = build_dg_nodes(mesh)
-        pa, pb = nodes.adjacency_pairs()
+        pa, pb = nodes.pattern.pair_rows, nodes.pattern.pair_cols
         other = nodes.node_vertex[pa] != nodes.node_vertex[pb]
         sb = symmetric_points_batch(nodes, pa[other], pb[other])
         # every symmetric point off the boundary has an owning cell

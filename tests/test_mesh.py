@@ -87,6 +87,10 @@ class TestStructuredQuad:
         with pytest.raises(MeshError, match="vertex 3 is not finite"):
             Mesh(verts, [[0, 1, 2, 3]])
 
+    def test_no_cells_rejected(self):
+        with pytest.raises(MeshError, match="cell list is empty"):
+            Mesh(np.zeros((3, 2)), np.zeros((0, 4), int))
+
     def test_facet_run_in_same_direction_rejected(self):
         # both cells lie above the edge 0 -> 1 and overlap
         verts = [[0, 0], [1, 0], [1, 1], [0, 1], [1, .5], [0, .5]]
@@ -277,7 +281,7 @@ class TestNodePattern:
                              ids=["uniform", "jittered", "valence3"])
     def test_pattern_and_slot_maps(self, mesh):
         nodes = build_dg_nodes(mesh)
-        S = nodes.pattern()
+        S = nodes.pattern
         n = nodes.n_nodes
         rows = np.repeat(np.arange(n), np.diff(S.indptr))
         for a in range(n):
@@ -286,9 +290,8 @@ class TestNodePattern:
                                   np.flatnonzero(near))
         assert S.nnz == len(S.indices) == S.indptr[-1]
         assert S.indptr.dtype == S.indices.dtype == np.int32
-        pa, pb = nodes.adjacency_pairs()
-        assert np.array_equal(rows[S.pairs], pa)
-        assert np.array_equal(S.indices[S.pairs], pb)
+        assert np.array_equal(rows[S.pairs], S.pair_rows)
+        assert np.array_equal(S.indices[S.pairs], S.pair_cols)
         assert np.array_equal(rows[S.diag], np.arange(n))
         assert np.array_equal(S.indices[S.diag], np.arange(n))
         assert np.array_equal(S.rows, rows)
@@ -297,7 +300,7 @@ class TestNodePattern:
                              ids=["uniform", "jittered", "valence3"])
     def test_slots_match_dict_oracle(self, mesh):
         nodes = build_dg_nodes(mesh)
-        S = nodes.pattern()
+        S = nodes.pattern
         rows = np.repeat(np.arange(nodes.n_nodes), np.diff(S.indptr))
         oracle = {(int(r), int(c)): k
                   for k, (r, c) in enumerate(zip(rows, S.indices))}
@@ -320,7 +323,7 @@ class TestNodePattern:
                              ids=["uniform", "jittered", "valence3"])
     def test_slots_outside_pattern_raise(self, mesh):
         nodes = build_dg_nodes(mesh)
-        S = nodes.pattern()
+        S = nodes.pattern
         r, c = np.argwhere(S.matrix(np.ones(S.nnz)).toarray() == 0)[-1]
         with pytest.raises(ValueError, match="not in the node pattern"):
             S.slots([r], [c])
@@ -331,7 +334,7 @@ class TestNodePattern:
     @pytest.mark.parametrize("mesh", PATTERN_MESHES,
                              ids=["uniform", "jittered", "valence3"])
     def test_slots_of_no_entries(self, mesh):
-        S = build_dg_nodes(mesh).pattern()
+        S = build_dg_nodes(mesh).pattern
         for empty in ([], np.zeros(0, dtype=np.int64)):
             got = S.slots(empty, empty)
             assert isinstance(got, np.ndarray)
@@ -344,18 +347,34 @@ class TestNodePattern:
         # the detector's sums run in this order: S's off-diagonal entries,
         # (row, column) in CSR order
         nodes = build_dg_nodes(mesh)
-        S = nodes.pattern()
+        S = nodes.pattern
         rows = np.repeat(np.arange(nodes.n_nodes), np.diff(S.indptr))
         off = rows != S.indices
-        pa, pb = nodes.adjacency_pairs()
-        assert np.array_equal(pa, rows[off])
-        assert np.array_equal(pb, S.indices[off])
+        assert np.array_equal(S.pair_rows, rows[off])
+        assert np.array_equal(S.pair_cols, S.indices[off])
+        # intp: NumPy converts other index types on every fancy index
+        assert S.pair_rows.dtype == S.pair_cols.dtype == np.intp
+
+    @pytest.mark.parametrize("mesh", PATTERN_MESHES,
+                             ids=["uniform", "jittered", "valence3"])
+    def test_unordered_pairs_and_transposes(self, mesh):
+        nodes = build_dg_nodes(mesh)
+        S = nodes.pattern
+        ref = [(a, int(b)) for a in range(nodes.n_nodes)
+               for b in nodes.neighbors(a) if b > a]
+        assert list(zip(S.upper_rows.tolist(), S.upper_cols.tolist())) == ref
+        assert S.upper_rows.dtype == S.upper_cols.dtype == np.intp
+        assert np.array_equal(S.rows[S.upper], S.upper_rows)
+        assert np.array_equal(S.indices[S.upper], S.upper_cols)
+        # lower holds the transposed entries (b, a)
+        assert np.array_equal(S.indices[S.lower], S.rows[S.upper])
+        assert np.array_equal(S.rows[S.lower], S.indices[S.upper])
 
     @pytest.mark.parametrize("mesh", PATTERN_MESHES,
                              ids=["uniform", "jittered", "valence3"])
     def test_scatter_sums_in_input_order(self, mesh):
         nodes = build_dg_nodes(mesh)
-        S = nodes.pattern()
+        S = nodes.pattern
         rng = np.random.default_rng(4)
         k = rng.integers(0, S.nnz, size=3 * S.nnz)
         vals = rng.standard_normal(len(k))
@@ -375,7 +394,7 @@ class TestNodePattern:
     @pytest.mark.parametrize("mesh", PATTERN_MESHES,
                              ids=["uniform", "jittered", "valence3"])
     def test_scatter_outside_pattern(self, mesh):
-        S = build_dg_nodes(mesh).pattern()
+        S = build_dg_nodes(mesh).pattern
         r, c = np.argwhere(S.matrix(np.ones(S.nnz)).toarray() == 0)[-1]
         # an exact zero outside S is dropped
         got = S.scatter([0, r, 0], [0, c, 0], [1.0, 0.0, 2.0])
@@ -387,7 +406,7 @@ class TestNodePattern:
             S.scatter([0, r], [0, c], [1.0, -1e-300])
 
     def test_scatter_of_zeros_is_float64(self):
-        S = build_dg_nodes(build_structured_quad(2, 2)).pattern()
+        S = build_dg_nodes(build_structured_quad(2, 2)).pattern
         for idx, vals in (([], []), ([0, 1], 0.0),
                           (np.zeros(0, dtype=np.int64), np.zeros(0))):
             got = S.scatter(idx, idx, vals)
@@ -395,7 +414,7 @@ class TestNodePattern:
             assert np.array_equal(got, np.zeros(S.nnz))
 
     def test_shared_structure_is_read_only(self):
-        S = build_dg_nodes(build_structured_quad(2, 2)).pattern()
+        S = build_dg_nodes(build_structured_quad(2, 2)).pattern
         A = S.matrix(np.ones(S.nnz))
         with pytest.raises(ValueError):
             A.indices[0] = 1

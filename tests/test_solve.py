@@ -835,7 +835,7 @@ class TestCellBlockSolve:
         state = random_state(THETA_STEPS["backward-euler"])
         A, rhs = state.system
         A = A.copy()
-        A.data[state.problem.tables.cell_blocks[0]] = 1.0
+        A.data[state.problem.nodes.pattern.cell_blocks[0]] = 1.0
         state.system = (A, rhs)
         solves, trace = solve.LinearSolves(), one_record()
         x = solves(state, trace, 1.0)
@@ -977,7 +977,7 @@ class TestThetaStep:
 
     @pytest.mark.parametrize("theta, dt, value", [
         (1.5, 1e-3, "1.5"), (-0.5, 1e-3, "-0.5"), (1.0, -1e-3, "-0.001"),
-        (1.0, 0.0, "0.0")])
+        (1.0, 0.0, "0.0"), (1.0, np.inf, "inf"), (0.5, np.inf, "inf")])
     def test_invalid_step_raises(self, theta, dt, value):
         case = get_case("three-body", sigma=1e-2, tau=1e-4)
         mesh = build_structured_quad(4, 4)

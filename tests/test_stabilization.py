@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from dgmono import (Mesh, ProblemSpec, StabilizationParams, audit_dmp,
                     build_dg_nodes, build_structured_quad, build_viscosity,
-                    cfl_bound, solve)
+                    cfl_bound, solve, stabilization)
 from dgmono.assembly import interpolate_boundary
 from dgmono.stabilization import (GraphViscosity, StabilizedProblem,
                                   build_stabilized, mass_blend,
@@ -34,33 +34,31 @@ PAIR_TABLE_MESHES = {
 
 
 class TestPairTables:
+    """The node pattern's pair layout as the operators read it."""
+
     @pytest.fixture(params=list(PAIR_TABLE_MESHES))
     def prob(self, request):
         return make_problem(mesh=PAIR_TABLE_MESHES[request.param]())
 
     def test_tables_match_queries(self, prob):
-        nodes = prob.nodes
-        t = prob.tables
-        ref = {(a, int(b)) for a in range(nodes.n_nodes)
-               for b in nodes.neighbors(a) if b > a}
-        assert set(zip(t.pair_a.tolist(), t.pair_b.tolist())) == ref
-        K = prob.K
-        for i in range(0, len(t.pair_a), 17):
-            a, b = t.pair_a[i], t.pair_b[i]
-            assert t.K_ab[i] == K[a, b]
-            assert t.K_ba[i] == K[b, a]
+        # K's entries at each unordered pair (a, b) and at (b, a)
+        S, K = prob.nodes.pattern, prob.K
+        assert len(prob.K_ab) == len(prob.K_ba) == len(S.upper) > 0
+        for i in range(0, len(S.upper), 17):
+            a, b = S.upper_rows[i], S.upper_cols[i]
+            assert prob.K_ab[i] == K[a, b]
+            assert prob.K_ba[i] == K[b, a]
 
     def test_boundary_pairs(self, prob):
         nodes = prob.nodes
-        t = prob.tables
         ref = {(int(a), int(nodes.boundary_index[bn]))
                for bn in nodes.boundary_nodes for a in nodes.neighbors(bn)}
-        S = nodes.pattern()
+        S = nodes.pattern
         rb, cb = S.boundary_rows, S.boundary_cols
         assert set(zip(rb.tolist(), cb.tolist())) == ref
         B = prob.B
         for i, (a, col) in enumerate(zip(rb, cb)):
-            assert t.B[i] == B[a, col]
+            assert B.data[i] == B[a, col]
         # exactly S's entries in boundary columns, in S's CSR order
         rows = np.repeat(np.arange(nodes.n_nodes), np.diff(S.indptr))
         k = nodes.boundary_index[S.indices] >= 0
@@ -68,31 +66,58 @@ class TestPairTables:
         assert np.array_equal(rb, rows[k])
         assert np.array_equal(cb, nodes.boundary_index[S.indices[k]])
         # B_tilde at nu = 0 stores B's nonzeros in that order
-        zero = GraphViscosity(np.zeros(len(t.pair_a)), np.zeros(len(rb)),
-                              np.zeros(nodes.n_nodes))
-        Bt = build_stabilized(t, zero)[1].tocoo()
-        nz = t.B != 0.0
+        zero = GraphViscosity(np.zeros(len(S.upper)), np.zeros(len(rb)),
+                              np.zeros(nodes.n_nodes), ())
+        Bt = build_stabilized(prob, zero)[1].tocoo()
+        nz = B.data != 0.0
         assert nz.any()
         assert np.array_equal(Bt.row, rb[nz])
         assert np.array_equal(Bt.col, cb[nz])
-        assert np.array_equal(Bt.data, t.B[nz])
-
-    def test_tables_share_the_operators_data(self, prob):
-        # one store per operator: the tables read K, B and M in place
-        t = prob.tables
-        for name in ("K", "B", "M"):
-            assert np.shares_memory(getattr(t, name),
-                                    getattr(prob, name).data)
+        assert np.array_equal(Bt.data, B.data[nz])
 
     def test_operator_entry_outside_pattern_raises(self, prob):
         # an operator's entries reach S by its scatter, which refuses a
         # nonzero outside S
-        S = prob.nodes.pattern()
+        S = prob.nodes.pattern
         r, c = np.argwhere(S.matrix(np.ones(S.nnz)).toarray() == 0)[0]
         K = prob.K.tocoo()
         with pytest.raises(ValueError, match="not in the node pattern"):
             S.scatter(np.append(K.row, r), np.append(K.col, c),
                       np.append(K.data, 1.0))
+
+
+# each datum made non-finite on a region of the 4x4 unit square: beta on
+# cells (x > 0.6), only at the Gauss points of the interior facets on
+# x = 0.5 and only at those of the boundary facets on x = 1
+NON_FINITE_DATA = {
+    "beta-cells": ("velocity beta", lambda bad: dict(
+        beta=lambda x, y: (np.where(x > 0.6, bad, 1.0), 0.5 + 0 * y))),
+    "beta-interior-facets": ("velocity beta", lambda bad: dict(
+        beta=lambda x, y: (np.where(x == 0.5, bad, 1.0), 0.5 + 0 * y))),
+    "beta-boundary-facets": ("velocity beta", lambda bad: dict(
+        beta=lambda x, y: (np.where(x == 1.0, bad, 1.0), 0.5 + 0 * y))),
+    "g": ("source g", lambda bad: dict(
+        g=lambda x, y: np.where(x < 0.3, bad, 1.0))),
+    "ubar": ("boundary data ubar", lambda bad: dict(
+        ubar=lambda x, y: np.where(x < 0.3, bad, 0.0))),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", list(NON_FINITE_DATA))
+def test_non_finite_data_named_before_assembly(monkeypatch, case, bad):
+    name, data = NON_FINITE_DATA[case]
+    kw = dict(beta=lambda x, y: (1.0 + 0 * x, 0.5 + 0 * y), mu=1e-2,
+              g=lambda x, y: 1.0 + 0 * x, ubar=lambda x, y: 0 * x)
+    kw.update(data(bad))
+    mesh = build_structured_quad(4, 4)
+
+    def no_assembly(*args):
+        raise AssertionError("K assembled from non-finite data")
+    monkeypatch.setattr(stabilization, "assemble_K", no_assembly)
+    with pytest.raises(ValueError, match=f"^{name}.*: [1-9][0-9]* non-finite"):
+        StabilizedProblem(mesh, build_dg_nodes(mesh), ProblemSpec(**kw),
+                          StabilizationParams())
 
 
 class TestViscosity:
@@ -102,12 +127,12 @@ class TestViscosity:
         u = rng.standard_normal(prob.nodes.n_nodes)
         al = prob.alpha(u)
         visc = prob.linearize(u).visc
-        t = prob.tables
-        nu_ref = np.maximum.reduce([al[t.pair_a] * t.K_ab,
-                                    np.zeros(len(t.pair_a)),
-                                    al[t.pair_b] * t.K_ba])
+        S = prob.nodes.pattern
+        nu_ref = np.maximum.reduce([al[S.upper_rows] * prob.K_ab,
+                                    np.zeros(len(S.upper)),
+                                    al[S.upper_cols] * prob.K_ba])
         assert np.array_equal(visc.nu, nu_ref)
-        nub_ref = np.maximum(-al[t.S.boundary_rows] * t.B, 0.0)
+        nub_ref = np.maximum(-al[S.boundary_rows] * prob.B.data, 0.0)
         assert np.array_equal(visc.nu_boundary, nub_ref)
 
     def test_smoothed_dominates_raw(self):
@@ -116,11 +141,8 @@ class TestViscosity:
         rng = np.random.default_rng(1)
         u = rng.standard_normal(prob_s.nodes.n_nodes)
         al = prob_s.alpha(u)
-        t = prob_s.tables
-        vs = build_viscosity(t, al, prob_s.params, prob_s.scales,
-                             prob_s.nodes.n_nodes)
-        vr = build_viscosity(t, al, prob_r.params, prob_r.scales,
-                             prob_r.nodes.n_nodes)
+        vs = build_viscosity(prob_s, al)
+        vr = build_viscosity(prob_r, al)
         assert np.all(vs.nu >= vr.nu)
         assert np.all(vs.nu_boundary >= vr.nu_boundary)
         assert np.all(vs.nu >= 0.0)
@@ -143,12 +165,12 @@ class TestViscosity:
     def test_diagonal_compensates(self):
         prob = make_problem(4)
         u = np.random.default_rng(3).standard_normal(prob.nodes.n_nodes)
-        visc, t = prob.linearize(u).visc, prob.tables
+        visc, S = prob.linearize(u).visc, prob.nodes.pattern
         n = prob.nodes.n_nodes
         lhs = visc.diag
-        rhs = (np.bincount(t.pair_a, weights=visc.nu, minlength=n)
-               + np.bincount(t.pair_b, weights=visc.nu, minlength=n)
-               + np.bincount(t.S.boundary_rows, weights=visc.nu_boundary,
+        rhs = (np.bincount(S.upper_rows, weights=visc.nu, minlength=n)
+               + np.bincount(S.upper_cols, weights=visc.nu, minlength=n)
+               + np.bincount(S.boundary_rows, weights=visc.nu_boundary,
                              minlength=n))
         assert np.array_equal(lhs, rhs)
 
@@ -349,14 +371,14 @@ class TestAudit:
 
 def coo_operators(prob, visc):
     """(K_tilde, B_tilde) by COO -> CSR and sparse addition."""
-    K, B, t = prob.K, prob.B, prob.tables
+    K, B, S = prob.K, prob.B, prob.nodes.pattern
     n = K.shape[0]
-    rows = np.concatenate([t.pair_a, t.pair_b, np.arange(n)])
-    cols = np.concatenate([t.pair_b, t.pair_a, np.arange(n)])
+    rows = np.concatenate([S.upper_rows, S.upper_cols, np.arange(n)])
+    cols = np.concatenate([S.upper_cols, S.upper_rows, np.arange(n)])
     vals = np.concatenate([-visc.nu, -visc.nu, visc.diag])
     D = sp.coo_matrix((vals, (rows, cols)), shape=K.shape).tocsr()
     nu_b = sp.coo_matrix(
-        (visc.nu_boundary, (t.S.boundary_rows, t.S.boundary_cols)),
+        (visc.nu_boundary, (S.boundary_rows, S.boundary_cols)),
         shape=B.shape).tocsr()
     return (K + D).tocsr(), (B + nu_b).tocsr()
 
@@ -394,15 +416,14 @@ def coo_dalpha(state):
 def coo_jacobian_terms(state):
     """(C, d alpha/du) by COO -> CSR, with dT/du = A + C d alpha/du and A
     the Picard matrix of :func:`coo_system`."""
-    prob, s, t = state.problem, state.s, state.problem.tables
+    prob, s, S = state.problem, state.s, state.problem.nodes.pattern
     dalpha = coo_dalpha(state)
-    d_a, d_b, d_bd = viscosity_slopes(t, state.alpha, prob.scales)
-    ds = s[t.pair_a] - s[t.pair_b]
-    dsb = s[t.S.boundary_rows] - prob.ubar_vec[t.S.boundary_cols]
-    rows = np.concatenate([t.pair_a, t.pair_a, t.pair_b, t.pair_b,
-                           t.S.boundary_rows])
-    cols = np.concatenate([t.pair_a, t.pair_b, t.pair_a, t.pair_b,
-                           t.S.boundary_rows])
+    d_a, d_b, d_bd = viscosity_slopes(prob, state.visc)
+    pa, pb = S.upper_rows, S.upper_cols
+    ds = s[pa] - s[pb]
+    dsb = s[S.boundary_rows] - prob.ubar_vec[S.boundary_cols]
+    rows = np.concatenate([pa, pa, pb, pb, S.boundary_rows])
+    cols = np.concatenate([pa, pb, pa, pb, S.boundary_rows])
     vals = np.concatenate([ds * d_a, ds * d_b, -ds * d_a, -ds * d_b,
                            dsb * d_bd])
     C = sp.coo_matrix((vals, (rows, cols)), shape=dalpha.shape).tocsr()
@@ -488,7 +509,7 @@ class TestFixedPattern:
         assert_bitwise(Bt, Bc)
         # B_tilde's stored columns are its nonzeros, as before
         assert np.array_equal(Bt.indices, Bc.indices)
-        assert Kt.nnz == state.problem.nodes.pattern().nnz
+        assert Kt.nnz == state.problem.nodes.pattern.nnz
 
     def test_mass_bitwise(self, state):
         assert_bitwise(state.mass, coo_mass(state.problem, state.alpha))
